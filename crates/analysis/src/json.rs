@@ -408,12 +408,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is
-                // always on a boundary).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash. Both are
+                // ASCII, so the run is a whole slice of the input &str and
+                // valid UTF-8; validating only the run keeps parsing linear
+                // in the document's length.
+                let start = *pos;
+                while bytes.get(*pos).is_some_and(|&b| b != b'"' && b != b'\\') {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?);
             }
         }
     }
@@ -466,6 +469,7 @@ mod tests {
             Json::Float(-1234.75),
             Json::Str("hello \"world\"\n\t\\".to_string()),
             Json::Str("π ≈ 3".to_string()),
+            Json::Str("é\"ü\\→\n".to_string()),
         ] {
             assert_eq!(Json::parse(&v.render()).unwrap(), v, "{v:?}");
         }

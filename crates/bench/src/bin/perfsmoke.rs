@@ -13,23 +13,19 @@
 //! Throughput (simulated pclocks per wall-clock second, generation
 //! included) is recorded under a label in the grid's ledger:
 //! `BENCH_PR1.json` for the default-size grid, `BENCH_PR6.json` for the
-//! `--large` grid (where the event kernel dominates and the sharded
-//! kernel's win is visible), `BENCH_PR7.json` for the warmed large grid
-//! the `--checkpoint` benchmark sweeps; the like-for-like packed-grid
-//! measurements live in `BENCH_PR2.json`.
+//! `--large` grid (where the event kernel dominates), `BENCH_PR7.json`
+//! for the warmed large grid the `--checkpoint` benchmark sweeps; the
+//! like-for-like packed-grid measurements live in `BENCH_PR2.json`.
 //!
 //! Usage:
 //! `cargo run -p pfsim-bench --bin perfsmoke --release -- [--label NAME]
-//! [--grid NAME] [--threads N] [--large] [--checkpoint] [--trend]
+//! [--grid NAME] [--large] [--checkpoint] [--trend]
 //! [--check] [--spec PATH]`
 //!
 //! * `--label NAME` records the run in the grid's throughput ledger
-//!   (conventional labels: `seed`, `optimized`, `ci`, `shards2`).
+//!   (conventional labels: `seed`, `optimized`, `ci`).
 //! * `--grid NAME` records the run (with the generation/simulation split
 //!   and bytes/op) in BENCH_PR2.json.
-//! * `--threads N` runs every cell on the sharded event kernel with `N`
-//!   worker threads; the count round-trips into the run manifest. The
-//!   pclock totals are bit-identical to serial, so `--check` still holds.
 //! * `--large` runs the large-size grid (ledger: BENCH_PR6.json,
 //!   manifest: `perfsmoke-large`).
 //! * `--checkpoint` runs the warmup-checkpoint benchmark instead: the
@@ -39,7 +35,7 @@
 //!   recorded in BENCH_PR7.json.
 //! * `--trend` prints the pclocks/sec trajectory of every `BENCH_*.json`
 //!   ledger and exits without simulating anything.
-//! * `--spec PATH` runs the wire-format `ExperimentSpec` (schema v2 JSON,
+//! * `--spec PATH` runs the wire-format `ExperimentSpec` (schema v3 JSON,
 //!   the same document `pfsim-client submit` sends) instead of the
 //!   built-in grid, writes its manifest, and skips the ledgers.
 //! * `--check` exits nonzero unless this run's total pclocks match the
@@ -47,8 +43,8 @@
 //!   whose ledger has no seed entry yet, the comparison is skipped with
 //!   a once-per-process notice naming the ledger instead of failing),
 //!   the packed encoding stays within its bytes/op budget, and the JSON
-//!   run manifest this run just emitted validates, agrees on the total,
-//!   and records the thread count.
+//!   run manifest this run just emitted validates and agrees on the
+//!   total.
 
 use pfsim::{System, SystemConfig};
 use pfsim_analysis::Json;
@@ -99,13 +95,10 @@ fn main() {
         Size::Large => "BENCH_PR6.json",
         Size::Paper => "BENCH_PAPER.json",
     });
-    let threads = args.threads;
-
     warm_allocator();
 
-    // The 24-cell grid: cell-serial (stable single-threaded timing, any
-    // parallelism is inside the sharded kernel) and quiet (the point is
-    // the totals, not 24 progress lines).
+    // The 24-cell grid: cell-serial (stable single-threaded timing) and
+    // quiet (the point is the totals, not 24 progress lines).
     let run = ExperimentSpec::new(match args.size {
         Size::Default => "perfsmoke",
         Size::Paper => "perfsmoke-paper",
@@ -119,7 +112,6 @@ fn main() {
         Scheme::Sequential { degree: 1 },
     ])
     .serial()
-    .threads(threads)
     .quiet()
     .run();
 
@@ -146,7 +138,7 @@ fn main() {
     let seconds = gen_seconds + sim_seconds;
     let rate = pclocks as f64 / seconds;
 
-    println!("simulation: {pclocks} pclocks in {sim_seconds:.2}s (threads={threads})");
+    println!("simulation: {pclocks} pclocks in {sim_seconds:.2}s");
     println!(
         "perfsmoke [{}]: {pclocks} pclocks in {seconds:.2}s = {rate:.0} pclocks/sec (gen {gen_seconds:.2}s + sim {sim_seconds:.2}s)",
         args.label.as_deref().unwrap_or("unrecorded")
@@ -156,7 +148,7 @@ fn main() {
         let ledger = update_ledger(
             &ledger_path,
             label,
-            ledger_entry(pclocks, seconds, Some(threads), rate, &[]),
+            ledger_entry(pclocks, seconds, rate, &[]),
         );
         if let (Some(seed), Some(now)) = (ledger.rate_of("seed"), ledger.rate_of(label)) {
             if label != "seed" {
@@ -174,7 +166,6 @@ fn main() {
             ledger_entry(
                 pclocks,
                 seconds,
-                None,
                 rate,
                 &[
                     ("gen_seconds", Json::Float(round3(gen_seconds))),
@@ -212,37 +203,20 @@ fn main() {
             );
             std::process::exit(1);
         }
-        if parsed.threads != threads.max(1) as u64 {
-            eprintln!(
-                "check FAILED: manifest records threads={} but this run used --threads {threads}",
-                parsed.threads
-            );
-            std::process::exit(1);
-        }
         println!(
-            "check OK: {pclocks} pclocks, manifest validates ({} cells, threads={}), {bytes_per_op:.2} bytes/op <= {BYTES_PER_OP_BUDGET}",
-            parsed.cells.len(),
-            parsed.threads
+            "check OK: {pclocks} pclocks, manifest validates ({} cells), {bytes_per_op:.2} bytes/op <= {BYTES_PER_OP_BUDGET}",
+            parsed.cells.len()
         );
     }
 }
 
 /// A run entry for the throughput ledgers, plus any grid-specific extras
 /// (inserted before the rate so the key order matches the ledger files).
-fn ledger_entry(
-    pclocks: u64,
-    seconds: f64,
-    threads: Option<usize>,
-    rate: f64,
-    extras: &[(&str, Json)],
-) -> Json {
+fn ledger_entry(pclocks: u64, seconds: f64, rate: f64, extras: &[(&str, Json)]) -> Json {
     let mut members = vec![
         ("pclocks", Json::uint(pclocks)),
         ("seconds", Json::Float(round3(seconds))),
     ];
-    if let Some(t) = threads {
-        members.push(("threads", Json::uint(t as u64)));
-    }
     for (k, v) in extras {
         members.push((k, v.clone()));
     }
@@ -364,11 +338,7 @@ fn run_checkpoint_bench(check: bool) {
         let seconds = run.gen_seconds + run.sim_seconds;
         let rate = pclocks as f64 / seconds;
         println!("{label}: {pclocks} pclocks in {seconds:.2}s = {rate:.0} pclocks/sec");
-        update_ledger(
-            &pr7,
-            label,
-            ledger_entry(pclocks, seconds, Some(1), rate, &[]),
-        );
+        update_ledger(&pr7, label, ledger_entry(pclocks, seconds, rate, &[]));
         rate
     };
 

@@ -27,7 +27,7 @@ use crate::Size;
 enum ValueForm {
     /// A bare switch (`--check`).
     None,
-    /// Value in the next argument (`--threads 4`).
+    /// Value in the next argument (`--workers 4`).
     Next,
     /// Value after `=` in the same argument (`--size=paper`).
     Eq,
@@ -56,11 +56,6 @@ const FLAGS: &[FlagDef] = &[
         name: "--size",
         value: ValueForm::Eq,
         help: "--size=<default|paper|large>: select the problem size",
-    },
-    FlagDef {
-        name: "--threads",
-        value: ValueForm::Next,
-        help: "worker threads per simulation (sharded kernel; 1 = serial)",
     },
     FlagDef {
         name: "--label",
@@ -147,7 +142,6 @@ pub const PERFSMOKE_FLAGS: &[&str] = &[
     "--paper",
     "--large",
     "--size",
-    "--threads",
     "--label",
     "--grid",
     "--check",
@@ -164,7 +158,6 @@ pub const SERVE_FLAGS: &[&str] = &[
     "--queue-depth",
     "--timeout-secs",
     "--results-dir",
-    "--threads",
 ];
 
 /// The `pfsim-client` flag set (plus positional `command [operand]`).
@@ -176,8 +169,6 @@ pub const CLIENT_FLAGS: &[&str] = &["--host", "--port", "--out", POSITIONAL];
 pub struct Args {
     /// Problem size (`--paper` / `--large` / `--size=`).
     pub size: Size,
-    /// Worker threads per simulation (`--threads`, default 1).
-    pub threads: usize,
     /// Ledger label (`--label`).
     pub label: Option<String>,
     /// BENCH_PR2 grid label (`--grid`).
@@ -215,7 +206,6 @@ impl Default for Args {
     fn default() -> Self {
         Args {
             size: Size::Default,
-            threads: 1,
             label: None,
             grid: None,
             check: false,
@@ -320,7 +310,6 @@ fn apply(
             };
             set_size(size, picked)?;
         }
-        "--threads" => args.threads = uint(&value)? as usize,
         "--label" => args.label = value,
         "--grid" => args.grid = value,
         "--check" => args.check = true,
@@ -450,13 +439,8 @@ mod tests {
 
     #[test]
     fn perfsmoke_flags_parse_typed() {
-        let args = parse(
-            PERFSMOKE_FLAGS,
-            &["--label", "ci", "--threads", "4", "--check", "--large"],
-        )
-        .unwrap();
+        let args = parse(PERFSMOKE_FLAGS, &["--label", "ci", "--check", "--large"]).unwrap();
         assert_eq!(args.label.as_deref(), Some("ci"));
-        assert_eq!(args.threads, 4);
         assert!(args.check);
         assert_eq!(args.size, Size::Large);
         assert!(!args.trend && !args.checkpoint);
@@ -464,12 +448,22 @@ mod tests {
 
     #[test]
     fn numeric_flags_reject_garbage_and_missing_values() {
-        let err = parse(PERFSMOKE_FLAGS, &["--threads", "many"]).unwrap_err();
-        assert!(err.contains("--threads") && err.contains("many"), "{err}");
-        let err = parse(PERFSMOKE_FLAGS, &["--threads"]).unwrap_err();
+        let err = parse(SERVE_FLAGS, &["--workers", "many"]).unwrap_err();
+        assert!(err.contains("--workers") && err.contains("many"), "{err}");
+        let err = parse(PERFSMOKE_FLAGS, &["--label"]).unwrap_err();
         assert!(err.contains("expects a value"), "{err}");
         let err = parse(SERVE_FLAGS, &["--port", "70000"]).unwrap_err();
         assert!(err.contains("--port"), "{err}");
+    }
+
+    /// The event kernel is serial, so neither perfsmoke nor pfsim-serve
+    /// knows `--threads`: it fails like any other unknown flag.
+    #[test]
+    fn threads_flag_is_unknown() {
+        for accepts in [PERFSMOKE_FLAGS, SERVE_FLAGS] {
+            let err = parse(accepts, &["--threads", "2"]).unwrap_err();
+            assert_eq!(err, "unrecognized argument '--threads'");
+        }
     }
 
     #[test]

@@ -17,14 +17,13 @@ use pfsim_analysis::Json;
 use crate::spec::{CellResult, ExperimentRun, TraceInfo, Variant};
 
 /// Schema version stamped into (and required from) every manifest.
-pub const MANIFEST_SCHEMA_VERSION: i64 = 1;
+pub const MANIFEST_SCHEMA_VERSION: i64 = 2;
 
 /// Builds the manifest document for a completed run.
 pub(crate) fn manifest_json(run: &ExperimentRun, analyze_seconds: f64) -> Json {
     assemble_manifest(
         &run.name,
         &run.size.to_string(),
-        run.threads,
         (run.gen_seconds, run.sim_seconds, analyze_seconds),
         run.total_pclocks(),
         run.apps.iter().map(|a| a.name().to_string()).collect(),
@@ -44,7 +43,6 @@ pub(crate) fn manifest_json(run: &ExperimentRun, analyze_seconds: f64) -> Json {
 pub fn assemble_manifest(
     name: &str,
     size: &str,
-    threads: usize,
     (gen_seconds, sim_seconds, analyze_seconds): (f64, f64, f64),
     total_pclocks: u64,
     apps: Vec<String>,
@@ -56,7 +54,6 @@ pub fn assemble_manifest(
         ("schema_version", Json::Int(MANIFEST_SCHEMA_VERSION)),
         ("name", Json::str(name)),
         ("size", Json::str(size)),
-        ("threads", Json::uint(threads as u64)),
         ("git", Json::str(git_describe())),
         ("unix_time", Json::uint(unix_time())),
         (
@@ -290,9 +287,6 @@ pub struct Manifest {
     pub size: String,
     /// The `git describe` stamp of the producing build.
     pub git: String,
-    /// Worker threads each cell's event kernel ran on (1 = serial
-    /// kernel; older manifests without the field read as 1).
-    pub threads: u64,
     /// Sum of simulated execution time over all cells, in pclocks.
     pub total_pclocks: u64,
     /// Per-phase wall-clock: generation, simulation, analysis seconds.
@@ -380,7 +374,6 @@ fn validate_doc(doc: &Json) -> Result<Manifest, String> {
             "schema_version",
             "name",
             "size",
-            "threads",
             "git",
             "unix_time",
             "phases",
@@ -421,12 +414,6 @@ fn validate_doc(doc: &Json) -> Result<Manifest, String> {
     let total_pclocks = field(doc, "total_pclocks")?
         .as_u64()
         .ok_or("total_pclocks is not a u64")?;
-    // Pre-sharding manifests (same schema version) lack the field; they
-    // were all serial-kernel runs.
-    let threads = match doc.get("threads") {
-        Some(v) => v.as_u64().ok_or("threads is not a u64")?,
-        None => 1,
-    };
 
     let apps: Vec<String> = field(doc, "apps")?
         .as_array()
@@ -646,7 +633,6 @@ fn validate_doc(doc: &Json) -> Result<Manifest, String> {
         name,
         size,
         git,
-        threads,
         total_pclocks,
         phase_seconds: (phase_seconds[0], phase_seconds[1], phase_seconds[2]),
         apps,
@@ -700,11 +686,10 @@ mod tests {
     /// single mutation of this string.
     fn minimal_manifest() -> String {
         r#"{
-            "schema_version": 1,
+            "schema_version": 2,
             "name": "unit",
             "git": "deadbeef",
             "size": "default",
-            "threads": 2,
             "phases": {"gen_seconds": 0.1, "sim_seconds": 0.2, "analyze_seconds": 0.0},
             "total_pclocks": 300,
             "apps": ["mp3d"],
@@ -739,7 +724,6 @@ mod tests {
         assert_eq!(m.size, "default");
         assert_eq!(m.git, "deadbeef");
         assert_eq!(m.total_pclocks, 300);
-        assert_eq!(m.threads, 2);
         assert_eq!(m.phase_seconds, (0.1, 0.2, 0.0));
         assert_eq!(m.apps, ["mp3d"]);
         assert_eq!(
@@ -758,15 +742,19 @@ mod tests {
         assert_eq!(Manifest::parse(&minimal_manifest()).unwrap(), m);
     }
 
-    /// `threads` round-trips when present and defaults to 1 (the serial
-    /// kernel) for pre-sharding manifests; a wrong type is rejected.
+    /// Schema 2 dropped `threads`: a version-1 manifest is refused by
+    /// version, and a version-2 manifest carrying the field by name.
     #[test]
-    fn validate_threads_field() {
-        let text = minimal_manifest().replace("\"threads\": 2,\n", "");
-        assert_eq!(check("no-threads", &text).unwrap().threads, 1);
-        let text = minimal_manifest().replace("\"threads\": 2", "\"threads\": \"two\"");
-        let err = check("bad-threads", &text).unwrap_err();
-        assert!(err.contains("threads"), "{err}");
+    fn validate_rejects_threads_field() {
+        let text = minimal_manifest().replace(
+            "\"size\": \"default\",",
+            "\"size\": \"default\", \"threads\": 1,",
+        );
+        let err = check("threads", &text).unwrap_err();
+        assert!(err.ends_with("manifest: unknown key 'threads'"), "{err}");
+        let text = text.replace("\"schema_version\": 2", "\"schema_version\": 1");
+        let err = check("v1", &text).unwrap_err();
+        assert!(err.ends_with("schema_version 1 (expected 2)"), "{err}");
     }
 
     /// A phase timing gone missing is reported by name.

@@ -64,7 +64,6 @@ pub struct ExperimentSpec {
     pub(crate) instrument: bool,
     pub(crate) parallel: bool,
     pub(crate) quiet: bool,
-    pub(crate) threads: usize,
     pub(crate) warmup: u64,
     pub(crate) warmup_share: bool,
 }
@@ -83,7 +82,6 @@ impl ExperimentSpec {
             instrument: instrument_from_env(),
             parallel: true,
             quiet: false,
-            threads: shards_from_env(),
             warmup: 0,
             warmup_share: true,
         }
@@ -156,15 +154,6 @@ impl ExperimentSpec {
         self
     }
 
-    /// Runs every cell on the sharded event kernel with `n` worker
-    /// threads (`<= 1` selects the serial kernel), overriding
-    /// `PFSIM_SHARDS`. Results are bit-identical either way — this knob
-    /// trades intra-run wall-clock against the grid-level fan-out.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n;
-        self
-    }
-
     /// Suppresses the per-cell progress lines on stderr.
     pub fn quiet(mut self) -> Self {
         self.quiet = true;
@@ -185,8 +174,8 @@ impl ExperimentSpec {
     /// (which [`warmup_straight`](Self::warmup_straight) forces, for
     /// validating exactly that).
     ///
-    /// Warmed cells run cell-serially on the serial kernel (a checkpoint
-    /// may carry a forked consistency oracle, which stays on one thread).
+    /// Warmed cells run cell-serially (a checkpoint may carry a forked
+    /// consistency oracle, which stays on one thread).
     pub fn warmup(mut self, pclocks: u64) -> Self {
         self.warmup = pclocks;
         self
@@ -212,15 +201,6 @@ fn instrument_from_env() -> bool {
         std::env::var("PFSIM_INSTRUMENT").as_deref(),
         Ok("1") | Ok("true") | Ok("on")
     )
-}
-
-/// Worker-thread count per simulation from `PFSIM_SHARDS` (default 1:
-/// the serial kernel).
-fn shards_from_env() -> usize {
-    std::env::var("PFSIM_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
 }
 
 /// Whether `PFSIM_CHECK` asks for the online consistency oracle.
@@ -290,11 +270,6 @@ impl Runner {
         let gen_seconds = gen_start.elapsed().as_secs_f64();
 
         let sim_start = Instant::now();
-        assert!(
-            spec.warmup == 0 || spec.threads <= 1,
-            "warmed specs run on the serial kernel (threads <= 1): the sharded kernel seeds \
-             a cold machine and cannot resume a checkpoint"
-        );
         let jobs: Vec<(usize, usize)> = (0..spec.apps.len())
             .flat_map(|a| (0..spec.variants.len()).map(move |v| (a, v)))
             .collect();
@@ -310,15 +285,13 @@ impl Runner {
             }
             let (geometry, nodes) = (cfg.geometry, cfg.nodes as usize);
             let start = Instant::now();
-            let mut sys;
-            let result;
-            if spec.warmup > 0 {
+            let mut sys = if spec.warmup > 0 {
                 // Warmed cell: reach the boundary (by restoring the shared
                 // checkpoint or by simulating the scheme-free prefix from
                 // cold — bit-identical by construction), then attach the
                 // variant's scheme and run on.
                 let scheme = cfg.scheme;
-                sys = match ckpt {
+                let mut sys = match ckpt {
                     Some(c) => System::restore(c),
                     None => {
                         let cur = cursor_for(app, size, cfg.nodes);
@@ -331,19 +304,16 @@ impl Runner {
                     }
                 };
                 sys.reconfigure_scheme(scheme);
-                result = sys.run();
+                sys
             } else {
                 let cur = cursor_for(app, size, cfg.nodes);
-                sys = System::new(cfg, cur);
+                let mut sys = System::new(cfg, cur);
                 if checked {
                     sys.set_check_sink(Box::new(ConsistencyOracle::new(geometry, nodes)));
                 }
-                result = if spec.threads > 1 {
-                    sys.run_threads(spec.threads)
-                } else {
-                    sys.run()
-                };
-            }
+                sys
+            };
+            let result = sys.run();
             let wall_seconds = start.elapsed().as_secs_f64();
             if checked {
                 let oracle = sys
@@ -425,7 +395,6 @@ impl Runner {
             size: spec.size,
             apps: spec.apps,
             variants: spec.variants,
-            threads: spec.threads.max(1),
             cells,
             traces,
             gen_seconds,
@@ -512,9 +481,6 @@ pub struct ExperimentRun {
     pub apps: Vec<App>,
     /// Grid columns.
     pub variants: Vec<Variant>,
-    /// Worker threads each cell's event kernel ran on (1 = serial
-    /// kernel); recorded in the manifest as `threads`.
-    pub threads: usize,
     /// Cell results, app-major (`apps.len() × variants.len()`).
     pub cells: Vec<CellResult>,
     /// The distinct traces the run generated.
@@ -582,9 +548,7 @@ mod tests {
             .baseline_and(&[Scheme::Sequential { degree: 1 }])
             .variant_sized("large", SystemConfig::paper_baseline(), Size::Large)
             .serial()
-            .threads(4)
             .quiet();
-        assert_eq!(spec.threads, 4);
         assert_eq!(spec.apps, [App::Mp3d, App::Water]);
         assert_eq!(spec.variants.len(), 3);
         assert_eq!(spec.variants[0].label, "baseline");

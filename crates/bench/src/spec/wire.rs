@@ -4,7 +4,7 @@
 //! a spec — `pfsim-serve` accepting submissions, `pfsim-client` sending
 //! them, `perfsmoke --spec` replaying one from disk — needs a typed,
 //! validated JSON encoding instead of ad-hoc field plumbing. This module
-//! is that encoding: schema v2 (v1 being the informal implied-by-code
+//! is that encoding: schema v3 (v1 being the informal implied-by-code
 //! form the run manifests grew out of), with an explicit
 //! `wire_version` field, structured scheme objects instead of display
 //! strings, strict validation (unknown fields are errors, so typos fail
@@ -37,7 +37,7 @@ use pfsim_workloads::App;
 use crate::{ExperimentSpec, Size};
 
 /// The wire schema version this module reads and writes.
-pub const WIRE_SCHEMA_VERSION: i64 = 2;
+pub const WIRE_SCHEMA_VERSION: i64 = 3;
 
 /// One configuration column of a wire spec: a scheme plus the studied
 /// machine knobs, resolved against [`SystemConfig::paper_baseline`].
@@ -107,9 +107,6 @@ pub struct WireSpec {
     pub apps: Vec<App>,
     /// Grid columns.
     pub variants: Vec<WireVariant>,
-    /// Worker threads per simulation (1 = serial kernel). Not part of
-    /// the result cache key: pclock totals are bit-identical either way.
-    pub threads: usize,
     /// Warmup boundary in pclocks (0 = none).
     pub warmup: u64,
     /// Whether cells run with the observability registry on.
@@ -138,14 +135,13 @@ impl WireSpec {
             size,
             apps: apps.to_vec(),
             variants,
-            threads: 1,
             warmup: 0,
             instrument: false,
             timeout_secs: None,
         }
     }
 
-    /// Serializes to the schema-v2 JSON document.
+    /// Serializes to the schema-v3 JSON document.
     pub fn to_json(&self) -> Json {
         let mut members = vec![
             ("wire_version", Json::Int(WIRE_SCHEMA_VERSION)),
@@ -159,7 +155,6 @@ impl WireSpec {
                 "variants",
                 Json::Array(self.variants.iter().map(variant_json).collect()),
             ),
-            ("threads", Json::uint(self.threads as u64)),
             ("warmup", Json::uint(self.warmup)),
             ("instrument", Json::Bool(self.instrument)),
         ];
@@ -169,7 +164,7 @@ impl WireSpec {
         Json::obj(members)
     }
 
-    /// Parses and validates a schema-v2 wire document.
+    /// Parses and validates a schema-v3 wire document.
     pub fn parse(text: &str) -> Result<WireSpec, String> {
         let doc = Json::parse(text)?;
         WireSpec::from_json(&doc)
@@ -178,21 +173,8 @@ impl WireSpec {
     /// Validates and decodes an already-parsed wire document.
     pub fn from_json(doc: &Json) -> Result<WireSpec, String> {
         let obj = doc.as_object().ok_or("wire spec is not an object")?;
-        reject_unknown_keys(
-            obj,
-            &[
-                "wire_version",
-                "name",
-                "size",
-                "apps",
-                "variants",
-                "threads",
-                "warmup",
-                "instrument",
-                "timeout_secs",
-            ],
-            "spec",
-        )?;
+        // The version comes first, so a document from another schema
+        // gets a version error rather than a complaint about its keys.
         let version = field(doc, "wire_version")?
             .as_i64()
             .ok_or("wire_version is not an integer")?;
@@ -201,6 +183,20 @@ impl WireSpec {
                 "wire_version {version} (this build speaks {WIRE_SCHEMA_VERSION})"
             ));
         }
+        reject_unknown_keys(
+            obj,
+            &[
+                "wire_version",
+                "name",
+                "size",
+                "apps",
+                "variants",
+                "warmup",
+                "instrument",
+                "timeout_secs",
+            ],
+            "spec",
+        )?;
         let name = field(doc, "name")?
             .as_str()
             .ok_or("name is not a string")?
@@ -237,17 +233,10 @@ impl WireSpec {
         if variants.is_empty() {
             return Err("variants is empty".to_string());
         }
-        let threads = match doc.get("threads") {
-            Some(v) => v.as_u64().ok_or("threads is not a u64")? as usize,
-            None => 1,
-        };
         let warmup = match doc.get("warmup") {
             Some(v) => v.as_u64().ok_or("warmup is not a u64")?,
             None => 0,
         };
-        if warmup > 0 && threads > 1 {
-            return Err("warmed specs run on the serial kernel (threads must be 1)".to_string());
-        }
         let instrument = match doc.get("instrument") {
             Some(v) => v.as_bool().ok_or("instrument is not a bool")?,
             None => false,
@@ -267,7 +256,6 @@ impl WireSpec {
             size,
             apps,
             variants,
-            threads,
             warmup,
             instrument,
             timeout_secs,
@@ -292,7 +280,6 @@ impl WireSpec {
             .size(self.size)
             .apps(self.apps.iter().copied())
             .instrument(self.instrument)
-            .threads(self.threads)
             .warmup(self.warmup);
         for v in &self.variants {
             spec = spec.variant(v.label.clone(), v.config());
@@ -561,7 +548,6 @@ mod tests {
         spec.variants[2].slc_ways = Some(4);
         spec.variants[2].block_bytes = Some(64);
         spec.variants[2].mesh = Some((8, 8));
-        spec.threads = 2;
         spec.instrument = true;
         spec.timeout_secs = Some(120);
         let text = spec.to_json().render();
@@ -667,7 +653,7 @@ mod tests {
             ("empty name", "\"name\": \"\""),
         ] {
             let bad = match what {
-                "wire_version" => ok.replace("\"wire_version\": 2", mutate),
+                "wire_version" => ok.replace("\"wire_version\": 3", mutate),
                 "unknown size" => ok.replace("\"size\": \"default\"", mutate),
                 "unknown app" | "empty apps" => {
                     ok.replace("\"apps\": [\"MP3D\", \"Water\"]", mutate)
@@ -693,8 +679,6 @@ mod tests {
         );
         assert!(WireSpec::parse(&bad).unwrap_err().contains("degree"));
         // Degenerate combinations.
-        let bad = ok.replace("\"threads\": 1", "\"threads\": 4, \"warmup\": 1000");
-        assert!(WireSpec::parse(&bad).unwrap_err().contains("serial"));
         let bad = ok.replace(
             "\"instrument\": false",
             "\"timeout_secs\": 0, \"instrument\": false",
@@ -702,16 +686,43 @@ mod tests {
         assert!(WireSpec::parse(&bad).unwrap_err().contains("timeout_secs"));
     }
 
+    /// Schema v3 dropped `threads`: a v2 document is refused by version,
+    /// and a v3 document still carrying the field is refused by name.
+    #[test]
+    fn v2_documents_and_threads_field_are_rejected() {
+        let ok = grid().to_json().render();
+        let v2 = ok
+            .replace("\"wire_version\": 3", "\"wire_version\": 2")
+            .replace(
+                "\"instrument\": false",
+                "\"threads\": 1, \"instrument\": false",
+            );
+        assert_ne!(v2, ok);
+        assert_eq!(
+            WireSpec::parse(&v2).unwrap_err(),
+            "wire_version 2 (this build speaks 3)"
+        );
+        let threads = ok.replace(
+            "\"instrument\": false",
+            "\"threads\": 1, \"instrument\": false",
+        );
+        assert_ne!(threads, ok);
+        assert_eq!(
+            WireSpec::parse(&threads).unwrap_err(),
+            "unknown spec field 'threads'"
+        );
+    }
+
     #[test]
     fn variant_configs_resolve_knobs() {
         let text = r#"{
-            "wire_version": 2, "name": "cfg", "size": "default",
+            "wire_version": 3, "name": "cfg", "size": "default",
             "apps": ["LU"],
             "variants": [{"label": "small-slc",
                           "scheme": {"kind": "sequential", "degree": 1},
                           "config": {"slc_kb": 16, "block_bytes": 64,
                                      "consistency": "sequential"}}],
-            "threads": 1, "warmup": 0, "instrument": false
+            "warmup": 0, "instrument": false
         }"#;
         let spec = WireSpec::parse(text).unwrap();
         let cfg = spec.cell_config(0);

@@ -1,12 +1,10 @@
 //! Big-mesh determinism gate: growing the machine from the paper's 4×4
 //! mesh to 8×8 (64 nodes) must not cost any determinism contract the
-//! 4×4 grids already enforce. Three gates per modern workload family:
+//! 4×4 grids already enforce. Two gates per modern workload family:
 //!
-//! * **pinned anchors** — the serial pclock total of the 8×8 baseline
+//! * **pinned anchors** — the pclock total of the 8×8 baseline
 //!   cell is pinned, the big-mesh analogue of the 4×4 grid anchors
 //!   (14059066 default, 151368054 large);
-//! * **sharded bit-identity** — the conservative parallel event kernel
-//!   at 2 and 4 worker threads reproduces the serial run exactly;
 //! * **checkpoint round-trip** — warming an 8×8 cell, snapshotting, and
 //!   resuming from the restored copy is invisible.
 //!
@@ -19,7 +17,7 @@ use pfsim_bench::{cursor_for, ExperimentSpec, Size};
 use pfsim_prefetch::Scheme;
 use pfsim_workloads::App;
 
-/// Pinned serial pclock totals for the 8×8 baseline machine at the
+/// Pinned pclock totals for the 8×8 baseline machine at the
 /// default problem size. Any event-kernel, coherence, or generator
 /// change that shifts one of these is a semantic change and must update
 /// the anchor deliberately (EXPERIMENTS.md records the history).
@@ -49,7 +47,7 @@ fn assert_identical(a: &SimResult, b: &SimResult, what: &str) {
     assert_eq!(a.miss_traces, b.miss_traces, "{what}: miss traces");
 }
 
-/// The anchor gate: serial baseline totals for every modern family on
+/// The anchor gate: baseline totals for every modern family on
 /// the 64-node machine, pinned to the values first recorded alongside
 /// this test.
 #[test]
@@ -58,48 +56,9 @@ fn big_mesh_anchors_are_pinned() {
         let r = System::new(big_cfg(), big_trace(app)).run();
         assert_eq!(
             r.exec_cycles, anchor,
-            "{app}: 8x8 serial pclock total diverged from the pinned anchor"
+            "{app}: 8x8 pclock total diverged from the pinned anchor"
         );
         assert_eq!(r.nodes.len(), 64, "{app}: per-node stats must cover 8x8");
-    }
-}
-
-/// Sharded bit-identity at 2 threads for one family per scheme shape —
-/// bounded enough for the default (debug) test pass.
-#[test]
-fn big_mesh_sharded_two_threads_bit_identical() {
-    let cfg = big_cfg().with_scheme(Scheme::Sequential { degree: 1 });
-    let serial = System::new(cfg.clone(), big_trace(App::Mstride)).run();
-    let sharded = System::new(cfg, big_trace(App::Mstride)).run_threads(2);
-    assert_identical(&serial, &sharded, "MSTRIDE 8x8 at 2 threads");
-}
-
-/// The full big-mesh rotation: every modern family, serial vs 2 and 4
-/// worker threads, schemes rotating across cells. Run by `ci.sh`'s
-/// big-mesh stage in release (64-node sharded cells are too slow for
-/// the default debug pass).
-#[test]
-#[ignore = "full 8x8 family x thread rotation; run in release via ci.sh's big-mesh stage"]
-fn big_mesh_full_rotation_bit_identical() {
-    const SCHEMES: [Option<Scheme>; 3] = [
-        None,
-        Some(Scheme::DDetection { degree: 1 }),
-        Some(Scheme::Sequential { degree: 1 }),
-    ];
-    for (i, (app, _)) in ANCHORS.into_iter().enumerate() {
-        let mut cfg = big_cfg();
-        if let Some(s) = SCHEMES[i % SCHEMES.len()] {
-            cfg = cfg.with_scheme(s);
-        }
-        let serial = System::new(cfg.clone(), big_trace(app)).run();
-        for threads in [2usize, 4] {
-            let sharded = System::new(cfg.clone(), big_trace(app)).run_threads(threads);
-            assert_identical(
-                &serial,
-                &sharded,
-                &format!("{app} 8x8 at {threads} threads"),
-            );
-        }
     }
 }
 

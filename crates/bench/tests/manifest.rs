@@ -62,7 +62,7 @@ fn manifest_snapshot_has_schema_and_pclocks() {
     ] {
         assert!(doc.get(key).is_some(), "missing top-level field {key}");
     }
-    assert_eq!(doc.get("schema_version").unwrap().as_i64(), Some(1));
+    assert_eq!(doc.get("schema_version").unwrap().as_i64(), Some(2));
     for key in ["gen_seconds", "sim_seconds", "analyze_seconds"] {
         assert!(doc
             .get("phases")

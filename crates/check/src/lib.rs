@@ -45,7 +45,5 @@ mod shrink;
 
 pub use checker::{Checker, WriteMeta};
 pub use model::{Block, FaultInjection, MachineModel, Observed, WriteId};
-pub use oracle::{
-    run_checked, run_checked_threads, run_with_fault, CheckReport, ConsistencyOracle,
-};
+pub use oracle::{run_checked, run_with_fault, CheckReport, ConsistencyOracle};
 pub use shrink::{emit_repro, shrink, total_ops, Lane, OpMatrix};

@@ -230,27 +230,6 @@ pub fn run_checked<W: Workload>(cfg: SystemConfig, workload: W) -> CheckReport {
     run_with_fault(cfg, workload, FaultInjection::None)
 }
 
-/// As [`run_checked`], but on the sharded event kernel with `threads`
-/// worker threads. The sharded kernel replays check hooks on the leader
-/// in exact serial order, so the report — verdict, violation strings,
-/// and observation counts — is bit-identical to [`run_checked`]'s.
-pub fn run_checked_threads<W: Workload + Clone + Send>(
-    cfg: SystemConfig,
-    workload: W,
-    threads: usize,
-) -> CheckReport {
-    let geometry = cfg.geometry;
-    let nodes = cfg.nodes as usize;
-    let mut sys = System::new(cfg, workload);
-    sys.set_check_sink(Box::new(ConsistencyOracle::with_fault(
-        geometry,
-        nodes,
-        FaultInjection::None,
-    )));
-    let result = sys.run_threads(threads);
-    report_from(sys, result)
-}
-
 /// As [`run_checked`], with a deliberate model defect injected (for
 /// validating that the oracle catches the corresponding bug class).
 pub fn run_with_fault<W: Workload>(
@@ -265,12 +244,6 @@ pub fn run_with_fault<W: Workload>(
         geometry, nodes, fault,
     )));
     let result = sys.run();
-    report_from(sys, result)
-}
-
-/// Recovers the installed oracle from a finished system and folds its
-/// verdict into a [`CheckReport`].
-fn report_from<W: Workload>(mut sys: System<W>, result: SimResult) -> CheckReport {
     let oracle = sys
         .take_check_sink()
         .expect("sink installed above")

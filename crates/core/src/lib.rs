@@ -66,7 +66,6 @@ mod config;
 pub mod experiment;
 mod msg;
 mod node;
-mod shard;
 mod stats;
 mod sync;
 mod system;

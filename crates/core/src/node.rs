@@ -178,7 +178,7 @@ pub(crate) struct Node {
     pub locks: LockTable,
     /// Barriers homed at this node (`id % nodes == self`). Keeping the
     /// table per-node (like `locks`) makes `BarrierArrive` handling
-    /// node-local, which the sharded kernel relies on.
+    /// node-local.
     pub barriers: BarrierTable,
 
     // --- statistics ---

@@ -1,12 +1,9 @@
 //! The full-system simulator: 16 processing nodes, the directory protocol
 //! and the mesh, driven by one deterministic event loop.
 //!
-//! The event handlers are written against a [`Core`] view — a node
-//! sub-slice plus an effect context [`Fx`] — so the same handler code
-//! serves two kernels: the serial loop (`Fx::Live`, effects applied
-//! immediately) and the sharded loop of [`crate::shard`] (`Fx::Log`,
-//! effects recorded by a worker and replayed in deterministic order by
-//! the leader).
+//! The event handlers are written against a [`Core`] view — the nodes
+//! plus an effect context [`Fx`] holding the event queue, the mesh and
+//! the oracle — split-borrowed from the [`System`] once per event.
 
 use pfsim_cache::{Eviction, LineState, MshrTryAlloc};
 use pfsim_coherence::{ActionBuf, DirAction, DirRequest, DirStats};
@@ -19,7 +16,6 @@ use pfsim_workloads::{Op, Workload};
 use crate::check::CheckSink;
 use crate::msg::Msg;
 use crate::node::{CpuStatus, DrainBlock, FlwbEntry, MshrEntry, Node, TxnKind};
-use crate::shard::{Effect, HookRecord};
 use crate::stats::{MissRecord, SimResult};
 use crate::{RecordMisses, SystemConfig};
 
@@ -35,9 +31,8 @@ pub(crate) enum Ev {
 }
 
 impl Ev {
-    /// The node the event executes on (the sharding key: every handler
-    /// touches only this node's state plus the effect context).
-    pub(crate) fn node(&self) -> u16 {
+    /// The node the event executes on.
+    fn node(&self) -> u16 {
         match *self {
             Ev::CpuStep(n) | Ev::SlcWork(n) | Ev::Deliver(n, _) => n,
         }
@@ -72,23 +67,6 @@ impl Obs {
             reg,
         }
     }
-
-    /// One per-event sample with the queue-depth components and the MSHR
-    /// occupancy supplied by the caller. The serial loop reads them off
-    /// the live queue and node; the sharded leader reconstructs the
-    /// serial-equivalent values (see `crate::shard`). Keeping one shared
-    /// entry point is what makes the two kernels' metrics bit-identical.
-    pub(crate) fn observe_raw(&mut self, ev: &Ev, depth: u64, overflow: u64, mshr: u64) {
-        self.reg.observe(self.queue_depth, depth);
-        self.reg.observe(self.queue_overflow, overflow);
-        let counter = match ev {
-            Ev::CpuStep(_) => self.ev_cpu_step,
-            Ev::SlcWork(_) => self.ev_slc_work,
-            Ev::Deliver(..) => self.ev_deliver,
-        };
-        self.reg.inc(counter, 1);
-        self.reg.observe(self.mshr_occupancy, mshr);
-    }
 }
 
 /// Outcome of one FLWB drain attempt (see [`Core::slc_drain_one`]).
@@ -103,119 +81,43 @@ enum Drained {
     ParkedUntil(Cycle),
 }
 
-/// Where a handler's effects go.
-///
-/// `Live` is the serial kernel: schedules, sends and oracle hooks apply
-/// immediately against the event queue, the mesh and the installed
-/// [`CheckSink`]. `Log` is a sharded worker: the handler owns only its
-/// shard's nodes, so every externally visible effect is appended to a
-/// buffer for the leader to replay in deterministic `(time, seq)` order.
-///
-/// The serial kernel's event-fusion fast paths key off
-/// [`can_fuse`](Self::can_fuse), which is constantly `false` under `Log`:
-/// a worker cannot see the global queue, so it always schedules, and
-/// marks the schedule *fusable* instead. At replay the leader re-evaluates
-/// the exact serial fusion guard against the live queue and marks the
-/// event as elided-equivalent when the guard holds, which reproduces the
-/// fused kernel's event counts and clock updates bit-for-bit (see
-/// `crate::shard`).
-pub(crate) enum Fx<'a> {
-    /// Apply effects immediately (the serial kernel).
-    Live {
-        /// The live event queue.
-        queue: &'a mut EventQueue<Ev>,
-        /// The live mesh.
-        mesh: &'a mut Mesh,
-        /// The installed correctness observer, if any.
-        check: &'a mut Option<Box<dyn CheckSink>>,
-    },
-    /// Record effects for deterministic replay (a sharded worker).
-    Log {
-        /// The worker's effect buffer for the current event.
-        buf: &'a mut Vec<Effect>,
-        /// Whether a check sink is installed on the system (hooks are
-        /// logged only when someone will replay them).
-        check_on: bool,
-    },
+/// A handler's effect context: the live event queue, the mesh and the
+/// installed correctness observer, borrowed for one event.
+struct Fx<'a> {
+    queue: &'a mut EventQueue<Ev>,
+    mesh: &'a mut Mesh,
+    check: &'a mut Option<Box<dyn CheckSink>>,
 }
 
 impl Fx<'_> {
-    /// Schedules `ev` at `at` (a regular, never-elided event).
+    /// Schedules `ev` at `at`.
     fn schedule(&mut self, at: Cycle, ev: Ev) {
-        match self {
-            Fx::Live { queue, .. } => queue.schedule(at, ev),
-            Fx::Log { buf, .. } => buf.push(Effect::Schedule {
-                at,
-                ev,
-                fusable: false,
-            }),
-        }
-    }
-
-    /// Schedules `ev` at `at` from a fusion site: under `Live` this is an
-    /// ordinary schedule (the caller already evaluated the fusion guard
-    /// and it failed); under `Log` the schedule is tagged fusable so the
-    /// leader can re-evaluate the guard at replay time.
-    fn schedule_fusable(&mut self, at: Cycle, ev: Ev) {
-        match self {
-            Fx::Live { queue, .. } => queue.schedule(at, ev),
-            Fx::Log { buf, .. } => buf.push(Effect::Schedule {
-                at,
-                ev,
-                fusable: true,
-            }),
-        }
+        self.queue.schedule(at, ev);
     }
 
     /// Sends `msg` from `from` to `to`, reserving mesh bandwidth at `at`.
     /// Data messages are sized by the geometry's block size.
     fn send(&mut self, geometry: Geometry, at: Cycle, from: u16, to: u16, msg: Msg) {
-        match self {
-            Fx::Live { queue, mesh, .. } => {
-                let flits = msg.kind().flits_for(geometry.block_bytes());
-                let arrival = mesh.send(at, NodeId::new(from), NodeId::new(to), flits);
-                queue.schedule(arrival, Ev::Deliver(to, msg));
-            }
-            Fx::Log { buf, .. } => buf.push(Effect::Send { at, from, to, msg }),
-        }
+        let flits = msg.kind().flits_for(geometry.block_bytes());
+        let arrival = self
+            .mesh
+            .send(at, NodeId::new(from), NodeId::new(to), flits);
+        self.queue.schedule(arrival, Ev::Deliver(to, msg));
     }
 
-    /// Whether oracle hooks are live (construct a [`HookRecord`] only when
-    /// this returns true; the disabled path stays one predictable branch).
-    fn check_on(&self) -> bool {
-        match self {
-            Fx::Live { check, .. } => check.is_some(),
-            Fx::Log { check_on, .. } => *check_on,
-        }
+    /// The installed correctness observer, if any. Every hook site is one
+    /// `if let Some(k) = fx.check()` branch, predictable in normal runs.
+    fn check(&mut self) -> Option<&mut (dyn CheckSink + 'static)> {
+        self.check.as_deref_mut()
     }
 
-    /// Delivers (or logs) one oracle hook.
-    fn hook(&mut self, rec: HookRecord) {
-        match self {
-            Fx::Live { check, .. } => {
-                if let Some(k) = check.as_deref_mut() {
-                    crate::shard::replay_hook(k, rec);
-                }
-            }
-            Fx::Log { buf, check_on } => {
-                if *check_on {
-                    buf.push(Effect::Hook(rec));
-                }
-            }
-        }
-    }
-
-    /// The serial event-fusion guard: true when an event scheduled at `at`
-    /// would pop as the very next event with state identical to right now,
-    /// so the handler may continue inline instead. The peek must be strict
+    /// The event-fusion guard: true when an event scheduled at `at` would
+    /// pop as the very next event with state identical to right now, so
+    /// the handler may continue inline instead. The peek must be strict
     /// (`> at`): a same-time event with an earlier sequence number would
-    /// pop first, and fusing past it would reorder the simulation. Always
-    /// false under `Log` (a worker cannot see the global queue).
+    /// pop first, and fusing past it would reorder the simulation.
     fn can_fuse(&self, at: Cycle) -> bool {
-        match self {
-            Fx::Live { queue, .. } => queue.peek_time().is_none_or(|p| p > at),
-            Fx::Log { .. } => false,
-        }
+        self.queue.peek_time().is_none_or(|p| p > at)
     }
 }
 
@@ -234,20 +136,14 @@ pub(crate) fn home_of_addr(cfg: &SystemConfig, addr: Addr) -> u16 {
 /// Schedules SLC service for node `n`. If a later `SlcWork` is already
 /// pending (e.g. parked on a future-issued FLWB entry), an earlier
 /// request re-arms service sooner; the stale event is harmless (it
-/// re-checks state when it fires). `fusable` is set only by the message
-///-delivery site whose serial twin may serve the message inline (the
-/// deliver fast path); all other callers always schedule for real.
-fn notify_slc(node: &mut Node, fx: &mut Fx, n: u16, at: Cycle, fusable: bool) {
+/// re-checks state when it fires).
+fn notify_slc(node: &mut Node, fx: &mut Fx, n: u16, at: Cycle) {
     let target = at.max(node.slc_server.free_at());
     match node.slc_scheduled_at {
         Some(scheduled) if scheduled <= target => {}
         _ => {
             node.slc_scheduled_at = Some(target);
-            if fusable {
-                fx.schedule_fusable(target, Ev::SlcWork(n));
-            } else {
-                fx.schedule(target, Ev::SlcWork(n));
-            }
+            fx.schedule(target, Ev::SlcWork(n));
         }
     }
 }
@@ -265,31 +161,23 @@ fn block_cpu(node: &mut Node, fx: &mut Fx, n: u16, status: CpuStatus, t: Cycle) 
     node.status = status;
     node.issue_time = t;
     node.cpu_time = t;
-    notify_slc(node, fx, n, t, false);
+    notify_slc(node, fx, n, t);
 }
 
-/// One kernel's view of the machine while executing a single event: the
-/// shared config, a contiguous node slice (`nodes[0]` is global node
-/// `base`), the workload, and the effect context. The serial kernel
-/// builds one per popped event over all nodes with `Fx::Live`; a sharded
-/// worker builds one over its shard with `Fx::Log`.
-///
-/// Every handler is strictly node-local: it touches `nodes[ev.node() -
-/// base]` and nothing else outside `fx`. That locality is the entire
-/// basis of the sharded kernel's determinism argument (DESIGN.md §12),
-/// so new handler code must preserve it.
-pub(crate) struct Core<'a, W: Workload> {
-    pub(crate) cfg: &'a SystemConfig,
-    pub(crate) base: usize,
-    pub(crate) nodes: &'a mut [Node],
-    pub(crate) workload: &'a mut W,
-    pub(crate) fx: Fx<'a>,
-    pub(crate) dir_actions: &'a mut ActionBuf,
+/// The machine as one event's handler sees it: the shared config, the
+/// nodes, the workload, and the effect context. The event loop builds one
+/// per popped event.
+struct Core<'a, W: Workload> {
+    cfg: &'a SystemConfig,
+    nodes: &'a mut [Node],
+    workload: &'a mut W,
+    fx: Fx<'a>,
+    dir_actions: &'a mut ActionBuf,
 }
 
 impl<W: Workload> Core<'_, W> {
     /// Executes one event at time `t`.
-    pub(crate) fn dispatch(&mut self, ev: Ev, t: Cycle) {
+    fn dispatch(&mut self, ev: Ev, t: Cycle) {
         match ev {
             Ev::CpuStep(n) => self.cpu_step(n, t),
             Ev::SlcWork(n) => self.slc_work(n, t),
@@ -309,7 +197,7 @@ impl<W: Workload> Core<'_, W> {
     /// re-index `self.nodes` or round-trip `pending_op` through memory
     /// per op.
     fn cpu_step(&mut self, n: u16, now: Cycle) {
-        let ni = n as usize - self.base;
+        let ni = n as usize;
         let Core {
             cfg,
             workload,
@@ -335,9 +223,6 @@ impl<W: Workload> Core<'_, W> {
             }
             let op = match pending.take() {
                 Some(op) => op,
-                // The workload is indexed by *global* cpu number: a
-                // sharded worker's clone has all 16 streams but only
-                // ever advances its own nodes'.
                 None => match workload.next(n as usize) {
                     Some(op) => op,
                     None => {
@@ -356,8 +241,8 @@ impl<W: Workload> Core<'_, W> {
                     if node.flc.read(block) {
                         node.stats.reads += 1;
                         node.stats.flc_read_hits += 1;
-                        if fx.check_on() {
-                            fx.hook(HookRecord::ReadFlcHit { cpu: n, addr });
+                        if let Some(k) = fx.check() {
+                            k.read_flc_hit(n, addr);
                         }
                         t += 1;
                         continue;
@@ -393,8 +278,8 @@ impl<W: Workload> Core<'_, W> {
                         .push(FlwbEntry::Write { addr, issued: t })
                         // pfsim-lint: allow(K002) -- FLWB checked not-full just above; push cannot fail
                         .expect("checked above");
-                    if fx.check_on() {
-                        fx.hook(HookRecord::WriteIssued { cpu: n, addr });
+                    if let Some(k) = fx.check() {
+                        k.write_issued(n, addr);
                     }
                     if sequential {
                         // Sequential consistency: the processor waits for
@@ -402,11 +287,11 @@ impl<W: Workload> Core<'_, W> {
                         node.status = CpuStatus::WaitWrite;
                         node.issue_time = t;
                         node.cpu_time = t;
-                        notify_slc(node, fx, n, t, false);
+                        notify_slc(node, fx, n, t);
                         return;
                     }
                     t += 1;
-                    notify_slc(node, fx, n, t, false);
+                    notify_slc(node, fx, n, t);
                 }
                 Op::Acquire { lock } => {
                     if node.flwb.is_full() {
@@ -455,9 +340,9 @@ impl<W: Workload> Core<'_, W> {
     /// accounts the read stall (everything beyond the 1-pclock pipelined
     /// FLC access), and resumes the processor after the FLC fill.
     fn serve_waiting_read(&mut self, n: u16, block: BlockAddr, done: Cycle) {
-        let ni = n as usize - self.base;
-        if self.fx.check_on() {
-            self.fx.hook(HookRecord::ReadCompleted { cpu: n, block });
+        let ni = n as usize;
+        if let Some(k) = self.fx.check() {
+            k.read_completed(n, block);
         }
         let flc_fill = self.cfg.flc_fill;
         self.nodes[ni].flc.fill(block);
@@ -469,7 +354,7 @@ impl<W: Workload> Core<'_, W> {
 
     /// Resumes a blocked processor at time `at`.
     fn resume_cpu(&mut self, n: u16, at: Cycle) {
-        let node = &mut self.nodes[n as usize - self.base];
+        let node = &mut self.nodes[n as usize];
         debug_assert_ne!(node.status, CpuStatus::Ready);
         debug_assert_ne!(node.status, CpuStatus::Done);
         node.status = CpuStatus::Ready;
@@ -491,11 +376,9 @@ impl<W: Workload> Core<'_, W> {
     /// that time, the scheduled event would pop as the very next event
     /// with state identical to right now — so the handler serves the next
     /// job inline instead, skipping the queue round-trip (see
-    /// [`Fx::can_fuse`]). Under `Fx::Log` the fusion guard is always
-    /// false: one job per event, with the follow-on schedule tagged
-    /// fusable for the leader's replay-time guard.
+    /// [`Fx::can_fuse`]).
     fn slc_work(&mut self, n: u16, now: Cycle) {
-        let ni = n as usize - self.base;
+        let ni = n as usize;
         let mut now = now;
         loop {
             self.nodes[ni].slc_scheduled_at = None;
@@ -529,7 +412,7 @@ impl<W: Workload> Core<'_, W> {
     /// returns its time so the caller serves it inline instead (the
     /// fusion rule documented on [`Self::slc_work`]).
     fn reschedule_or_fuse(&mut self, n: u16) -> Option<Cycle> {
-        let ni = n as usize - self.base;
+        let ni = n as usize;
         let node = &self.nodes[ni];
         if node.slc_scheduled_at.is_some() {
             // A handler already armed service (e.g. an unblocked drain).
@@ -547,7 +430,7 @@ impl<W: Workload> Core<'_, W> {
             return Some(at);
         }
         self.nodes[ni].slc_scheduled_at = Some(at);
-        self.fx.schedule_fusable(at, Ev::SlcWork(n));
+        self.fx.schedule(at, Ev::SlcWork(n));
         None
     }
 
@@ -557,7 +440,7 @@ impl<W: Workload> Core<'_, W> {
     /// [`Drained::ParkedUntil`] when the head is future-issued but its
     /// wakeup would be guaranteed-next (the caller fast-forwards).
     fn slc_drain_one(&mut self, n: u16, now: Cycle) -> Drained {
-        let ni = n as usize - self.base;
+        let ni = n as usize;
         // Inspect the head without consuming it: entries that need
         // resources may have to wait.
         let Some(head) = self.nodes[ni].flwb.peek().copied() else {
@@ -574,7 +457,7 @@ impl<W: Workload> Core<'_, W> {
             }
             let node = &mut self.nodes[ni];
             node.slc_scheduled_at = Some(at);
-            self.fx.schedule_fusable(at, Ev::SlcWork(n));
+            self.fx.schedule(at, Ev::SlcWork(n));
             return Drained::Idle;
         }
 
@@ -635,8 +518,8 @@ impl<W: Workload> Core<'_, W> {
                     return Drained::Idle;
                 }
                 self.nodes[ni].flwb.pop();
-                if self.fx.check_on() {
-                    self.fx.hook(HookRecord::ReleaseDrained { cpu: n, lock });
+                if let Some(k) = self.fx.check() {
+                    k.release_drained(n, lock);
                 }
                 let done = self.nodes[ni].slc_server.serve(now, self.cfg.slc_service);
                 let home = home_of_addr(self.cfg, lock);
@@ -662,8 +545,8 @@ impl<W: Workload> Core<'_, W> {
                     return Drained::Idle;
                 }
                 self.nodes[ni].flwb.pop();
-                if self.fx.check_on() {
-                    self.fx.hook(HookRecord::BarrierDrained { cpu: n, id });
+                if let Some(k) = self.fx.check() {
+                    k.barrier_drained(n, id);
                 }
                 let done = self.nodes[ni].slc_server.serve(now, self.cfg.slc_service);
                 let home = id % u32::from(self.cfg.nodes);
@@ -697,20 +580,20 @@ impl<W: Workload> Core<'_, W> {
 
     /// Clears a drain block of the given kind and restarts SLC service.
     fn unblock_drain(&mut self, n: u16, kind: DrainBlock, at: Cycle) {
-        let ni = n as usize - self.base;
+        let ni = n as usize;
         if self.nodes[ni].drain_block == kind {
             self.nodes[ni].drain_block = DrainBlock::None;
-            notify_slc(&mut self.nodes[ni], &mut self.fx, n, at, false);
+            notify_slc(&mut self.nodes[ni], &mut self.fx, n, at);
         }
     }
 
     /// A demand read request presented to the SLC (the processor is
     /// blocked on it).
     fn slc_read(&mut self, n: u16, addr: Addr, pc: pfsim_mem::Pc, done: Cycle) {
-        let ni = n as usize - self.base;
+        let ni = n as usize;
         let block = self.cfg.geometry.block_of(addr);
-        if self.fx.check_on() {
-            self.fx.hook(HookRecord::ReadRequest { cpu: n, addr });
+        if let Some(k) = self.fx.check() {
+            k.read_request(n, addr);
         }
 
         let outcome = {
@@ -783,7 +666,7 @@ impl<W: Workload> Core<'_, W> {
 
     /// A buffered write drained from the FLWB into the SLC.
     fn slc_write(&mut self, n: u16, addr: Addr, done: Cycle) {
-        let ni = n as usize - self.base;
+        let ni = n as usize;
         let block = self.cfg.geometry.block_of(addr);
         let node = &mut self.nodes[ni];
 
@@ -796,8 +679,8 @@ impl<W: Workload> Core<'_, W> {
                 if was_tagged {
                     node.stats.prefetches_useful += 1;
                 }
-                if self.fx.check_on() {
-                    self.fx.hook(HookRecord::WriteApplied { cpu: n, addr });
+                if let Some(k) = self.fx.check() {
+                    k.write_applied(n, addr);
                 }
                 self.resume_write(n, done);
                 return;
@@ -810,8 +693,8 @@ impl<W: Workload> Core<'_, W> {
                 }
                 if node.mshr.contains(block) {
                     // Upgrade already in flight: the write merges into it.
-                    if self.fx.check_on() {
-                        self.fx.hook(HookRecord::WriteDeferred { cpu: n, addr });
+                    if let Some(k) = self.fx.check() {
+                        k.write_deferred(n, addr);
                     }
                     return;
                 }
@@ -834,8 +717,8 @@ impl<W: Workload> Core<'_, W> {
                         entry.write_pending = true;
                         node.pending_write_txns += 1;
                     }
-                    if self.fx.check_on() {
-                        self.fx.hook(HookRecord::WriteDeferred { cpu: n, addr });
+                    if let Some(k) = self.fx.check() {
+                        k.write_deferred(n, addr);
                     }
                     return;
                 }
@@ -853,8 +736,8 @@ impl<W: Workload> Core<'_, W> {
                 }
             }
         };
-        if self.fx.check_on() {
-            self.fx.hook(HookRecord::WriteDeferred { cpu: n, addr });
+        if let Some(k) = self.fx.check() {
+            k.write_deferred(n, addr);
         }
         let home = home_of(self.cfg, block);
         self.fx
@@ -870,7 +753,7 @@ impl<W: Workload> Core<'_, W> {
         outcome: ReadOutcome,
         done: Cycle,
     ) {
-        let ni = n as usize - self.base;
+        let ni = n as usize;
         let mut candidates = std::mem::take(&mut self.nodes[ni].pf_scratch);
         candidates.clear();
         self.nodes[ni]
@@ -924,7 +807,7 @@ impl<W: Workload> Core<'_, W> {
     // ----------------------------------------------------------------
 
     fn handle_slc_msg(&mut self, n: u16, msg: Msg, done: Cycle) {
-        let ni = n as usize - self.base;
+        let ni = n as usize;
         match msg {
             Msg::Fetch { block, inval, home } => {
                 let node = &mut self.nodes[ni];
@@ -942,13 +825,8 @@ impl<W: Workload> Core<'_, W> {
                 } else {
                     node.slc.downgrade(block)
                 };
-                if self.fx.check_on() {
-                    self.fx.hook(HookRecord::FetchSupplied {
-                        cpu: n,
-                        block,
-                        inval,
-                        had_copy,
-                    });
+                if let Some(k) = self.fx.check() {
+                    k.fetch_supplied(n, block, inval, had_copy);
                 }
                 self.fx.send(
                     self.cfg.geometry,
@@ -966,8 +844,8 @@ impl<W: Workload> Core<'_, W> {
                     node.removal
                         .insert(block.as_u64(), crate::stats::MissCause::Coherence);
                 }
-                if self.fx.check_on() {
-                    self.fx.hook(HookRecord::Invalidated { cpu: n, block });
+                if let Some(k) = self.fx.check() {
+                    k.invalidated(n, block);
                 }
                 self.fx.send(
                     self.cfg.geometry,
@@ -1003,8 +881,8 @@ impl<W: Workload> Core<'_, W> {
                     .expect("upgrade ack without transaction");
                 debug_assert_eq!(entry.kind, TxnKind::Upgrade);
                 if node.slc.promote(block) {
-                    if self.fx.check_on() {
-                        self.fx.hook(HookRecord::Promote { cpu: n, block });
+                    if let Some(k) = self.fx.check() {
+                        k.promote(n, block);
                     }
                     if entry.waiting_cpu {
                         // A read merged into the upgrade: the block is
@@ -1020,8 +898,8 @@ impl<W: Workload> Core<'_, W> {
                     // current and this writeback carries no new data — it
                     // is an ownership relinquish that this protocol
                     // expresses as a (rare) data-sized writeback.
-                    if self.fx.check_on() {
-                        self.fx.hook(HookRecord::PromoteFailed { cpu: n, block });
+                    if let Some(k) = self.fx.check() {
+                        k.promote_failed(n, block);
                     }
                     let node = &mut self.nodes[ni];
                     node.stats.writebacks += 1;
@@ -1083,7 +961,7 @@ impl<W: Workload> Core<'_, W> {
     /// resumes a blocked processor or follows up with an ownership upgrade
     /// as needed.
     fn slc_fill(&mut self, n: u16, block: BlockAddr, exclusive: bool, done: Cycle) {
-        let ni = n as usize - self.base;
+        let ni = n as usize;
 
         let entry = self.nodes[ni]
             .mshr
@@ -1107,12 +985,8 @@ impl<W: Workload> Core<'_, W> {
                 node.flc.invalidate(victim);
                 node.removal
                     .insert(victim.as_u64(), crate::stats::MissCause::Replacement);
-                if self.fx.check_on() {
-                    self.fx.hook(HookRecord::Evict {
-                        cpu: n,
-                        block: victim,
-                        dirty: false,
-                    });
+                if let Some(k) = self.fx.check() {
+                    k.evict(n, victim, false);
                 }
                 // Clean copies are dropped silently; the directory's
                 // presence bit goes stale and a future invalidation will
@@ -1124,12 +998,8 @@ impl<W: Workload> Core<'_, W> {
                 node.removal
                     .insert(victim.as_u64(), crate::stats::MissCause::Replacement);
                 node.stats.writebacks += 1;
-                if self.fx.check_on() {
-                    self.fx.hook(HookRecord::Evict {
-                        cpu: n,
-                        block: victim,
-                        dirty: true,
-                    });
+                if let Some(k) = self.fx.check() {
+                    k.evict(n, victim, true);
                 }
                 let home = home_of(self.cfg, victim);
                 self.fx.send(
@@ -1147,12 +1017,8 @@ impl<W: Workload> Core<'_, W> {
             }
         }
 
-        if self.fx.check_on() {
-            self.fx.hook(HookRecord::Fill {
-                cpu: n,
-                block,
-                exclusive,
-            });
+        if let Some(k) = self.fx.check() {
+            k.fill(n, block, exclusive);
         }
 
         if entry.waiting_cpu {
@@ -1196,7 +1062,7 @@ impl<W: Workload> Core<'_, W> {
     /// A write transaction completed: release-consistency bookkeeping
     /// (and, under sequential consistency, the waiting processor resumes).
     fn complete_write(&mut self, n: u16, at: Cycle) {
-        let ni = n as usize - self.base;
+        let ni = n as usize;
         debug_assert!(self.nodes[ni].pending_write_txns > 0);
         self.nodes[ni].pending_write_txns -= 1;
         if self.nodes[ni].pending_write_txns == 0 {
@@ -1207,7 +1073,7 @@ impl<W: Workload> Core<'_, W> {
 
     /// Resumes a processor blocked on a write (sequential consistency).
     fn resume_write(&mut self, n: u16, at: Cycle) {
-        let ni = n as usize - self.base;
+        let ni = n as usize;
         if self.cfg.consistency == crate::ConsistencyModel::Sequential
             && self.nodes[ni].status == CpuStatus::WaitWrite
         {
@@ -1228,20 +1094,16 @@ impl<W: Workload> Core<'_, W> {
     }
 
     fn deliver(&mut self, n: u16, msg: Msg, now: Cycle) {
-        let ni = n as usize - self.base;
+        let ni = n as usize;
         match msg {
             Msg::CohReq { block, req } => {
                 let t0 = self.home_service(ni, now);
-                if self.fx.check_on() {
+                if let Some(k) = self.fx.check() {
                     match req {
                         DirRequest::Writeback { from } => {
-                            self.fx.hook(HookRecord::HomeBeginWriteback {
-                                home: n,
-                                block,
-                                from: from.as_u16(),
-                            });
+                            k.home_begin_writeback(n, block, from.as_u16());
                         }
-                        _ => self.fx.hook(HookRecord::HomeBegin { home: n, block }),
+                        _ => k.home_begin(n, block),
                     }
                 }
                 let mut actions = std::mem::take(self.dir_actions);
@@ -1252,12 +1114,8 @@ impl<W: Workload> Core<'_, W> {
             }
             Msg::FetchReply { block, had_copy } => {
                 let t0 = self.home_service(ni, now);
-                if self.fx.check_on() {
-                    self.fx.hook(HookRecord::HomeBeginFetch {
-                        home: n,
-                        block,
-                        had_copy,
-                    });
+                if let Some(k) = self.fx.check() {
+                    k.home_begin_fetch(n, block, had_copy);
                 }
                 let mut actions = std::mem::take(self.dir_actions);
                 actions.clear();
@@ -1267,8 +1125,8 @@ impl<W: Workload> Core<'_, W> {
             }
             Msg::InvalAck { block } => {
                 let t0 = self.home_service(ni, now);
-                if self.fx.check_on() {
-                    self.fx.hook(HookRecord::HomeBegin { home: n, block });
+                if let Some(k) = self.fx.check() {
+                    k.home_begin(n, block);
                 }
                 let mut actions = std::mem::take(self.dir_actions);
                 actions.clear();
@@ -1286,10 +1144,7 @@ impl<W: Workload> Core<'_, W> {
                 // event as the very next pop with identical state. Serve
                 // the message inline instead and skip the round-trip. The
                 // peek must be strict: a same-time event with an earlier
-                // sequence number would pop first. The node-local half of
-                // the guard (`idle`) is computed before the push either
-                // way: under `Fx::Log` it rides along as the schedule's
-                // fusable flag so the leader can re-run the full guard.
+                // sequence number would pop first.
                 let idle =
                     self.nodes[ni].incoming.is_empty() && self.nodes[ni].slc_server.is_idle_at(now);
                 if idle && self.fx.can_fuse(now) {
@@ -1301,7 +1156,7 @@ impl<W: Workload> Core<'_, W> {
                     }
                 } else {
                     self.nodes[ni].incoming.push_back(msg);
-                    notify_slc(&mut self.nodes[ni], &mut self.fx, n, now, idle);
+                    notify_slc(&mut self.nodes[ni], &mut self.fx, n, now);
                 }
             }
             Msg::LockReq { lock, from } => {
@@ -1330,8 +1185,8 @@ impl<W: Workload> Core<'_, W> {
             }
             Msg::LockGrant { lock } => {
                 debug_assert_eq!(self.nodes[ni].status, CpuStatus::WaitLock);
-                if self.fx.check_on() {
-                    self.fx.hook(HookRecord::LockGranted { cpu: n, lock });
+                if let Some(k) = self.fx.check() {
+                    k.lock_granted(n, lock);
                 }
                 let issue = self.nodes[ni].issue_time;
                 self.nodes[ni].stats.sync_stall += now.saturating_since(issue);
@@ -1354,8 +1209,8 @@ impl<W: Workload> Core<'_, W> {
             }
             Msg::BarrierRelease { id } => {
                 debug_assert_eq!(self.nodes[ni].status, CpuStatus::WaitBarrier);
-                if self.fx.check_on() {
-                    self.fx.hook(HookRecord::BarrierReleased { cpu: n, id });
+                if let Some(k) = self.fx.check() {
+                    k.barrier_released(n, id);
                 }
                 let issue = self.nodes[ni].issue_time;
                 self.nodes[ni].stats.barrier_stall += now.saturating_since(issue);
@@ -1367,13 +1222,13 @@ impl<W: Workload> Core<'_, W> {
     /// Executes the directory's actions at home node `h`, threading the
     /// memory latency into data replies.
     fn exec_dir_actions(&mut self, h: u16, block: BlockAddr, actions: &ActionBuf, t0: Cycle) {
-        let hi = h as usize - self.base;
+        let hi = h as usize;
         let mut data_ready = t0;
         for action in actions.iter() {
             match action {
                 DirAction::ReadMemory => {
-                    if self.fx.check_on() {
-                        self.fx.hook(HookRecord::HomeReadMemory { block });
+                    if let Some(k) = self.fx.check() {
+                        k.home_read_memory(block);
                     }
                     let (start, end) = self.nodes[hi]
                         .mem
@@ -1382,8 +1237,8 @@ impl<W: Workload> Core<'_, W> {
                     data_ready = end + self.cfg.mem_extra_latency;
                 }
                 DirAction::WriteMemory => {
-                    if self.fx.check_on() {
-                        self.fx.hook(HookRecord::HomeWriteMemory { block });
+                    if let Some(k) = self.fx.check() {
+                        k.home_write_memory(block);
                     }
                     self.nodes[hi].mem.serve(t0, self.cfg.mem_occupancy);
                 }
@@ -1392,11 +1247,8 @@ impl<W: Workload> Core<'_, W> {
                     exclusive,
                     prefetch,
                 } => {
-                    if self.fx.check_on() {
-                        self.fx.hook(HookRecord::HomeSendData {
-                            block,
-                            to: to.as_u16(),
-                        });
+                    if let Some(k) = self.fx.check() {
+                        k.home_send_data(block, to.as_u16());
                     }
                     self.fx.send(
                         self.cfg.geometry,
@@ -1467,9 +1319,7 @@ impl<W: Workload> Core<'_, W> {
 /// The simulated multiprocessor.
 ///
 /// Couples a [`SystemConfig`] with a [`Workload`] and runs the parallel
-/// section to completion, producing a [`SimResult`]. [`run`](System::run)
-/// is the serial kernel; [`run_threads`](System::run_threads) is the
-/// sharded kernel, bit-identical to serial on every statistic.
+/// section to completion, producing a [`SimResult`].
 ///
 /// # Examples
 ///
@@ -1603,9 +1453,8 @@ impl<W: Workload> System<W> {
         }
     }
 
-    /// Dispatches one popped event through the serial kernel: the body of
-    /// the [`run`](Self::run) hot loop, shared with
-    /// [`run_until`](Self::run_until).
+    /// Dispatches one popped event: the body of the [`run`](Self::run)
+    /// hot loop, shared with [`run_until`](Self::run_until).
     #[inline(always)]
     fn dispatch_one(&mut self, t: Cycle, ev: Ev, instrumented: bool) {
         self.last_time = self.last_time.max(t);
@@ -1614,10 +1463,9 @@ impl<W: Workload> System<W> {
         }
         let mut core = Core {
             cfg: &self.cfg,
-            base: 0,
             nodes: &mut self.nodes,
             workload: &mut self.workload,
-            fx: Fx::Live {
+            fx: Fx {
                 queue: &mut self.queue,
                 mesh: &mut self.mesh,
                 check: &mut self.check,
@@ -1640,46 +1488,29 @@ impl<W: Workload> System<W> {
         }
     }
 
-    /// Runs the workload to completion on `threads` worker threads using
-    /// the conservative sharded kernel, producing results bit-identical
-    /// to [`run`](Self::run): same pclock total, same per-node stats, same
-    /// metrics snapshot, same oracle hook sequence (see `DESIGN.md` §12).
-    ///
-    /// `threads <= 1` exercises the identical shard machinery inline
-    /// (no threads spawned), which is the determinism reference. The
-    /// workload is cloned once per worker; each clone only ever advances
-    /// its own nodes' streams.
-    ///
-    /// # Panics
-    ///
-    /// Panics on deadlock, exactly as [`run`](Self::run).
-    pub fn run_threads(&mut self, threads: usize) -> SimResult
-    where
-        W: Clone + Send,
-    {
-        crate::shard::run_threads(self, threads)
-    }
-
     /// Hot-path instrumentation: called once per popped event when the
     /// registry is enabled. Counts the event by kind and samples queue
     /// and per-node MSHR occupancy (an every-event sample, so busy nodes
     /// weight the distribution by their event traffic).
     fn observe_event(&mut self, ev: &Ev) {
         let (wheel, overdue, overflow) = self.queue.depth_profile();
+        let obs = &mut self.obs;
+        obs.reg
+            .observe(obs.queue_depth, (wheel + overdue + overflow) as u64);
+        obs.reg.observe(obs.queue_overflow, overflow as u64);
+        let counter = match ev {
+            Ev::CpuStep(_) => obs.ev_cpu_step,
+            Ev::SlcWork(_) => obs.ev_slc_work,
+            Ev::Deliver(..) => obs.ev_deliver,
+        };
+        obs.reg.inc(counter, 1);
         let mshr = self.nodes[ev.node() as usize].mshr.len() as u64;
-        self.obs.observe_raw(
-            ev,
-            (wheel + overdue + overflow) as u64,
-            overflow as u64,
-            mshr,
-        );
+        obs.reg.observe(obs.mshr_occupancy, mshr);
     }
 
     /// Everything after the event loop drains: deadlock detection, the
-    /// final oracle hook, clock folding and statistics assembly. Shared
-    /// verbatim by the serial and sharded kernels so the two can never
-    /// diverge in how a run is summarized.
-    pub(crate) fn finish_run(&mut self, instrumented: bool) -> SimResult {
+    /// final oracle hook, clock folding and statistics assembly.
+    fn finish_run(&mut self, instrumented: bool) -> SimResult {
         let stuck: Vec<String> = self
             .nodes
             .iter()

@@ -6,12 +6,8 @@
 //! workspace method named `m` that takes `self`, a qualified call
 //! `T::f(…)` prefers functions owned by `T`, a free call `f(…)` edges
 //! to every free function named `f`. Over-approximation is the safe
-//! direction for both lints built here: S102 (is a hook *reachable*?)
-//! can only gain reachability, never lose a real path; S103 flags
-//! direct banned calls *inside* reachable bodies, where a spurious
-//! extra function in the set only matters if that function itself
-//! breaks the effect discipline — which is exactly what we want to
-//! hear about.
+//! direction for the lint built here: S102 (is a hook *reachable*?)
+//! can only gain reachability, never lose a real path.
 
 use std::collections::HashSet;
 
@@ -179,15 +175,8 @@ pub fn resolve(model: &Model, caller: FnId, call: &CallSite, in_crate: &str) -> 
 }
 
 /// Computes the set of functions reachable from `roots` through
-/// intra-`in_crate` edges. Functions owned by a type in `no_expand` are
-/// marked reachable but their bodies are not traversed — the seam for
-/// S103's audited `Fx` effect boundary.
-pub fn reachable(
-    model: &Model,
-    roots: &[FnId],
-    in_crate: &str,
-    no_expand: &[&str],
-) -> HashSet<FnId> {
+/// intra-`in_crate` edges.
+pub fn reachable(model: &Model, roots: &[FnId], in_crate: &str) -> HashSet<FnId> {
     let mut seen: HashSet<FnId> = HashSet::new();
     let mut work: Vec<FnId> = Vec::new();
     for &r in roots {
@@ -196,15 +185,9 @@ pub fn reachable(
         }
     }
     while let Some(id) = work.pop() {
-        let item = model.fn_item(id);
-        if item
-            .owner
-            .as_deref()
-            .is_some_and(|o| no_expand.contains(&o))
-        {
+        let Some(body) = model.fn_item(id).body else {
             continue;
-        }
-        let Some(body) = item.body else { continue };
+        };
         let f = model.fn_file(id);
         for call in calls_in_body(f, body) {
             for target in resolve(model, id, &call, in_crate) {
@@ -304,7 +287,7 @@ mod tests {
     }
 
     #[test]
-    fn reachability_stops_at_crate_boundary_and_no_expand() {
+    fn reachability_is_transitive_and_stops_at_crate_boundary() {
         let files = vec![
             File::new(
                 "crates/core/src/a.rs",
@@ -317,10 +300,9 @@ mod tests {
         ];
         let m = model_of(&files);
         let entry = fn_id(&m, "a.rs", "entry");
-        let set = reachable(&m, &[entry], "core", &["Fx"]);
+        let set = reachable(&m, &[entry], "core");
         assert!(set.contains(&fn_id(&m, "a.rs", "send")));
-        // Fx::send is reachable but not expanded: raw_send stays out.
-        assert!(!set.contains(&fn_id(&m, "a.rs", "raw_send")));
+        assert!(set.contains(&fn_id(&m, "a.rs", "raw_send")));
         // The bench crate's fn is outside the core-only graph.
         assert!(!set.contains(&fn_id(&m, "x.rs", "send")));
     }

@@ -40,7 +40,7 @@ pub const LINTS: &[Lint] = &[
     },
     Lint {
         id: "K001",
-        summary: "simulation-clock fields are written only inside the event kernels (core/src/{system,shard}.rs)",
+        summary: "simulation-clock fields are written only inside the event kernel (core/src/system.rs)",
     },
     Lint {
         id: "K002",
@@ -67,16 +67,12 @@ pub const LINTS: &[Lint] = &[
         summary: "every CheckSink hook must be call-graph reachable from the core entry points",
     },
     Lint {
-        id: "S103",
-        summary: "code reachable from shard-worker entry points applies effects only through the Fx log",
-    },
-    Lint {
         id: "S104",
         summary: "wire/manifest/serve string-key sets emitted and accepted must agree symbolically",
     },
     Lint {
         id: "T001",
-        summary: "threads and sync primitives only in approved concurrency modules (bench/parallel, bench/lib, core/shard, serve/src)",
+        summary: "threads and sync primitives only in approved concurrency modules (bench/parallel, bench/lib, serve/src)",
     },
     Lint {
         id: "U001",
@@ -165,7 +161,7 @@ fn is_hot_path(f: &File) -> bool {
         Some("core") => {
             matches!(
                 file_name(&f.path),
-                "system.rs" | "shard.rs" | "node.rs" | "sync.rs" | "msg.rs"
+                "system.rs" | "node.rs" | "sync.rs" | "msg.rs"
             ) && f.path.contains("/src/")
         }
         Some("sim-engine") => {
@@ -293,13 +289,13 @@ fn u001_safety_comments(f: &File, out: &mut Vec<Finding>) {
 /// kernel cursor plus the per-node processor clocks.
 const CLOCK_FIELDS: &[&str] = &["last_time", "cpu_time", "issue_time"];
 
-/// The files forming the event kernel: the only places simulated time may
-/// advance. The serial loop and the sharded leader both fold event times
-/// into `last_time`; everything else only reads the clocks.
-const KERNEL_FILES: &[&str] = &["crates/core/src/system.rs", "crates/core/src/shard.rs"];
+/// The event kernel: the only file where simulated time may advance. Its
+/// loop folds event times into `last_time`; everything else only reads
+/// the clocks.
+const KERNEL_FILE: &str = "crates/core/src/system.rs";
 
 fn k001_clock_writes(f: &File, out: &mut Vec<Finding>) {
-    if KERNEL_FILES.contains(&f.path.as_str()) {
+    if f.path == KERNEL_FILE {
         return;
     }
     for i in 1..f.tokens.len() {
@@ -320,8 +316,8 @@ fn k001_clock_writes(f: &File, out: &mut Vec<Finding>) {
                 "K001",
                 f.tokens[i].line,
                 format!(
-                    "simulation-clock field `{}` written outside the event kernels \
-                     (crates/core/src/{{system,shard}}.rs)",
+                    "simulation-clock field `{}` written outside the event kernel \
+                     ({KERNEL_FILE})",
                     f.t(i)
                 ),
             ));
@@ -334,15 +330,10 @@ fn k001_clock_writes(f: &File, out: &mut Vec<Finding>) {
 // ---------------------------------------------------------------------
 
 /// The only non-test modules allowed to spawn threads or hold sync
-/// primitives: the grid-level fan-out harness, the trace cache it shares,
-/// and the sharded event kernel's leader/worker handshake. Everything
-/// else must stay single-threaded so determinism arguments stay local to
-/// these files.
-const CONCURRENCY_MODULES: &[&str] = &[
-    "crates/bench/src/parallel.rs",
-    "crates/bench/src/lib.rs",
-    "crates/core/src/shard.rs",
-];
+/// primitives: the grid-level fan-out harness and the trace cache it
+/// shares. Everything else must stay single-threaded so determinism
+/// arguments stay local to these files.
+const CONCURRENCY_MODULES: &[&str] = &["crates/bench/src/parallel.rs", "crates/bench/src/lib.rs"];
 
 /// Directory prefixes whose non-test sources are concurrent by design.
 /// The experiment service is a worker pool wrapped around the (still

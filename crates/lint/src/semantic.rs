@@ -1,19 +1,16 @@
-//! The semantic lint family (S101–S104), built on the workspace symbol
+//! The semantic lint family (S101, S102, S104), built on the workspace symbol
 //! model ([`crate::model`]) and call graph ([`crate::callgraph`]).
 //!
 //! * **S101** — snapshot field coverage: every struct expression or
 //!   pattern in a snapshot module must name every declared field.
 //! * **S102** — hook reachability: every `CheckSink` method must be
 //!   reachable, through the call graph, from the core entry points.
-//! * **S103** — shard-effect discipline: functions reachable from the
-//!   shard-worker entry points may touch the calendar queue, the mesh,
-//!   and the metrics registry only through the `Fx` effect log.
 //! * **S104** — wire/manifest key agreement: string-key sets emitted by
 //!   producers must agree with the sets their parsers/validators accept.
 
 use std::collections::BTreeMap;
 
-use crate::callgraph::{calls_in_body, reachable, CallKind};
+use crate::callgraph::reachable;
 use crate::lex::Kind;
 use crate::model::{FnId, Model};
 use crate::report::Finding;
@@ -23,7 +20,6 @@ use crate::source::File;
 pub fn run(model: &Model, out: &mut Vec<Finding>) {
     s101_snapshot_coverage(model, out);
     s102_hook_reachability(model, out);
-    s103_shard_effects(model, out);
     s104_key_agreement(model, out);
 }
 
@@ -180,9 +176,9 @@ const CHECK_TRAIT_FILE: &str = "crates/core/src/check.rs";
 /// The oracle hook trait.
 const HOOK_TRAIT: &str = "CheckSink";
 
-/// Entry points hooks must be reachable from: the serial and sharded
-/// event loops plus the checkpoint fork path.
-const HOOK_ROOT_FNS: &[&str] = &["run", "run_until", "run_threads", "snapshot", "restore"];
+/// Entry points hooks must be reachable from: the event loop plus the
+/// checkpoint fork path.
+const HOOK_ROOT_FNS: &[&str] = &["run", "run_until", "snapshot", "restore"];
 
 fn s102_hook_reachability(model: &Model, out: &mut Vec<Finding>) {
     let Some(def_fi) = model.file_index(CHECK_TRAIT_FILE) else {
@@ -204,7 +200,7 @@ fn s102_hook_reachability(model: &Model, out: &mut Vec<Finding>) {
         // checkout): reachability is unanswerable, so stay silent.
         return;
     }
-    let reach = reachable(model, &roots, "core", &[]);
+    let reach = reachable(model, &roots, "core");
     let def_file = &model.files[def_fi];
     for m in methods {
         if reach.contains(&m) {
@@ -240,102 +236,6 @@ fn named_fns_in_crate(model: &Model, crate_dir: &str, names: &[&str]) -> Vec<FnI
         }
     }
     roots
-}
-
-// ---------------------------------------------------------------------
-// S103: shard-worker effect discipline
-// ---------------------------------------------------------------------
-
-/// The sharded kernel file; S103 activates only when this exact path
-/// defines the worker entry points (lookalike paths stay out of scope).
-const SHARD_FILE: &str = "crates/core/src/shard.rs";
-
-/// Functions where shard-worker execution enters handler code.
-const WORKER_ENTRY_FNS: &[&str] = &["worker_loop", "execute_round"];
-
-/// The audited effect boundary: `Fx` owns the only legal direct calls
-/// to the queue/mesh/oracle, so traversal marks its methods reachable
-/// without descending into (or flagging) their bodies.
-const EFFECT_BOUNDARY: &[&str] = &["Fx"];
-
-/// Calendar-queue scheduling methods workers must not call directly.
-const SCHED_METHODS: &[&str] = &["schedule", "schedule_fusable"];
-
-/// Metrics-registry methods workers must not call directly.
-const METRIC_METHODS: &[&str] = &[
-    "counter",
-    "histogram",
-    "record",
-    "record_max",
-    "observe",
-    "inc",
-];
-
-/// Receiver names that identify a live metrics registry.
-const METRIC_RECEIVERS: &[&str] = &["reg", "registry", "obs"];
-
-fn s103_shard_effects(model: &Model, out: &mut Vec<Finding>) {
-    let Some(shard_fi) = model.file_index(SHARD_FILE) else {
-        return;
-    };
-    let roots: Vec<FnId> = model.items[shard_fi]
-        .fns
-        .iter()
-        .enumerate()
-        .filter(|(_, func)| {
-            WORKER_ENTRY_FNS.contains(&func.name.as_str())
-                && !model.files[shard_fi].in_test(func.line)
-        })
-        .map(|(idx, _)| FnId {
-            file: shard_fi,
-            idx,
-        })
-        .collect();
-    if roots.is_empty() {
-        return;
-    }
-    let reach = reachable(model, &roots, "core", EFFECT_BOUNDARY);
-    for (fi, f) in model.files.iter().enumerate() {
-        for (idx, func) in model.items[fi].fns.iter().enumerate() {
-            let id = FnId { file: fi, idx };
-            if !reach.contains(&id)
-                || func
-                    .owner
-                    .as_deref()
-                    .is_some_and(|o| EFFECT_BOUNDARY.contains(&o))
-                || model.is_test_fn(id)
-            {
-                continue;
-            }
-            let Some(body) = func.body else { continue };
-            for call in calls_in_body(f, body) {
-                if call.kind != CallKind::Method {
-                    continue;
-                }
-                let name = call.name.as_str();
-                let recv = call.recv.as_deref();
-                let banned = (SCHED_METHODS.contains(&name) && recv != Some("fx"))
-                    || (name == "send" && recv == Some("mesh"))
-                    || (METRIC_METHODS.contains(&name)
-                        && recv.is_some_and(|r| METRIC_RECEIVERS.contains(&r)));
-                if banned {
-                    out.push(finding(
-                        f,
-                        "S103",
-                        call.line,
-                        format!(
-                            "`{}.{name}(...)` in `{}` is reachable from the shard-worker \
-                             entry points ({}): workers apply queue/mesh/metrics effects \
-                             only through the effect log (`fx.*`)",
-                            recv.unwrap_or("<expr>"),
-                            model.fn_path(id),
-                            WORKER_ENTRY_FNS.join("/")
-                        ),
-                    ));
-                }
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -3,7 +3,7 @@
 //! The fixture corpus proves the lints bite on synthetic cases; these
 //! tests prove the item parser, span bookkeeping, and call graph hold up
 //! on the trickiest files we actually ship — the generic-heavy kernel
-//! (`system.rs`, `shard.rs`), the wire codec, and the manifest module.
+//! (`system.rs`), the wire codec, and the manifest module.
 
 use std::path::Path;
 
@@ -118,7 +118,7 @@ fn anchor_symbols_resolve() {
         ("crates/core/src/checkpoint.rs", Some("System"), "snapshot"),
         ("crates/core/src/checkpoint.rs", Some("System"), "restore"),
         ("crates/core/src/system.rs", Some("Fx"), "send"),
-        ("crates/core/src/shard.rs", None, "replay_hook"),
+        ("crates/core/src/system.rs", Some("Fx"), "check"),
         ("crates/bench/src/spec/wire.rs", Some("WireSpec"), "to_json"),
         (
             "crates/bench/src/spec/wire.rs",
@@ -153,8 +153,7 @@ fn checksink_hooks_reachable_in_real_kernel() {
             continue;
         }
         for (idx, func) in model.items[rfi].fns.iter().enumerate() {
-            if ["run", "run_until", "run_threads", "snapshot", "restore"]
-                .contains(&func.name.as_str())
+            if ["run", "run_until", "snapshot", "restore"].contains(&func.name.as_str())
                 && !f.in_test(func.line)
             {
                 roots.push(FnId { file: rfi, idx });
@@ -162,7 +161,7 @@ fn checksink_hooks_reachable_in_real_kernel() {
         }
     }
     assert!(!roots.is_empty());
-    let reach = reachable(&model, &roots, "core", &[]);
+    let reach = reachable(&model, &roots, "core");
     let mut hooks = 0usize;
     for (idx, func) in model.items[fi].fns.iter().enumerate() {
         if func.owner.as_deref() != Some("CheckSink") || func.name == "into_any" {

@@ -39,20 +39,6 @@ impl MeshConfig {
     pub fn nodes(&self) -> u16 {
         self.width * self.height
     }
-
-    /// The conservative cross-node lookahead in pclocks: the minimum
-    /// latency any message needs to travel between two *distinct* nodes.
-    /// A remote message crosses at least one link (one router
-    /// fall-through) and then streams at least `min_flits` flits into the
-    /// destination, so no send issued at time `t` can be delivered at
-    /// another node before `t + lookahead`. This is the safe window width
-    /// for conservative parallel simulation: events less than a lookahead
-    /// apart on different nodes cannot influence each other through the
-    /// network. Node-local transfers bypass the mesh and have zero
-    /// latency, which is why shards must always contain whole nodes.
-    pub fn lookahead(&self, min_flits: u64) -> u64 {
-        self.fall_through + min_flits.max(1)
-    }
 }
 
 /// Traffic statistics accumulated by the mesh.
@@ -307,25 +293,6 @@ mod tests {
         let mut m = mesh();
         let t = m.send(Cycle::ZERO, NodeId::new(0), NodeId::new(15), 2);
         assert_eq!(t.as_u64(), 6 * 3 + 2);
-    }
-
-    #[test]
-    fn lookahead_lower_bounds_every_remote_delivery() {
-        let cfg = MeshConfig::paper();
-        let mut m = Mesh::new(cfg);
-        let la = cfg.lookahead(1);
-        assert_eq!(la, 4, "paper mesh: 3-cycle fall-through + 1 flit");
-        for from in 0..16u16 {
-            for to in 0..16u16 {
-                if from == to {
-                    continue;
-                }
-                let t = m.send(Cycle::new(100), NodeId::new(from), NodeId::new(to), 1);
-                assert!(t.as_u64() >= 100 + la, "{from}->{to} beat the lookahead");
-            }
-        }
-        // Degenerate flit count still yields a nonzero horizon.
-        assert!(cfg.lookahead(0) > cfg.fall_through);
     }
 
     #[test]

@@ -59,7 +59,6 @@ fn main() {
         queue_depth: args.queue_depth,
         default_timeout_secs: args.timeout_secs,
         results_dir: PathBuf::from(results_dir),
-        max_threads: args.threads,
         cell_delay_ms,
         external_drain: Some(&DRAIN),
         quiet: false,

@@ -5,20 +5,18 @@
 //! Concurrency model: one accept loop (non-blocking, polling the drain
 //! flag), one short-lived handler thread per connection, and a fixed
 //! pool of worker threads that pull job ids from a bounded queue under
-//! a single mutex. The simulator itself stays single-threaded per cell
-//! (or uses its own deterministic sharded kernel); nothing here can
-//! perturb simulated time — the service only decides *whether* a cell
-//! needs simulating at all.
+//! a single mutex. The simulator itself stays single-threaded per cell;
+//! nothing here can perturb simulated time — the service only decides
+//! *whether* a cell needs simulating at all.
 //!
 //! Caching happens at two levels. Each cell's result document is cached
 //! under a key spelling out app, size, warmup, the fully-resolved
 //! configuration (`Debug` form) and the producing build — everything
-//! the simulation outcome depends on, and deliberately *not* the worker
-//! thread count (the sharded kernel is bit-identical across thread
-//! counts). A whole manifest is additionally cached by (spec, build),
-//! and a full hit replays the stored bytes verbatim — so re-submitting
-//! an identical spec returns a byte-identical manifest even though
-//! manifests embed wall-clock fields.
+//! the simulation outcome depends on. A whole manifest is additionally
+//! cached by (spec, build), and a full hit replays the stored bytes
+//! verbatim — so re-submitting an identical spec returns a
+//! byte-identical manifest even though manifests embed wall-clock
+//! fields.
 
 use std::collections::VecDeque;
 use std::net::{TcpListener, TcpStream};
@@ -56,9 +54,6 @@ pub struct ServeConfig {
     pub default_timeout_secs: Option<u64>,
     /// Where manifests land and the cache lives.
     pub results_dir: PathBuf,
-    /// Cap on per-simulation kernel threads (specs asking for more are
-    /// clamped; results are bit-identical either way).
-    pub max_threads: usize,
     /// Artificial pause before each cell, for exercising cancellation
     /// and backpressure in tests (`PFSIM_SERVE_CELL_DELAY_MS`).
     pub cell_delay_ms: u64,
@@ -78,7 +73,6 @@ impl ServeConfig {
             queue_depth: 8,
             default_timeout_secs: None,
             results_dir: results_dir.into(),
-            max_threads: 1,
             cell_delay_ms: 0,
             external_drain: None,
             quiet: false,
@@ -323,7 +317,7 @@ fn worker_loop(shared: &Shared) {
 }
 
 /// The cache key of one cell: everything its result depends on, and
-/// nothing it does not (worker thread count is deliberately absent).
+/// nothing it does not.
 fn cell_key(git: &str, spec: &WireSpec, app: App, var_idx: usize) -> String {
     format!(
         "cell|git={git}|app={}|size={}|warmup={}|cfg={:?}",
@@ -432,20 +426,16 @@ fn cancel_requested(shared: &Shared, id: u64) -> bool {
 }
 
 /// Lowers one grid cell to a runnable 1×1 spec.
-fn one_cell_spec(spec: &WireSpec, app: App, var_idx: usize, threads: usize) -> ExperimentSpec {
+fn one_cell_spec(spec: &WireSpec, app: App, var_idx: usize) -> ExperimentSpec {
     let v = &spec.variants[var_idx];
-    let mut cell = ExperimentSpec::new(spec.name.clone())
+    ExperimentSpec::new(spec.name.clone())
         .size(spec.size)
         .apps([app])
         .variant(v.label.clone(), v.config())
         .instrument(spec.instrument)
         .warmup(spec.warmup)
         .serial()
-        .quiet();
-    if threads > 1 {
-        cell = cell.threads(threads);
-    }
-    cell
+        .quiet()
 }
 
 /// Runs one job to a terminal state: replay the manifest cache, else
@@ -506,7 +496,6 @@ fn run_job(shared: &Shared, id: u64) {
         }
     }
 
-    let threads = spec.threads.min(shared.cfg.max_threads).max(1);
     let runner = Runner::with_out_dir(&shared.cfg.results_dir);
     let mut cells: Vec<Json> = Vec::with_capacity(total);
     let mut traces: Vec<Option<Json>> = vec![None; spec.apps.len()];
@@ -556,7 +545,7 @@ fn run_job(shared: &Shared, id: u64) {
                     }
                 }
                 None => {
-                    let run = runner.execute(one_cell_spec(&spec, app, var_idx, threads));
+                    let run = runner.execute(one_cell_spec(&spec, app, var_idx));
                     gen_seconds += run.gen_seconds;
                     sim_seconds += run.sim_seconds;
                     shared.observe_ms(gen_id, run.gen_seconds);
@@ -598,7 +587,6 @@ fn run_job(shared: &Shared, id: u64) {
     let doc = assemble_manifest(
         &spec.name,
         &spec.size.to_string(),
-        threads,
         (gen_seconds, sim_seconds, 0.0),
         total_pclocks,
         spec.apps.iter().map(|a| a.name().to_string()).collect(),

@@ -293,6 +293,24 @@ fn api_rejects_bad_input() {
     let (status, body) = srv.client.post("/jobs", Some(&doc.render())).unwrap();
     assert_eq!(status, 400, "unknown fields are rejected: {body}");
 
+    // Schema v3 dropped `threads`: a v2 document is refused by version,
+    // and a v3 document still carrying the field is refused by name.
+    let with_threads = |version: i64| {
+        let mut doc = Json::parse(&tiny_spec("threaded")).unwrap();
+        if let Json::Object(members) = &mut doc {
+            members.retain(|(k, _)| k != "wire_version");
+            members.push(("wire_version".to_string(), Json::Int(version)));
+            members.push(("threads".to_string(), Json::uint(2)));
+        }
+        doc.render()
+    };
+    let (status, body) = srv.client.post("/jobs", Some(&with_threads(2))).unwrap();
+    assert_eq!(status, 400, "v2 documents are rejected: {body}");
+    assert!(body.contains("wire_version 2"), "{body}");
+    let (status, body) = srv.client.post("/jobs", Some(&with_threads(3))).unwrap();
+    assert_eq!(status, 400, "`threads` is an unknown field: {body}");
+    assert!(body.contains("unknown spec field 'threads'"), "{body}");
+
     let (status, _) = srv.client.get("/jobs/job-999").unwrap();
     assert_eq!(status, 404);
     let (status, _) = srv.client.post("/jobs/job-999/cancel", None).unwrap();

@@ -250,7 +250,7 @@ impl MetricsSnapshot {
 
     /// Human-readable differences between two snapshots, one line per
     /// diverging metric (empty when bit-identical). Built for equivalence
-    /// harnesses — e.g. the serial-vs-sharded kernel gate — where "which
+    /// harnesses — e.g. the checkpoint round-trip gate — where "which
     /// metric moved, and by how much" is the whole debugging story and
     /// two full `Debug` dumps would bury it.
     pub fn diff(&self, other: &MetricsSnapshot) -> Vec<String> {

@@ -45,15 +45,15 @@ else
     echo "==> SKIPPED: cargo clippy is not installed on this toolchain"
 fi
 
-echo "==> pfsim-lint (token + semantic S101-S104; report -> results/lint.json)"
+echo "==> pfsim-lint (token + semantic S101/S102/S104; report -> results/lint.json)"
 # The linter exits non-zero on any non-suppressed finding, and validates
 # the JSON report it just wrote before exiting (manifest discipline).
 # The semantic family runs off the workspace symbol model: S101 diffs
 # snapshot()/restore() field sets, S102 proves CheckSink hooks reachable,
-# S103 holds shard workers to the Fx effect log, S104 diffs wire/manifest
-# key sets between emitters and parsers. This stage runs BEFORE the
-# build, so deleting a restore field arm or a parser key fails here
-# first. The per-file content-hash parse cache keeps the stage warm-fast.
+# S104 diffs wire/manifest key sets between emitters and parsers. This
+# stage runs BEFORE the build, so deleting a restore field arm or a parser
+# key fails here first. The per-file content-hash parse cache keeps the
+# stage warm-fast.
 mkdir -p results
 cargo run -q -p pfsim-lint --release --offline -- --json results/lint.json
 grep -q '"schema": 2' results/lint.json \
@@ -74,7 +74,7 @@ cargo test -q -p pfsim-check --release --offline --test litmus
 echo "==> modern-family oracle suite (chase/mstride/server x all schemes)"
 # One scaled-down cell per modern workload family under every prefetching
 # scheme with the oracle judging every load, plus the pinned CHASE
-# fuzz-seed set checked serial-vs-sharded.
+# fuzz-seed set.
 cargo test -q -p pfsim-check --release --offline --test families
 
 echo "==> pfsim-fuzz --smoke (200 seeded random traces, oracle on)"
@@ -87,19 +87,12 @@ echo "==> warmup-checkpoint determinism gate (snapshot/restore bit-identity)"
 # test fork a live oracle through every shared checkpoint.
 PFSIM_CHECK=1 cargo test -q -p pfsim-bench --release --offline --test checkpoint
 
-echo "==> sharded-kernel determinism gate (full matrix, 1/2/4-thread rotation)"
-# Serial vs sharded bit-identity over the whole scheme x app matrix,
-# metrics registry included, plus an oracle-on sharded cell (the
-# PFSIM_CHECK cell of the grid, judged at 2 threads). The litmus stage
-# above already proved the sharded oracle hook stream on every shape.
-cargo test -q -p pfsim-bench --release --offline --test sharded -- --include-ignored
-
-echo "==> big-mesh determinism gate (8x8 anchors, 1/2/4-thread rotation, checkpoint)"
-# The 64-node machine's pinned per-family pclock anchors, serial vs
-# sharded bit-identity for every modern family, and an 8x8 checkpoint
-# round-trip. PFSIM_CHECK=1 forks a live consistency oracle through
-# every cell of the spec-level grid, which must stay pclock-neutral.
-PFSIM_CHECK=1 cargo test -q -p pfsim-bench --release --offline --test bigmesh -- --include-ignored
+echo "==> big-mesh determinism gate (8x8 anchors, checkpoint)"
+# The 64-node machine's pinned per-family pclock anchors and an 8x8
+# checkpoint round-trip. PFSIM_CHECK=1 forks a live consistency oracle
+# through every cell of the spec-level grid, which must stay
+# pclock-neutral.
+PFSIM_CHECK=1 cargo test -q -p pfsim-bench --release --offline --test bigmesh
 
 echo "==> workload characterization (Table 2 methodology on the modern families)"
 # Characterizes CHASE/MSTRIDE/SERVER at 4x4, 8x8, and paper scale; the
@@ -125,7 +118,7 @@ done
 serve_port=$(cat "$serve_dir/port")
 cat > "$serve_dir/spec.json" <<'SPEC'
 {
-  "wire_version": 2,
+  "wire_version": 3,
   "name": "ci-serve",
   "size": "default",
   "apps": ["MP3D", "Cholesky", "Water", "LU", "Ocean", "PTHOR"],
@@ -169,9 +162,9 @@ if [[ "$run_perf" == 1 ]]; then
     PFSIM_CHECK=1 ./target/release/perfsmoke --label ci-checked --check
 
     echo "==> perfsmoke --large (event-kernel-bound grid; ledger BENCH_PR6.json)"
-    # The large grid is where the event kernel dominates wall-clock (the
-    # sharded kernel's target workload); --check pins its pclock total to
-    # the BENCH_PR6.json seed the same way the default grid pins 14059066.
+    # The large grid is where the event kernel dominates wall-clock;
+    # --check pins its pclock total to the BENCH_PR6.json seed the same
+    # way the default grid pins 14059066.
     ./target/release/perfsmoke --large --label ci-large --check
 fi
 

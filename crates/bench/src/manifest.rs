@@ -11,7 +11,10 @@
 
 use std::path::Path;
 
-use pfsim::{ConsistencyModel, MetricsSnapshot, NodeStats, RecordMisses, SimResult, SystemConfig};
+use pfsim::{
+    ConsistencyModel, HistogramSnapshot, MetricsSnapshot, NodeStats, RecordMisses, SimResult,
+    SystemConfig,
+};
 use pfsim_analysis::Json;
 
 use crate::spec::{CellResult, ExperimentRun, TraceInfo, Variant};
@@ -33,221 +36,204 @@ pub(crate) fn manifest_json(run: &ExperimentRun, analyze_seconds: f64) -> Json {
     )
 }
 
-/// Assembles a manifest document from pre-rendered parts.
-///
-/// This is the one place the manifest's top-level layout is defined:
-/// [`ExperimentRun::write_manifest`](crate::ExperimentRun::write_manifest)
-/// feeds it a freshly-simulated run, and `pfsim-serve` feeds it a mix of
-/// cached and fresh cell documents — both produce the same byte layout.
-#[allow(clippy::too_many_arguments)]
-pub fn assemble_manifest(
-    name: &str,
-    size: &str,
-    (gen_seconds, sim_seconds, analyze_seconds): (f64, f64, f64),
-    total_pclocks: u64,
-    apps: Vec<String>,
-    variants: Vec<Json>,
-    traces: Vec<Json>,
-    cells: Vec<Json>,
-) -> Json {
-    Json::obj(vec![
-        ("schema_version", Json::Int(MANIFEST_SCHEMA_VERSION)),
-        ("name", Json::str(name)),
-        ("size", Json::str(size)),
-        ("git", Json::str(git_describe())),
-        ("unix_time", Json::uint(unix_time())),
-        (
-            "phases",
-            Json::obj(vec![
-                ("gen_seconds", Json::Float(gen_seconds)),
-                ("sim_seconds", Json::Float(sim_seconds)),
-                ("analyze_seconds", Json::Float(analyze_seconds)),
-            ]),
-        ),
-        ("total_pclocks", Json::uint(total_pclocks)),
-        (
-            "apps",
-            Json::Array(apps.into_iter().map(Json::Str).collect()),
-        ),
-        ("variants", Json::Array(variants)),
-        ("traces", Json::Array(traces)),
-        ("cells", Json::Array(cells)),
-    ])
+/// Declares one manifest record once: `fn $render` builds its JSON
+/// object with the members in declaration order, and `$KEYS` lists the
+/// same keys for `validate_doc`'s unknown-key checks, so the validator
+/// accepts exactly what the producers emit by construction.
+macro_rules! record {
+    (
+        $(#[$attr:meta])*
+        $vis:vis fn $render:ident $params:tt, $KEYS:ident {
+            $($key:literal: $value:expr,)*
+        }
+    ) => {
+        $(#[$attr])*
+        $vis fn $render $params -> Json {
+            Json::obj(vec![$(($key, $value)),*])
+        }
+
+        const $KEYS: &[&str] = &[$($key),*];
+    };
 }
 
-/// The manifest encoding of one grid column (label, scheme, config).
-pub fn variant_json(v: &Variant) -> Json {
-    Json::obj(vec![
-        ("label", Json::str(&v.label)),
-        ("scheme", Json::str(v.cfg.scheme.to_string())),
-        (
-            "size",
-            v.size.map_or(Json::Null, |s| Json::str(s.to_string())),
-        ),
-        ("config", config_json(&v.cfg)),
-    ])
+record! {
+    /// Assembles a manifest document from pre-rendered parts.
+    ///
+    /// This is the one place the manifest's top-level layout is defined:
+    /// [`ExperimentRun::write_manifest`](crate::ExperimentRun::write_manifest)
+    /// feeds it a freshly-simulated run, and `pfsim-serve` feeds it a mix of
+    /// cached and fresh cell documents — both produce the same byte layout.
+    #[allow(clippy::too_many_arguments)]
+    pub fn assemble_manifest(
+        name: &str,
+        size: &str,
+        phases: (f64, f64, f64),
+        total_pclocks: u64,
+        apps: Vec<String>,
+        variants: Vec<Json>,
+        traces: Vec<Json>,
+        cells: Vec<Json>,
+    ), MANIFEST_KEYS {
+        "schema_version": Json::Int(MANIFEST_SCHEMA_VERSION),
+        "name": Json::str(name),
+        "size": Json::str(size),
+        "git": Json::str(git_describe()),
+        "unix_time": Json::uint(unix_time()),
+        "phases": phases_json(phases),
+        "total_pclocks": Json::uint(total_pclocks),
+        "apps": Json::Array(apps.into_iter().map(Json::Str).collect()),
+        "variants": Json::Array(variants),
+        "traces": Json::Array(traces),
+        "cells": Json::Array(cells),
+    }
 }
 
-fn config_json(cfg: &SystemConfig) -> Json {
-    Json::obj(vec![
-        ("nodes", Json::uint(cfg.nodes as u64)),
-        ("block_bytes", Json::uint(cfg.geometry.block_bytes())),
-        ("flc_bytes", Json::uint(cfg.flc_bytes)),
-        ("flwb_entries", Json::uint(cfg.flwb_entries as u64)),
-        ("slwb_entries", Json::uint(cfg.slwb_entries as u64)),
-        ("slc", Json::str(cfg.slc.describe())),
-        (
-            "consistency",
-            Json::str(match cfg.consistency {
-                ConsistencyModel::Release => "release",
-                ConsistencyModel::Sequential => "sequential",
-            }),
-        ),
-        (
-            "record_misses",
-            match cfg.record_misses {
-                RecordMisses::None => Json::str("none"),
-                RecordMisses::Cpu(cpu) => Json::str(format!("cpu:{cpu}")),
-                RecordMisses::All => Json::str("all"),
-            },
-        ),
-        ("instrument", Json::Bool(cfg.instrument)),
-    ])
+record! {
+    fn phases_json((gen_seconds, sim_seconds, analyze_seconds): (f64, f64, f64)), PHASE_KEYS {
+        "gen_seconds": Json::Float(gen_seconds),
+        "sim_seconds": Json::Float(sim_seconds),
+        "analyze_seconds": Json::Float(analyze_seconds),
+    }
 }
 
-/// The manifest encoding of one generated trace's shape.
-pub fn trace_json(t: &TraceInfo) -> Json {
-    Json::obj(vec![
-        ("app", Json::str(t.app.name())),
-        ("size", Json::str(t.size.to_string())),
-        ("cpus", Json::uint(t.cpus as u64)),
-        ("ops", Json::uint(t.ops)),
-        ("packed_bytes", Json::uint(t.packed_bytes)),
-        ("bytes_per_op", Json::Float(t.bytes_per_op)),
-    ])
+record! {
+    /// The manifest encoding of one grid column (label, scheme, config).
+    pub fn variant_json(v: &Variant), VARIANT_KEYS {
+        "label": Json::str(&v.label),
+        "scheme": Json::str(v.cfg.scheme.to_string()),
+        "size": v.size.map_or(Json::Null, |s| Json::str(s.to_string())),
+        "config": config_json(&v.cfg),
+    }
 }
 
-/// The manifest encoding of one simulated cell (the unit `pfsim-serve`
-/// caches).
-pub fn cell_json(c: &CellResult) -> Json {
-    let r = &c.result;
-    Json::obj(vec![
-        ("app", Json::str(c.app.name())),
-        ("variant", Json::uint(c.variant as u64)),
-        ("size", Json::str(c.size.to_string())),
-        ("wall_seconds", Json::Float(c.wall_seconds)),
-        ("exec_cycles", Json::uint(r.exec_cycles)),
-        ("aggregates", aggregates_json(r)),
-        (
-            "net",
-            Json::obj(vec![
-                ("messages", Json::uint(r.net.messages)),
-                ("flits", Json::uint(r.net.flits)),
-                ("flit_hops", Json::uint(r.net.flit_hops)),
-                ("queuing_cycles", Json::uint(r.net.queuing_cycles)),
-            ]),
-        ),
-        (
-            "dir",
-            Json::obj(vec![
-                ("memory_supplied", Json::uint(r.dir.memory_supplied)),
-                ("owner_supplied", Json::uint(r.dir.owner_supplied)),
-                ("invalidations", Json::uint(r.dir.invalidations)),
-                ("writebacks", Json::uint(r.dir.writebacks)),
-                ("stale_writebacks", Json::uint(r.dir.stale_writebacks)),
-            ]),
-        ),
-        (
-            "nodes",
-            Json::Array(r.nodes.iter().map(node_json).collect()),
-        ),
-        (
-            "metrics",
-            r.metrics.as_ref().map_or(Json::Null, metrics_json),
-        ),
-    ])
+record! {
+    fn config_json(cfg: &SystemConfig), CONFIG_KEYS {
+        "nodes": Json::uint(cfg.nodes as u64),
+        "block_bytes": Json::uint(cfg.geometry.block_bytes()),
+        "flc_bytes": Json::uint(cfg.flc_bytes),
+        "flwb_entries": Json::uint(cfg.flwb_entries as u64),
+        "slwb_entries": Json::uint(cfg.slwb_entries as u64),
+        "slc": Json::str(cfg.slc.describe()),
+        "consistency": Json::str(match cfg.consistency {
+            ConsistencyModel::Release => "release",
+            ConsistencyModel::Sequential => "sequential",
+        }),
+        "record_misses": match cfg.record_misses {
+            RecordMisses::None => Json::str("none"),
+            RecordMisses::Cpu(cpu) => Json::str(format!("cpu:{cpu}")),
+            RecordMisses::All => Json::str("all"),
+        },
+        "instrument": Json::Bool(cfg.instrument),
+    }
 }
 
-fn aggregates_json(r: &SimResult) -> Json {
-    Json::obj(vec![
-        ("read_misses", Json::uint(r.read_misses())),
-        ("read_stall", Json::uint(r.read_stall())),
-        (
-            "prefetches_issued",
-            Json::uint(r.total(|n| n.prefetches_issued)),
-        ),
-        (
-            "prefetches_useful",
-            Json::uint(r.total(|n| n.prefetches_useful)),
-        ),
-        ("prefetch_efficiency", Json::Float(r.prefetch_efficiency())),
-    ])
+record! {
+    /// The manifest encoding of one generated trace's shape.
+    pub fn trace_json(t: &TraceInfo), TRACE_KEYS {
+        "app": Json::str(t.app.name()),
+        "size": Json::str(t.size.to_string()),
+        "cpus": Json::uint(t.cpus as u64),
+        "ops": Json::uint(t.ops),
+        "packed_bytes": Json::uint(t.packed_bytes),
+        "bytes_per_op": Json::Float(t.bytes_per_op),
+    }
 }
 
-fn node_json(n: &NodeStats) -> Json {
-    Json::obj(vec![
-        ("reads", Json::uint(n.reads)),
-        ("writes", Json::uint(n.writes)),
-        ("flc_read_hits", Json::uint(n.flc_read_hits)),
-        ("slc_read_hits", Json::uint(n.slc_read_hits)),
-        ("tagged_hits", Json::uint(n.tagged_hits)),
-        ("read_misses", Json::uint(n.read_misses)),
-        ("delayed_hits", Json::uint(n.delayed_hits)),
-        ("read_stall", Json::uint(n.read_stall)),
-        ("sync_stall", Json::uint(n.sync_stall)),
-        ("write_stall", Json::uint(n.write_stall)),
-        ("barrier_stall", Json::uint(n.barrier_stall)),
-        ("flwb_stall", Json::uint(n.flwb_stall)),
-        ("prefetches_issued", Json::uint(n.prefetches_issued)),
-        ("prefetches_useful", Json::uint(n.prefetches_useful)),
-        ("pf_dropped_present", Json::uint(n.pf_dropped_present)),
-        ("pf_dropped_inflight", Json::uint(n.pf_dropped_inflight)),
-        ("pf_dropped_full", Json::uint(n.pf_dropped_full)),
-        ("cold_misses", Json::uint(n.cold_misses)),
-        ("coherence_misses", Json::uint(n.coherence_misses)),
-        ("replacement_misses", Json::uint(n.replacement_misses)),
-        ("invals_received", Json::uint(n.invals_received)),
-        ("writebacks", Json::uint(n.writebacks)),
-        ("spurious_slc_wakeups", Json::uint(n.spurious_slc_wakeups)),
-    ])
+record! {
+    /// The manifest encoding of one simulated cell (the unit `pfsim-serve`
+    /// caches).
+    pub fn cell_json(c: &CellResult), CELL_KEYS {
+        "app": Json::str(c.app.name()),
+        "variant": Json::uint(c.variant as u64),
+        "size": Json::str(c.size.to_string()),
+        "wall_seconds": Json::Float(c.wall_seconds),
+        "exec_cycles": Json::uint(c.result.exec_cycles),
+        "aggregates": aggregates_json(&c.result),
+        "net": net_json(&c.result),
+        "dir": dir_json(&c.result),
+        "nodes": Json::Array(c.result.nodes.iter().map(node_json).collect()),
+        "metrics": c.result.metrics.as_ref().map_or(Json::Null, metrics_json),
+    }
 }
 
-/// The JSON encoding of a metrics registry snapshot (used in manifest
-/// cells and by `pfsim-serve`'s `/status` endpoint).
-pub fn metrics_json(m: &MetricsSnapshot) -> Json {
-    Json::obj(vec![
-        (
-            "counters",
-            Json::Object(
-                m.counters
-                    .iter()
-                    .map(|(name, v)| (name.clone(), Json::uint(*v)))
-                    .collect(),
-            ),
+record! {
+    fn aggregates_json(r: &SimResult), AGGREGATE_KEYS {
+        "read_misses": Json::uint(r.read_misses()),
+        "read_stall": Json::uint(r.read_stall()),
+        "prefetches_issued": Json::uint(r.total(|n| n.prefetches_issued)),
+        "prefetches_useful": Json::uint(r.total(|n| n.prefetches_useful)),
+        "prefetch_efficiency": Json::Float(r.prefetch_efficiency()),
+    }
+}
+
+record! {
+    fn net_json(r: &SimResult), NET_KEYS {
+        "messages": Json::uint(r.net.messages),
+        "flits": Json::uint(r.net.flits),
+        "flit_hops": Json::uint(r.net.flit_hops),
+        "queuing_cycles": Json::uint(r.net.queuing_cycles),
+    }
+}
+
+record! {
+    fn dir_json(r: &SimResult), DIR_KEYS {
+        "memory_supplied": Json::uint(r.dir.memory_supplied),
+        "owner_supplied": Json::uint(r.dir.owner_supplied),
+        "invalidations": Json::uint(r.dir.invalidations),
+        "writebacks": Json::uint(r.dir.writebacks),
+        "stale_writebacks": Json::uint(r.dir.stale_writebacks),
+    }
+}
+
+record! {
+    fn node_json(n: &NodeStats), NODE_KEYS {
+        "reads": Json::uint(n.reads),
+        "writes": Json::uint(n.writes),
+        "flc_read_hits": Json::uint(n.flc_read_hits),
+        "slc_read_hits": Json::uint(n.slc_read_hits),
+        "tagged_hits": Json::uint(n.tagged_hits),
+        "read_misses": Json::uint(n.read_misses),
+        "delayed_hits": Json::uint(n.delayed_hits),
+        "read_stall": Json::uint(n.read_stall),
+        "sync_stall": Json::uint(n.sync_stall),
+        "write_stall": Json::uint(n.write_stall),
+        "barrier_stall": Json::uint(n.barrier_stall),
+        "flwb_stall": Json::uint(n.flwb_stall),
+        "prefetches_issued": Json::uint(n.prefetches_issued),
+        "prefetches_useful": Json::uint(n.prefetches_useful),
+        "pf_dropped_present": Json::uint(n.pf_dropped_present),
+        "pf_dropped_inflight": Json::uint(n.pf_dropped_inflight),
+        "pf_dropped_full": Json::uint(n.pf_dropped_full),
+        "cold_misses": Json::uint(n.cold_misses),
+        "coherence_misses": Json::uint(n.coherence_misses),
+        "replacement_misses": Json::uint(n.replacement_misses),
+        "invals_received": Json::uint(n.invals_received),
+        "writebacks": Json::uint(n.writebacks),
+        "spurious_slc_wakeups": Json::uint(n.spurious_slc_wakeups),
+    }
+}
+
+record! {
+    /// The JSON encoding of a metrics registry snapshot (used in manifest
+    /// cells and by `pfsim-serve`'s `/status` endpoint). Counter and
+    /// histogram names are dynamic keys; each histogram is a record.
+    pub fn metrics_json(m: &MetricsSnapshot), METRICS_KEYS {
+        "counters": Json::Object(
+            m.counters.iter().map(|(name, v)| (name.clone(), Json::uint(*v))).collect(),
         ),
-        (
-            "histograms",
-            Json::Object(
-                m.histograms
-                    .iter()
-                    .map(|(name, h)| {
-                        (
-                            name.clone(),
-                            Json::obj(vec![
-                                ("count", Json::uint(h.count)),
-                                ("sum", Json::uint(h.sum)),
-                                ("max", Json::uint(h.max)),
-                                (
-                                    "buckets",
-                                    Json::Array(h.buckets.iter().map(|&b| Json::uint(b)).collect()),
-                                ),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
+        "histograms": Json::Object(
+            m.histograms.iter().map(|(name, h)| (name.clone(), histogram_json(h))).collect(),
         ),
-    ])
+    }
+}
+
+record! {
+    fn histogram_json(h: &HistogramSnapshot), HISTOGRAM_KEYS {
+        "count": Json::uint(h.count),
+        "sum": Json::uint(h.sum),
+        "max": Json::uint(h.max),
+        "buckets": Json::Array(h.buckets.iter().map(|&b| Json::uint(b)).collect()),
+    }
 }
 
 /// `git describe --always --dirty` of the working tree, or `"unknown"`
@@ -363,27 +349,9 @@ fn validate_doc(doc: &Json) -> Result<Manifest, String> {
             "schema_version {version} (expected {MANIFEST_SCHEMA_VERSION})"
         ));
     }
-    // Every key a producer can emit is listed in one of the
-    // `reject_unknown_keys` calls below; the S104 lint diffs these lists
-    // against the emitters, so a new emitted key fails lint (and a
-    // manifest with a drifted key fails validation) until both agree.
-    reject_unknown_keys(
-        doc,
-        "manifest",
-        &[
-            "schema_version",
-            "name",
-            "size",
-            "git",
-            "unix_time",
-            "phases",
-            "total_pclocks",
-            "apps",
-            "variants",
-            "traces",
-            "cells",
-        ],
-    )?;
+    // Each record's accepted keys come from its `record!` declaration, so
+    // a manifest with a drifted key fails here by name.
+    reject_unknown_keys(doc, "manifest", MANIFEST_KEYS)?;
     let name = field(doc, "name")?
         .as_str()
         .ok_or("name is not a string")?
@@ -397,20 +365,17 @@ fn validate_doc(doc: &Json) -> Result<Manifest, String> {
         .ok_or("size is not a string")?
         .to_string();
     let phases = field(doc, "phases")?;
-    reject_unknown_keys(
-        phases,
-        "phases",
-        &["gen_seconds", "sim_seconds", "analyze_seconds"],
-    )?;
-    let mut phase_seconds = [0.0f64; 3];
-    for (slot, key) in ["gen_seconds", "sim_seconds", "analyze_seconds"]
-        .into_iter()
-        .enumerate()
-    {
-        phase_seconds[slot] = field(phases, key)?
+    reject_unknown_keys(phases, "phases", PHASE_KEYS)?;
+    let phase = |key: &str| {
+        field(phases, key)?
             .as_f64()
-            .ok_or_else(|| format!("phases.{key} is not a number"))?;
-    }
+            .ok_or_else(|| format!("phases.{key} is not a number"))
+    };
+    let phase_seconds = (
+        phase("gen_seconds")?,
+        phase("sim_seconds")?,
+        phase("analyze_seconds")?,
+    );
     let total_pclocks = field(doc, "total_pclocks")?
         .as_u64()
         .ok_or("total_pclocks is not a u64")?;
@@ -430,35 +395,21 @@ fn validate_doc(doc: &Json) -> Result<Manifest, String> {
         .ok_or("variants is not an array")?;
     let mut variants = Vec::with_capacity(variant_docs.len());
     for (i, v) in variant_docs.iter().enumerate() {
-        reject_unknown_keys(v, "variant", &["label", "scheme", "size", "config"])?;
-        let mut strings = ["label", "scheme"].into_iter().map(|key| {
+        reject_unknown_keys(v, "variant", VARIANT_KEYS)?;
+        let string = |key: &str| {
             Ok::<String, String>(
                 field(v, key)?
                     .as_str()
                     .ok_or_else(|| format!("variants[{i}].{key} is not a string"))?
                     .to_string(),
             )
-        });
-        let (label, scheme) = (strings.next().unwrap()?, strings.next().unwrap()?);
+        };
+        let (label, scheme) = (string("label")?, string("scheme")?);
         let config = field(v, "config")?;
         config
             .as_object()
             .ok_or_else(|| format!("variants[{i}].config is not an object"))?;
-        reject_unknown_keys(
-            config,
-            "config",
-            &[
-                "nodes",
-                "block_bytes",
-                "flc_bytes",
-                "flwb_entries",
-                "slwb_entries",
-                "slc",
-                "consistency",
-                "record_misses",
-                "instrument",
-            ],
-        )?;
+        reject_unknown_keys(config, "config", CONFIG_KEYS)?;
         variants.push(ManifestVariant { label, scheme });
     }
     for (i, t) in field(doc, "traces")?
@@ -467,11 +418,7 @@ fn validate_doc(doc: &Json) -> Result<Manifest, String> {
         .iter()
         .enumerate()
     {
-        reject_unknown_keys(
-            t,
-            "trace",
-            &["app", "size", "cpus", "ops", "packed_bytes", "bytes_per_op"],
-        )?;
+        reject_unknown_keys(t, "trace", TRACE_KEYS)?;
         for key in ["ops", "packed_bytes"] {
             field(t, key)?
                 .as_u64()
@@ -485,41 +432,12 @@ fn validate_doc(doc: &Json) -> Result<Manifest, String> {
     let mut cells = Vec::with_capacity(cell_docs.len());
     let mut cycle_sum: u64 = 0;
     for (i, cell) in cell_docs.iter().enumerate() {
-        reject_unknown_keys(
-            cell,
-            "cell",
-            &[
-                "app",
-                "variant",
-                "size",
-                "wall_seconds",
-                "exec_cycles",
-                "aggregates",
-                "net",
-                "dir",
-                "nodes",
-                "metrics",
-            ],
-        )?;
+        reject_unknown_keys(cell, "cell", CELL_KEYS)?;
         if let Some(net) = cell.get("net") {
-            reject_unknown_keys(
-                net,
-                "net",
-                &["messages", "flits", "flit_hops", "queuing_cycles"],
-            )?;
+            reject_unknown_keys(net, "net", NET_KEYS)?;
         }
         if let Some(dir) = cell.get("dir") {
-            reject_unknown_keys(
-                dir,
-                "dir",
-                &[
-                    "memory_supplied",
-                    "owner_supplied",
-                    "invalidations",
-                    "writebacks",
-                    "stale_writebacks",
-                ],
-            )?;
+            reject_unknown_keys(dir, "dir", DIR_KEYS)?;
         }
         let app = field(cell, "app")?
             .as_str()
@@ -552,52 +470,14 @@ fn validate_doc(doc: &Json) -> Result<Manifest, String> {
             return Err(format!("cells[{i}].nodes is empty"));
         }
         for n in nodes {
-            reject_unknown_keys(
-                n,
-                "node",
-                &[
-                    "reads",
-                    "writes",
-                    "flc_read_hits",
-                    "slc_read_hits",
-                    "tagged_hits",
-                    "read_misses",
-                    "delayed_hits",
-                    "read_stall",
-                    "sync_stall",
-                    "write_stall",
-                    "barrier_stall",
-                    "flwb_stall",
-                    "prefetches_issued",
-                    "prefetches_useful",
-                    "pf_dropped_present",
-                    "pf_dropped_inflight",
-                    "pf_dropped_full",
-                    "cold_misses",
-                    "coherence_misses",
-                    "replacement_misses",
-                    "invals_received",
-                    "writebacks",
-                    "spurious_slc_wakeups",
-                ],
-            )?;
+            reject_unknown_keys(n, "node", NODE_KEYS)?;
         }
         let node_misses: Option<u64> = nodes
             .iter()
             .map(|n| field(n, "read_misses").ok()?.as_u64())
             .sum();
         let aggregates = field(cell, "aggregates")?;
-        reject_unknown_keys(
-            aggregates,
-            "aggregates",
-            &[
-                "read_misses",
-                "read_stall",
-                "prefetches_issued",
-                "prefetches_useful",
-                "prefetch_efficiency",
-            ],
-        )?;
+        reject_unknown_keys(aggregates, "aggregates", AGGREGATE_KEYS)?;
         let aggregate_misses = field(aggregates, "read_misses")?
             .as_u64()
             .ok_or_else(|| format!("cells[{i}].aggregates.read_misses is not a u64"))?;
@@ -613,12 +493,10 @@ fn validate_doc(doc: &Json) -> Result<Manifest, String> {
             return Err(format!("cells[{i}].metrics is neither null nor an object"));
         }
         if matches!(metrics, Json::Object(_)) {
-            reject_unknown_keys(metrics, "metrics", &["counters", "histograms"])?;
-            // Counter/histogram names are dynamic; the histogram record
-            // shape is not.
+            reject_unknown_keys(metrics, "metrics", METRICS_KEYS)?;
             if let Some(hists) = metrics.get("histograms").and_then(Json::as_object) {
                 for (_, h) in hists {
-                    reject_unknown_keys(h, "histogram", &["count", "sum", "max", "buckets"])?;
+                    reject_unknown_keys(h, "histogram", HISTOGRAM_KEYS)?;
                 }
             }
         }
@@ -634,7 +512,7 @@ fn validate_doc(doc: &Json) -> Result<Manifest, String> {
         size,
         git,
         total_pclocks,
-        phase_seconds: (phase_seconds[0], phase_seconds[1], phase_seconds[2]),
+        phase_seconds,
         apps,
         variants,
         cells,
@@ -645,10 +523,10 @@ fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
     v.get(key).ok_or_else(|| format!("missing field '{key}'"))
 }
 
-/// Errors on any key of the object `v` outside `allowed`. Missing keys
-/// are fine (optionality is each caller's business); unknown keys mean
-/// the producer and this validator have drifted. Non-objects pass —
-/// type errors are reported by the typed accessors with better context.
+/// Errors on any key of the object `v` outside its record's declared
+/// `allowed` keys. Missing keys are fine (optionality is each caller's
+/// business). Non-objects pass — type errors are reported by the typed
+/// accessors with better context.
 fn reject_unknown_keys(v: &Json, ctx: &str, allowed: &[&str]) -> Result<(), String> {
     let Some(members) = v.as_object() else {
         return Ok(());
@@ -788,7 +666,7 @@ mod tests {
     }
 
     /// A key no producer emits is rejected at every nesting level the
-    /// validator guards (the reader half of the S104 agreement).
+    /// validator guards.
     #[test]
     fn validate_rejects_unknown_keys() {
         for (case, from, to) in [

@@ -96,7 +96,7 @@ impl WireVariant {
 /// A transportable [`ExperimentSpec`]: everything a server (or a later
 /// replay) needs to reproduce the grid bit-for-bit, and nothing
 /// host-local (no output directories, no progress knobs).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WireSpec {
     /// Experiment name; becomes the manifest name, so it must be a safe
     /// file-name fragment (validated).
@@ -143,25 +143,7 @@ impl WireSpec {
 
     /// Serializes to the schema-v3 JSON document.
     pub fn to_json(&self) -> Json {
-        let mut members = vec![
-            ("wire_version", Json::Int(WIRE_SCHEMA_VERSION)),
-            ("name", Json::str(&self.name)),
-            ("size", Json::str(self.size.to_string())),
-            (
-                "apps",
-                Json::Array(self.apps.iter().map(|a| Json::str(a.name())).collect()),
-            ),
-            (
-                "variants",
-                Json::Array(self.variants.iter().map(variant_json).collect()),
-            ),
-            ("warmup", Json::uint(self.warmup)),
-            ("instrument", Json::Bool(self.instrument)),
-        ];
-        if let Some(t) = self.timeout_secs {
-            members.push(("timeout_secs", Json::uint(t)));
-        }
-        Json::obj(members)
+        encode(SPEC, self)
     }
 
     /// Parses and validates a schema-v3 wire document.
@@ -173,93 +155,12 @@ impl WireSpec {
     /// Validates and decodes an already-parsed wire document.
     pub fn from_json(doc: &Json) -> Result<WireSpec, String> {
         let obj = doc.as_object().ok_or("wire spec is not an object")?;
+        let mut spec = WireSpec::default();
         // The version comes first, so a document from another schema
         // gets a version error rather than a complaint about its keys.
-        let version = field(doc, "wire_version")?
-            .as_i64()
-            .ok_or("wire_version is not an integer")?;
-        if version != WIRE_SCHEMA_VERSION {
-            return Err(format!(
-                "wire_version {version} (this build speaks {WIRE_SCHEMA_VERSION})"
-            ));
-        }
-        reject_unknown_keys(
-            obj,
-            &[
-                "wire_version",
-                "name",
-                "size",
-                "apps",
-                "variants",
-                "warmup",
-                "instrument",
-                "timeout_secs",
-            ],
-            "spec",
-        )?;
-        let name = field(doc, "name")?
-            .as_str()
-            .ok_or("name is not a string")?
-            .to_string();
-        if name.is_empty()
-            || !name
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'))
-        {
-            return Err(format!(
-                "name '{name}' is not a safe manifest name ([A-Za-z0-9._-]+)"
-            ));
-        }
-        let size = Size::parse(field(doc, "size")?.as_str().ok_or("size is not a string")?)?;
-        let apps = field(doc, "apps")?
-            .as_array()
-            .ok_or("apps is not an array")?
-            .iter()
-            .map(|a| {
-                let name = a.as_str().ok_or("apps entry is not a string")?;
-                app_by_name(name).ok_or(format!("unknown app '{name}'"))
-            })
-            .collect::<Result<Vec<App>, String>>()?;
-        if apps.is_empty() {
-            return Err("apps is empty".to_string());
-        }
-        let variants = field(doc, "variants")?
-            .as_array()
-            .ok_or("variants is not an array")?
-            .iter()
-            .enumerate()
-            .map(|(i, v)| variant_from_json(v).map_err(|e| format!("variants[{i}]: {e}")))
-            .collect::<Result<Vec<WireVariant>, String>>()?;
-        if variants.is_empty() {
-            return Err("variants is empty".to_string());
-        }
-        let warmup = match doc.get("warmup") {
-            Some(v) => v.as_u64().ok_or("warmup is not a u64")?,
-            None => 0,
-        };
-        let instrument = match doc.get("instrument") {
-            Some(v) => v.as_bool().ok_or("instrument is not a bool")?,
-            None => false,
-        };
-        let timeout_secs = match doc.get("timeout_secs") {
-            Some(v) => {
-                let t = v.as_u64().ok_or("timeout_secs is not a u64")?;
-                if t == 0 {
-                    return Err("timeout_secs 0 is meaningless (omit for no timeout)".to_string());
-                }
-                Some(t)
-            }
-            None => None,
-        };
-        Ok(WireSpec {
-            name,
-            size,
-            apps,
-            variants,
-            warmup,
-            instrument,
-            timeout_secs,
-        })
+        VERSION.decode(obj, &mut spec)?;
+        decode(obj, SPEC, "spec", &mut spec)?;
+        Ok(spec)
     }
 
     /// The fully-resolved configuration of grid column `var_idx`
@@ -294,94 +195,306 @@ pub fn app_by_name(name: &str) -> Option<App> {
     App::EVERY.into_iter().find(|a| a.name() == name)
 }
 
-fn variant_json(v: &WireVariant) -> Json {
-    let mut config = Vec::new();
-    if let Some(kb) = v.slc_kb {
-        config.push(("slc_kb".to_string(), Json::uint(kb)));
-    }
-    if let Some(ways) = v.slc_ways {
-        config.push(("slc_ways".to_string(), Json::uint(ways as u64)));
-    }
-    if let Some(bytes) = v.block_bytes {
-        config.push(("block_bytes".to_string(), Json::uint(bytes)));
-    }
-    if let Some((w, h)) = v.mesh {
-        config.push(("mesh".to_string(), Json::str(format!("{w}x{h}"))));
-    }
-    if v.consistency == ConsistencyModel::Sequential {
-        config.push(("consistency".to_string(), Json::str("sequential")));
-    }
-    Json::obj(vec![
-        ("label", Json::str(&v.label)),
-        ("scheme", scheme_to_json(v.scheme)),
-        ("config", Json::Object(config)),
-    ])
+/// One member of a wire record, declared once: its key, whether a
+/// document must carry it (an absent optional member keeps the blank
+/// record's default), how it renders (`None` omits it), and how it
+/// decodes into the record under construction. A record is a table of
+/// these, so render order, strict decoding and the accepted-key set all
+/// derive from one declaration.
+struct Field<T> {
+    key: &'static str,
+    required: bool,
+    emit: fn(&T) -> Option<Json>,
+    accept: fn(&mut T, &str, &Json) -> Result<(), String>,
 }
+
+/// Renders `record` through its field table.
+fn encode<T>(fields: &[Field<T>], record: &T) -> Json {
+    Json::Object(
+        fields
+            .iter()
+            .filter_map(|f| Some((f.key.to_string(), (f.emit)(record)?)))
+            .collect(),
+    )
+}
+
+impl<T> Field<T> {
+    /// Decodes this member of `obj` into `record`.
+    fn decode(&self, obj: &[(String, Json)], record: &mut T) -> Result<(), String> {
+        match obj.iter().find(|(k, _)| k == self.key) {
+            Some((_, v)) => (self.accept)(record, self.key, v),
+            None if self.required => Err(format!("missing field '{}'", self.key)),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Decodes the record `obj` into `record` in table order, after
+/// rejecting any key the table does not declare (`what` names the record
+/// in that error).
+fn decode<T>(
+    obj: &[(String, Json)],
+    fields: &[Field<T>],
+    what: &str,
+    record: &mut T,
+) -> Result<(), String> {
+    reject_unknown_keys(obj, what, |k| fields.iter().any(|f| f.key == k))?;
+    fields.iter().try_for_each(|f| f.decode(obj, record))
+}
+
+fn string<'a>(key: &str, v: &'a Json) -> Result<&'a str, String> {
+    v.as_str().ok_or_else(|| format!("{key} is not a string"))
+}
+
+fn uint(key: &str, v: &Json) -> Result<u64, String> {
+    v.as_u64().ok_or_else(|| format!("{key} is not a u64"))
+}
+
+fn array<'a>(key: &str, v: &'a Json) -> Result<&'a [Json], String> {
+    v.as_array().ok_or_else(|| format!("{key} is not an array"))
+}
+
+/// The schema-identifying member, decoded before anything else.
+const VERSION: Field<WireSpec> = Field {
+    key: "wire_version",
+    required: true,
+    emit: |_| Some(Json::Int(WIRE_SCHEMA_VERSION)),
+    accept: |_, key, v| {
+        let version = v
+            .as_i64()
+            .ok_or_else(|| format!("{key} is not an integer"))?;
+        if version != WIRE_SCHEMA_VERSION {
+            return Err(format!(
+                "{key} {version} (this build speaks {WIRE_SCHEMA_VERSION})"
+            ));
+        }
+        Ok(())
+    },
+};
+
+/// The top-level spec record.
+const SPEC: &[Field<WireSpec>] = &[
+    VERSION,
+    Field {
+        key: "name",
+        required: true,
+        emit: |s| Some(Json::str(&s.name)),
+        accept: |s, key, v| {
+            let name = string(key, v)?;
+            if name.is_empty()
+                || !name
+                    .chars()
+                    .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'))
+            {
+                return Err(format!(
+                    "{key} '{name}' is not a safe manifest name ([A-Za-z0-9._-]+)"
+                ));
+            }
+            s.name = name.to_string();
+            Ok(())
+        },
+    },
+    Field {
+        key: "size",
+        required: true,
+        emit: |s| Some(Json::str(s.size.to_string())),
+        accept: |s, key, v| {
+            s.size = Size::parse(string(key, v)?)?;
+            Ok(())
+        },
+    },
+    Field {
+        key: "apps",
+        required: true,
+        emit: |s| {
+            Some(Json::Array(
+                s.apps.iter().map(|a| Json::str(a.name())).collect(),
+            ))
+        },
+        accept: |s, key, v| {
+            s.apps = array(key, v)?
+                .iter()
+                .map(|a| {
+                    let name = a.as_str().ok_or("apps entry is not a string")?;
+                    app_by_name(name).ok_or(format!("unknown app '{name}'"))
+                })
+                .collect::<Result<_, String>>()?;
+            if s.apps.is_empty() {
+                return Err(format!("{key} is empty"));
+            }
+            Ok(())
+        },
+    },
+    Field {
+        key: "variants",
+        required: true,
+        emit: |s| {
+            Some(Json::Array(
+                s.variants.iter().map(|v| encode(VARIANT, v)).collect(),
+            ))
+        },
+        accept: |s, key, v| {
+            s.variants = array(key, v)?
+                .iter()
+                .enumerate()
+                .map(|(i, v)| variant_from_json(v).map_err(|e| format!("{key}[{i}]: {e}")))
+                .collect::<Result<_, String>>()?;
+            if s.variants.is_empty() {
+                return Err(format!("{key} is empty"));
+            }
+            Ok(())
+        },
+    },
+    Field {
+        key: "warmup",
+        required: false,
+        emit: |s| Some(Json::uint(s.warmup)),
+        accept: |s, key, v| {
+            s.warmup = uint(key, v)?;
+            Ok(())
+        },
+    },
+    Field {
+        key: "instrument",
+        required: false,
+        emit: |s| Some(Json::Bool(s.instrument)),
+        accept: |s, key, v| {
+            s.instrument = v.as_bool().ok_or_else(|| format!("{key} is not a bool"))?;
+            Ok(())
+        },
+    },
+    Field {
+        key: "timeout_secs",
+        required: false,
+        emit: |s| s.timeout_secs.map(Json::uint),
+        accept: |s, key, v| match uint(key, v)? {
+            0 => Err(format!("{key} 0 is meaningless (omit for no timeout)")),
+            t => {
+                s.timeout_secs = Some(t);
+                Ok(())
+            }
+        },
+    },
+];
+
+/// One grid column: label, scheme and the machine knobs in `config`.
+const VARIANT: &[Field<WireVariant>] = &[
+    Field {
+        key: "label",
+        required: true,
+        emit: |v| Some(Json::str(&v.label)),
+        accept: |v, key, j| {
+            let label = string(key, j)?;
+            if label.is_empty() {
+                return Err(format!("{key} is empty"));
+            }
+            v.label = label.to_string();
+            Ok(())
+        },
+    },
+    Field {
+        key: "scheme",
+        required: true,
+        emit: |v| Some(scheme_to_json(v.scheme)),
+        accept: |v, _, j| {
+            v.scheme = scheme_from_json(j)?;
+            Ok(())
+        },
+    },
+    Field {
+        key: "config",
+        required: true,
+        emit: |v| Some(encode(CONFIG, v)),
+        accept: |v, key, j| {
+            let obj = j
+                .as_object()
+                .ok_or_else(|| format!("{key} is not an object"))?;
+            decode(obj, CONFIG, key, v)?;
+            check_slc(v)
+        },
+    },
+];
+
+/// A variant's machine knobs, each omitted at its baseline default.
+const CONFIG: &[Field<WireVariant>] = &[
+    Field {
+        key: "slc_kb",
+        required: false,
+        emit: |v| v.slc_kb.map(Json::uint),
+        accept: |v, key, j| {
+            v.slc_kb = Some(uint(key, j)?);
+            Ok(())
+        },
+    },
+    Field {
+        key: "slc_ways",
+        required: false,
+        emit: |v| v.slc_ways.map(|ways| Json::uint(ways as u64)),
+        accept: |v, key, j| {
+            if v.slc_kb.is_none() {
+                return Err(format!("{key} without slc_kb"));
+            }
+            v.slc_ways = Some(uint(key, j)? as usize);
+            Ok(())
+        },
+    },
+    Field {
+        key: "block_bytes",
+        required: false,
+        emit: |v| v.block_bytes.map(Json::uint),
+        accept: |v, key, j| {
+            let b = uint(key, j)?;
+            if !b.is_power_of_two() || !(32..=4096).contains(&b) {
+                return Err(format!("{key} {b} is not a power of two in 32..=4096"));
+            }
+            v.block_bytes = Some(b);
+            Ok(())
+        },
+    },
+    Field {
+        key: "mesh",
+        required: false,
+        emit: |v| v.mesh.map(|(w, h)| Json::str(format!("{w}x{h}"))),
+        accept: |v, key, j| {
+            v.mesh = Some(parse_mesh(string(key, j)?)?);
+            Ok(())
+        },
+    },
+    Field {
+        key: "consistency",
+        required: false,
+        emit: |v| (v.consistency == ConsistencyModel::Sequential).then(|| Json::str("sequential")),
+        accept: |v, key, j| {
+            v.consistency = match j.as_str() {
+                Some("release") => ConsistencyModel::Release,
+                Some("sequential") => ConsistencyModel::Sequential,
+                _ => return Err(format!("{key} is neither \"release\" nor \"sequential\"")),
+            };
+            Ok(())
+        },
+    },
+];
 
 fn variant_from_json(v: &Json) -> Result<WireVariant, String> {
     let obj = v.as_object().ok_or("not an object")?;
-    reject_unknown_keys(obj, &["label", "scheme", "config"], "variant")?;
-    let label = field(v, "label")?
-        .as_str()
-        .ok_or("label is not a string")?
-        .to_string();
-    if label.is_empty() {
-        return Err("label is empty".to_string());
+    let mut variant = WireVariant::of_scheme(Scheme::None);
+    decode(obj, VARIANT, "variant", &mut variant)?;
+    Ok(variant)
+}
+
+/// Rejects an SLC geometry the cache cannot build, with the cache's own
+/// rule — a bad spec fails validation instead of panicking mid-run.
+fn check_slc(v: &WireVariant) -> Result<(), String> {
+    let Some(kb) = v.slc_kb else {
+        return Ok(());
+    };
+    kb.checked_mul(1024)
+        .ok_or_else(|| format!("slc_kb {kb} overflows a byte count"))?;
+    let cfg = v.config();
+    match cfg.slc.sets(cfg.geometry.block_bytes()) {
+        Ok(_) => Ok(()),
+        Err(e) => Err(format!("slc_kb {kb}: {e}")),
     }
-    let scheme = scheme_from_json(field(v, "scheme")?)?;
-    let config = field(v, "config")?;
-    let cfg_obj = config.as_object().ok_or("config is not an object")?;
-    reject_unknown_keys(
-        cfg_obj,
-        &["slc_kb", "slc_ways", "block_bytes", "mesh", "consistency"],
-        "config",
-    )?;
-    let slc_kb = match config.get("slc_kb") {
-        Some(v) => Some(v.as_u64().ok_or("slc_kb is not a u64")?),
-        None => None,
-    };
-    let slc_ways = match config.get("slc_ways") {
-        Some(v) => {
-            if slc_kb.is_none() {
-                return Err("slc_ways without slc_kb".to_string());
-            }
-            Some(v.as_u64().ok_or("slc_ways is not a u64")? as usize)
-        }
-        None => None,
-    };
-    let block_bytes = match config.get("block_bytes") {
-        Some(v) => {
-            let b = v.as_u64().ok_or("block_bytes is not a u64")?;
-            if !b.is_power_of_two() || !(32..=4096).contains(&b) {
-                return Err(format!(
-                    "block_bytes {b} is not a power of two in 32..=4096"
-                ));
-            }
-            Some(b)
-        }
-        None => None,
-    };
-    let mesh = match config.get("mesh") {
-        Some(v) => Some(parse_mesh(v.as_str().ok_or("mesh is not a string")?)?),
-        None => None,
-    };
-    let consistency = match config.get("consistency") {
-        None => ConsistencyModel::Release,
-        Some(v) => match v.as_str() {
-            Some("release") => ConsistencyModel::Release,
-            Some("sequential") => ConsistencyModel::Sequential,
-            _ => return Err("consistency is neither \"release\" nor \"sequential\"".to_string()),
-        },
-    };
-    Ok(WireVariant {
-        label,
-        scheme,
-        slc_kb,
-        slc_ways,
-        block_bytes,
-        mesh,
-        consistency,
-    })
 }
 
 /// Parses a `"WxH"` mesh spelling, enforcing the directory's sharer
@@ -405,119 +518,82 @@ fn parse_mesh(text: &str) -> Result<(u16, u16), String> {
     Ok((w, h))
 }
 
-/// Encodes a scheme as a structured object (`{"kind": ..., ...}`), not
-/// its display string — wire documents are parsed, never scraped.
-pub fn scheme_to_json(scheme: Scheme) -> Json {
-    match scheme {
-        Scheme::None => Json::obj(vec![("kind", Json::str("none"))]),
-        Scheme::Sequential { degree } => Json::obj(vec![
-            ("kind", Json::str("sequential")),
-            ("degree", Json::uint(degree as u64)),
-        ]),
-        Scheme::IDetection { degree } => Json::obj(vec![
-            ("kind", Json::str("i-detection")),
-            ("degree", Json::uint(degree as u64)),
-        ]),
-        Scheme::SimpleStride { degree } => Json::obj(vec![
-            ("kind", Json::str("simple-stride")),
-            ("degree", Json::uint(degree as u64)),
-        ]),
-        Scheme::DDetection { degree } => Json::obj(vec![
-            ("kind", Json::str("d-detection")),
-            ("degree", Json::uint(degree as u64)),
-        ]),
-        Scheme::DDetectionAdaptive { degree, max_depth } => Json::obj(vec![
-            ("kind", Json::str("d-detection-adaptive")),
-            ("degree", Json::uint(degree as u64)),
-            ("max_depth", Json::uint(max_depth as u64)),
-        ]),
-        Scheme::AdaptiveSequential {
-            initial_degree,
-            max_degree,
-        } => Json::obj(vec![
-            ("kind", Json::str("adaptive-sequential")),
-            ("initial_degree", Json::uint(initial_degree as u64)),
-            ("max_degree", Json::uint(max_degree as u64)),
-        ]),
-    }
-}
-
-/// Decodes a structured scheme object.
-pub fn scheme_from_json(v: &Json) -> Result<Scheme, String> {
-    let obj = v.as_object().ok_or("scheme is not an object")?;
-    let kind = field(v, "kind")?
-        .as_str()
-        .ok_or("scheme.kind is not a string")?;
-    let degree_field = |name: &str| -> Result<u32, String> {
-        let d = field(v, name)?
-            .as_u64()
-            .ok_or_else(|| format!("scheme.{name} is not a u64"))?;
-        if d == 0 || d > 64 {
-            return Err(format!("scheme.{name} {d} out of range 1..=64"));
+/// Declares each scheme's wire kind and parameters once and derives
+/// both directions from it: [`scheme_to_json`]'s exhaustive `match` (a
+/// new [`Scheme`] variant without a wire kind fails to compile) and the
+/// strict [`scheme_from_json`].
+macro_rules! scheme_kinds {
+    ($($kind:literal => $variant:ident { $($param:ident),* },)*) => {
+        /// Encodes a scheme as a structured object (`{"kind": ..., ...}`),
+        /// not its display string — wire documents are parsed, never
+        /// scraped.
+        pub fn scheme_to_json(scheme: Scheme) -> Json {
+            match scheme {
+                $(Scheme::$variant { $($param),* } => Json::obj(vec![
+                    (KIND, Json::str($kind)),
+                    $((stringify!($param), Json::uint(u64::from($param))),)*
+                ]),)*
+            }
         }
-        Ok(d as u32)
+
+        /// Decodes a structured scheme object.
+        pub fn scheme_from_json(v: &Json) -> Result<Scheme, String> {
+            let obj = v.as_object().ok_or("scheme is not an object")?;
+            let kind = v
+                .get(KIND)
+                .ok_or_else(|| format!("missing field '{KIND}'"))?
+                .as_str()
+                .ok_or_else(|| format!("scheme.{KIND} is not a string"))?;
+            match kind {
+                $($kind => {
+                    reject_unknown_keys(obj, "scheme", |k| {
+                        k == KIND $(|| k == stringify!($param))*
+                    })?;
+                    Ok(Scheme::$variant { $($param: degree(v, stringify!($param))?),* })
+                })*
+                other => Err(format!("unknown scheme kind '{other}'")),
+            }
+        }
     };
-    let expect_keys = |keys: &[&str]| reject_unknown_keys(obj, keys, "scheme");
-    match kind {
-        "none" => {
-            expect_keys(&["kind"])?;
-            Ok(Scheme::None)
-        }
-        "sequential" => {
-            expect_keys(&["kind", "degree"])?;
-            Ok(Scheme::Sequential {
-                degree: degree_field("degree")?,
-            })
-        }
-        "i-detection" => {
-            expect_keys(&["kind", "degree"])?;
-            Ok(Scheme::IDetection {
-                degree: degree_field("degree")?,
-            })
-        }
-        "simple-stride" => {
-            expect_keys(&["kind", "degree"])?;
-            Ok(Scheme::SimpleStride {
-                degree: degree_field("degree")?,
-            })
-        }
-        "d-detection" => {
-            expect_keys(&["kind", "degree"])?;
-            Ok(Scheme::DDetection {
-                degree: degree_field("degree")?,
-            })
-        }
-        "d-detection-adaptive" => {
-            expect_keys(&["kind", "degree", "max_depth"])?;
-            Ok(Scheme::DDetectionAdaptive {
-                degree: degree_field("degree")?,
-                max_depth: degree_field("max_depth")?,
-            })
-        }
-        "adaptive-sequential" => {
-            expect_keys(&["kind", "initial_degree", "max_degree"])?;
-            Ok(Scheme::AdaptiveSequential {
-                initial_degree: degree_field("initial_degree")?,
-                max_degree: degree_field("max_degree")?,
-            })
-        }
-        other => Err(format!("unknown scheme kind '{other}'")),
-    }
 }
 
-fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
-    v.get(key).ok_or_else(|| format!("missing field '{key}'"))
+/// The member naming a scheme object's kind.
+const KIND: &str = "kind";
+
+scheme_kinds! {
+    "none" => None {},
+    "sequential" => Sequential { degree },
+    "i-detection" => IDetection { degree },
+    "simple-stride" => SimpleStride { degree },
+    "d-detection" => DDetection { degree },
+    "d-detection-adaptive" => DDetectionAdaptive { degree, max_depth },
+    "adaptive-sequential" => AdaptiveSequential { initial_degree, max_degree },
 }
 
-/// Strict-validation helper: any key outside `known` is an error naming
-/// both the key and the object it sits in.
-fn reject_unknown_keys(obj: &[(String, Json)], known: &[&str], what: &str) -> Result<(), String> {
-    for (k, _) in obj {
-        if !known.contains(&k.as_str()) {
-            return Err(format!("unknown {what} field '{k}'"));
-        }
+/// A scheme's degree-like parameter `name`, in 1..=64.
+fn degree(v: &Json, name: &str) -> Result<u32, String> {
+    let d = v
+        .get(name)
+        .ok_or_else(|| format!("missing field '{name}'"))?
+        .as_u64()
+        .ok_or_else(|| format!("scheme.{name} is not a u64"))?;
+    if d == 0 || d > 64 {
+        return Err(format!("scheme.{name} {d} out of range 1..=64"));
     }
-    Ok(())
+    Ok(d as u32)
+}
+
+/// Strict-validation helper: any key of `obj` that `known` refuses is an
+/// error naming both the key and the record `what` it sits in.
+fn reject_unknown_keys(
+    obj: &[(String, Json)],
+    what: &str,
+    known: impl Fn(&str) -> bool,
+) -> Result<(), String> {
+    match obj.iter().find(|(k, _)| !known(k)) {
+        Some((k, _)) => Err(format!("unknown {what} field '{k}'")),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -591,6 +667,91 @@ mod tests {
         let ok = grid().to_json().render();
         let bad = ok.replacen("\"config\": {}", "\"config\": {\"mesh\": \"32x32\"}", 1);
         assert!(WireSpec::parse(&bad).unwrap_err().contains("32x32"));
+    }
+
+    /// The render of a spec with every optional member set and all seven
+    /// scheme kinds, byte for byte. It is pfsim-serve's manifest-cache
+    /// key, so any change to it orphans every cached manifest.
+    const GOLDEN: &str = r#"{
+  "wire_version": 3,
+  "name": "golden",
+  "size": "large",
+  "apps": ["MP3D", "CHASE"],
+  "variants": [
+    {
+      "label": "baseline",
+      "scheme": {"kind": "none"},
+      "config": {}
+    },
+    {
+      "label": "Seq(d=2)",
+      "scheme": {"kind": "sequential", "degree": 2},
+      "config": {"slc_kb": 64, "slc_ways": 4, "block_bytes": 64, "mesh": "8x8", "consistency": "sequential"}
+    },
+    {
+      "label": "I-det(d=1)",
+      "scheme": {"kind": "i-detection", "degree": 1},
+      "config": {}
+    },
+    {
+      "label": "Simple(d=3)",
+      "scheme": {"kind": "simple-stride", "degree": 3},
+      "config": {}
+    },
+    {
+      "label": "D-det(d=4)",
+      "scheme": {"kind": "d-detection", "degree": 4},
+      "config": {}
+    },
+    {
+      "label": "D-det-adapt(d=1,max=16)",
+      "scheme": {"kind": "d-detection-adaptive", "degree": 1, "max_depth": 16},
+      "config": {}
+    },
+    {
+      "label": "Adapt-Seq(max=8)",
+      "scheme": {"kind": "adaptive-sequential", "initial_degree": 1, "max_degree": 8},
+      "config": {}
+    }
+  ],
+  "warmup": 30000,
+  "instrument": true,
+  "timeout_secs": 120
+}
+"#;
+
+    #[test]
+    fn full_spec_render_is_pinned() {
+        let mut spec = WireSpec::baseline_grid(
+            "golden",
+            Size::Large,
+            &[App::Mp3d, App::Chase],
+            &[
+                Scheme::Sequential { degree: 2 },
+                Scheme::IDetection { degree: 1 },
+                Scheme::SimpleStride { degree: 3 },
+                Scheme::DDetection { degree: 4 },
+                Scheme::DDetectionAdaptive {
+                    degree: 1,
+                    max_depth: 16,
+                },
+                Scheme::AdaptiveSequential {
+                    initial_degree: 1,
+                    max_degree: 8,
+                },
+            ],
+        );
+        let v = &mut spec.variants[1];
+        v.slc_kb = Some(64);
+        v.slc_ways = Some(4);
+        v.block_bytes = Some(64);
+        v.mesh = Some((8, 8));
+        v.consistency = ConsistencyModel::Sequential;
+        spec.warmup = 30_000;
+        spec.instrument = true;
+        spec.timeout_secs = Some(120);
+        assert_eq!(spec.to_json().render(), GOLDEN);
+        assert_eq!(WireSpec::parse(GOLDEN).unwrap(), spec);
     }
 
     #[test]
@@ -684,6 +845,20 @@ mod tests {
             "\"timeout_secs\": 0, \"instrument\": false",
         );
         assert!(WireSpec::parse(&bad).unwrap_err().contains("timeout_secs"));
+        // SLC geometries the cache cannot build fail validation instead of
+        // panicking in the worker that would simulate them.
+        for config in [
+            "{\"slc_kb\": 3}",
+            "{\"slc_kb\": 16, \"slc_ways\": 0}",
+            "{\"slc_kb\": 16, \"slc_ways\": 3}",
+            "{\"slc_kb\": 1, \"block_bytes\": 4096}",
+            "{\"slc_kb\": 18014398509481984}",
+        ] {
+            let bad = ok.replacen("\"config\": {}", &format!("\"config\": {config}"), 1);
+            assert_ne!(bad, ok, "{config}: mutation did not apply");
+            let err = WireSpec::parse(&bad).unwrap_err();
+            assert!(err.starts_with("variants[0]: slc_kb"), "{config}: {err}");
+        }
     }
 
     /// Schema v3 dropped `threads`: a v2 document is refused by version,

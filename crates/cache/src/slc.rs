@@ -101,6 +101,48 @@ impl SlcConfig {
             } => format!("{}KB-{}way", capacity_bytes / 1024, ways),
         }
     }
+
+    /// The set count of this configuration's tag array with
+    /// `block_bytes` blocks (`None` for the infinite SLC, which has
+    /// none), or why no cache can be built with that geometry. This is
+    /// the one geometry rule: [`SecondLevelCache::with_block_bytes`]
+    /// panics on its error, and spec decoders call it to reject a bad
+    /// geometry before anything is built.
+    pub fn sets(&self, block_bytes: u64) -> Result<Option<usize>, String> {
+        if !block_bytes.is_power_of_two() {
+            return Err(format!(
+                "block size must be a power of two, got {block_bytes}"
+            ));
+        }
+        let (capacity_bytes, ways) = match *self {
+            SlcConfig::Infinite => return Ok(None),
+            SlcConfig::DirectMapped { capacity_bytes } => (capacity_bytes, 1),
+            SlcConfig::SetAssociative {
+                capacity_bytes,
+                ways,
+            } => (capacity_bytes, ways as u64),
+        };
+        let blocks = capacity_bytes / block_bytes;
+        if ways == 0 {
+            return Err("SLC needs at least one way".to_string());
+        }
+        if blocks == 0 {
+            return Err(format!(
+                "SLC capacity of {capacity_bytes} B holds no {block_bytes} B block"
+            ));
+        }
+        if !blocks.is_multiple_of(ways) {
+            return Err(format!(
+                "SLC capacity of {capacity_bytes} B is not a whole number of \
+                 {ways}-way sets of {block_bytes} B blocks"
+            ));
+        }
+        let sets = blocks / ways;
+        if !sets.is_power_of_two() {
+            return Err(format!("SLC set count must be a power of two, got {sets}"));
+        }
+        Ok(Some(sets as usize))
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -150,8 +192,7 @@ impl SecondLevelCache {
     ///
     /// # Panics
     ///
-    /// Panics for a finite configuration whose capacity is not a
-    /// power-of-two number of blocks.
+    /// Panics for a geometry [`SlcConfig::sets`] rejects.
     pub fn new(config: SlcConfig) -> Self {
         Self::with_block_bytes(config, 32)
     }
@@ -161,40 +202,23 @@ impl SecondLevelCache {
     ///
     /// # Panics
     ///
-    /// Panics for a finite configuration whose capacity is not a
-    /// power-of-two number of `block_bytes` blocks.
+    /// Panics for a geometry [`SlcConfig::sets`] rejects: a block size
+    /// that is not a power of two, or a finite capacity that is not a
+    /// power-of-two number of sets of `block_bytes` blocks.
     pub fn with_block_bytes(config: SlcConfig, block_bytes: u64) -> Self {
-        assert!(
-            block_bytes.is_power_of_two(),
-            "block size must be a power of two"
-        );
-        let storage = match config {
-            SlcConfig::Infinite => Storage::Infinite(PagedMap::new()),
-            SlcConfig::DirectMapped { capacity_bytes } => {
-                let sets = capacity_bytes / block_bytes;
-                assert!(
-                    sets > 0 && (sets as usize).is_power_of_two(),
-                    "SLC capacity must be a power-of-two number of blocks, got {sets}"
-                );
-                Storage::Finite(DirectMapped::new(sets as usize))
+        let sets = match config.sets(block_bytes) {
+            Ok(sets) => sets,
+            // pfsim-lint: allow(K002) -- construction-time geometry check (documented panic), never on the event path
+            Err(e) => panic!("{e}"),
+        };
+        let storage = match (config, sets) {
+            (SlcConfig::DirectMapped { .. }, Some(sets)) => {
+                Storage::Finite(DirectMapped::new(sets))
             }
-            SlcConfig::SetAssociative {
-                capacity_bytes,
-                ways,
-            } => {
-                assert!(ways >= 1, "need at least one way");
-                let blocks = capacity_bytes / block_bytes;
-                assert!(
-                    blocks > 0 && blocks.is_multiple_of(ways as u64),
-                    "capacity must be a whole number of ways"
-                );
-                let sets = blocks / ways as u64;
-                assert!(
-                    (sets as usize).is_power_of_two(),
-                    "SLC set count must be a power of two, got {sets}"
-                );
-                Storage::Assoc(SetAssocArray::new(sets as usize, ways))
+            (SlcConfig::SetAssociative { ways, .. }, Some(sets)) => {
+                Storage::Assoc(SetAssocArray::new(sets, ways))
             }
+            _ => Storage::Infinite(PagedMap::new()),
         };
         SecondLevelCache {
             storage,
@@ -390,6 +414,31 @@ impl SecondLevelCache {
 mod tests {
     use super::*;
     use pfsim_mem::SplitMix64;
+
+    #[test]
+    fn geometry_rule_accepts_buildable_and_rejects_the_rest() {
+        assert_eq!(SlcConfig::infinite().sets(32), Ok(None));
+        assert_eq!(SlcConfig::direct_mapped(16 * 1024).sets(32), Ok(Some(512)));
+        assert_eq!(
+            SlcConfig::set_associative(64 * 1024, 4).sets(64),
+            Ok(Some(256))
+        );
+        for (cfg, block) in [
+            (SlcConfig::direct_mapped(3 * 1024), 32),
+            (SlcConfig::set_associative(16 * 1024, 0), 32),
+            (SlcConfig::set_associative(16 * 1024, 3), 32),
+            (SlcConfig::direct_mapped(1024), 4096),
+            (SlcConfig::infinite(), 48),
+        ] {
+            assert!(cfg.sets(block).is_err(), "{cfg:?} with {block} B blocks");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "whole number")]
+    fn constructor_panics_on_a_rejected_geometry() {
+        SecondLevelCache::with_block_bytes(SlcConfig::set_associative(16 * 1024, 3), 32);
+    }
 
     #[test]
     fn infinite_slc_never_evicts() {

@@ -148,6 +148,6 @@ pub trait CheckSink {
 
     /// Recovers the concrete sink after [`System::take_check_sink`]
     /// (`crate::System::take_check_sink`) for result extraction.
-    // pfsim-lint: allow(C001, S102) -- downcast helper for harness result recovery, not a protocol hook
+    // pfsim-lint: allow(S102) -- downcast helper for harness result recovery, not a protocol hook
     fn into_any(self: Box<Self>) -> Box<dyn Any>;
 }

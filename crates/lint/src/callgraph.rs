@@ -214,7 +214,7 @@ mod tests {
             if !f.path.contains(path_frag) {
                 continue;
             }
-            for (idx, func) in m.items[fi].fns.iter().enumerate() {
+            for (idx, func) in m.fns[fi].iter().enumerate() {
                 if func.name == name {
                     return FnId { file: fi, idx };
                 }

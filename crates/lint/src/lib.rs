@@ -50,7 +50,7 @@ pub use report::{to_json, validate_report, Finding};
 pub use source::File;
 
 /// Lints a single in-memory source file as if it lived at `path`
-/// (workspace-relative). Cross-file lints (M001/C001) see only this file.
+/// (workspace-relative). Cross-file lints (M001/S102) see only this file.
 pub fn lint_source(path: &str, src: &str) -> Vec<Finding> {
     lint_files(vec![File::new(path, src)])
 }

@@ -2,7 +2,7 @@
 //!
 //! Every lint is syntactic, deterministic, and scoped by the workspace
 //! layout (see `DESIGN.md` §11 for each lint's rationale and the
-//! suppression policy). File-local passes run per file; `M001` and `C001`
+//! suppression policy). File-local passes run per file; `M001` and `S102`
 //! are workspace passes that need every file at once.
 
 use crate::lex::Kind;
@@ -22,10 +22,6 @@ pub struct Lint {
 
 /// Every lint this tool knows, in ID order.
 pub const LINTS: &[Lint] = &[
-    Lint {
-        id: "C001",
-        summary: "every CheckSink hook method must have a call site in crates/core",
-    },
     Lint {
         id: "D001",
         summary: "no std HashMap/HashSet in sim crates (FxHashMap or sorted structures only)",
@@ -48,7 +44,7 @@ pub const LINTS: &[Lint] = &[
     },
     Lint {
         id: "K003",
-        summary: "snapshot modules destructure exhaustively: no `..` rest patterns or Default::default()",
+        summary: "snapshot modules destructure exhaustively: no `..` rest patterns, `..base` updates or Default::default()",
     },
     Lint {
         id: "M001",
@@ -56,19 +52,11 @@ pub const LINTS: &[Lint] = &[
     },
     Lint {
         id: "S000",
-        summary: "malformed pfsim-lint suppression comment (missing ids or ` -- reason`)",
-    },
-    Lint {
-        id: "S101",
-        summary: "snapshot modules must mention every field of each snapshotted struct (field-set diff)",
+        summary: "malformed pfsim-lint suppression comment (missing or unregistered ids, or no ` -- reason`)",
     },
     Lint {
         id: "S102",
         summary: "every CheckSink hook must be call-graph reachable from the core entry points",
-    },
-    Lint {
-        id: "S104",
-        summary: "wire/manifest/serve string-key sets emitted and accepted must agree symbolically",
     },
     Lint {
         id: "T001",
@@ -192,9 +180,8 @@ pub fn run_all(files: &[File]) -> Vec<Finding> {
         file_lints(f, &mut out);
     }
     m001_metric_names(files, &mut out);
-    c001_oracle_coverage(files, &mut out);
     let model = Model::build(files);
-    semantic::run(&model, &mut out);
+    semantic::s102_hook_reachability(&model, &mut out);
     annotate_symbols(&model, &mut out);
     apply_suppressions(files, &mut out);
     out.sort_by(|a, b| (&a.file, a.line, a.id).cmp(&(&b.file, b.line, b.id)));
@@ -232,7 +219,7 @@ fn file_lints(f: &File, out: &mut Vec<Finding>) {
     k003_exhaustive_snapshots(f, out);
 }
 
-fn finding(f: &File, id: &'static str, line: u32, message: String) -> Finding {
+pub(crate) fn finding(f: &File, id: &'static str, line: u32, message: String) -> Finding {
     Finding {
         id,
         file: f.path.clone(),
@@ -255,7 +242,8 @@ fn s000_malformed_suppressions(f: &File, out: &mut Vec<Finding>) {
             f,
             "S000",
             line,
-            "malformed suppression: expected `pfsim-lint: allow(<ID>, ...) -- <reason>`"
+            "malformed suppression: expected `pfsim-lint: allow(<ID>, ...) -- <reason>` \
+             naming registered lint IDs"
                 .to_string(),
         ));
     }
@@ -466,17 +454,25 @@ fn k003_exhaustive_snapshots(f: &File, out: &mut Vec<Finding>) {
             continue;
         }
         // A rest pattern is `..` directly before the closing delimiter
-        // (a range expression always has an operand or `=` there).
-        let rest_pattern = tok.kind == Kind::Punct
-            && f.t(i) == ".."
-            && (f.is_punct(i + 1, "}") || f.is_punct(i + 1, ")"));
-        if rest_pattern {
+        // (a range expression always has an operand or `=` there); a
+        // struct update is `..base` directly after `{` or `,`.
+        let dots = tok.kind == Kind::Punct && f.t(i) == "..";
+        if dots && (f.is_punct(i + 1, "}") || f.is_punct(i + 1, ")")) {
             out.push(finding(
                 f,
                 "K003",
                 tok.line,
                 "`..` rest pattern in a snapshot module: destructure every field so a \
                  newly added one cannot silently escape the checkpoint"
+                    .to_string(),
+            ));
+        } else if dots && i > 0 && (f.is_punct(i - 1, "{") || f.is_punct(i - 1, ",")) {
+            out.push(finding(
+                f,
+                "K003",
+                tok.line,
+                "`..base` struct update in a snapshot module: spell out every field so \
+                 a newly added one cannot silently skip the explicit capture"
                     .to_string(),
             ));
         }
@@ -772,91 +768,6 @@ fn m001_metric_names(files: &[File], out: &mut Vec<Finding>) {
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// C001: oracle-hook coverage
-// ---------------------------------------------------------------------
-
-/// Path of the file defining the `CheckSink` trait.
-const CHECK_TRAIT_FILE: &str = "crates/core/src/check.rs";
-
-fn c001_oracle_coverage(files: &[File], out: &mut Vec<Finding>) {
-    let Some(def) = files.iter().find(|f| f.path == CHECK_TRAIT_FILE) else {
-        return;
-    };
-    let methods = trait_methods(def, "CheckSink");
-    for (name, line) in methods {
-        let called = files.iter().any(|f| {
-            f.crate_dir.as_deref() == Some("core")
-                && f.path.contains("/src/")
-                && f.path != CHECK_TRAIT_FILE
-                && has_method_call(f, &name)
-        });
-        if !called {
-            out.push(finding(
-                def,
-                "C001",
-                line,
-                format!(
-                    "CheckSink hook `{name}` has no call site in crates/core/src: a \
-                     protocol edge is invisible to the consistency oracle"
-                ),
-            ));
-        }
-    }
-}
-
-/// Collects `(method name, line)` for every `fn` declared directly inside
-/// `trait <trait_name> { … }`.
-fn trait_methods(f: &File, trait_name: &str) -> Vec<(String, u32)> {
-    let mut out = Vec::new();
-    for i in 0..f.tokens.len() {
-        if !(f.is_ident(i, "trait") && f.is_ident(i + 1, trait_name)) {
-            continue;
-        }
-        // Find the trait body opener (skipping generics / supertraits).
-        let mut j = i + 2;
-        while j < f.tokens.len() && !f.is_punct(j, "{") {
-            j += 1;
-        }
-        if j == f.tokens.len() {
-            return out;
-        }
-        let close = f.matching(j);
-        let mut depth = 0i32;
-        for k in j + 1..close {
-            if f.tokens[k].kind == Kind::Punct {
-                match f.t(k) {
-                    "{" | "(" | "[" => depth += 1,
-                    "}" | ")" | "]" => depth -= 1,
-                    _ => {}
-                }
-            } else if depth == 0
-                && f.is_ident(k, "fn")
-                && f.tokens.get(k + 1).is_some_and(|t| t.kind == Kind::Ident)
-            {
-                out.push((f.t(k + 1).to_string(), f.tokens[k + 1].line));
-            }
-        }
-        return out;
-    }
-    out
-}
-
-/// Whether non-test code in `f` contains a `.name(` method call.
-fn has_method_call(f: &File, name: &str) -> bool {
-    for i in 1..f.tokens.len() {
-        if f.tokens[i].kind == Kind::Ident
-            && f.t(i) == name
-            && f.is_punct(i - 1, ".")
-            && f.is_punct(i + 1, "(")
-            && !f.in_test(f.tokens[i].line)
-        {
-            return true;
-        }
-    }
-    false
 }
 
 // ---------------------------------------------------------------------

@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Walks the workspace, runs every lint (token scanners plus the
-//! S101–S104 semantic family), prints `file:line: ID message`
+//! call-graph lint S102), prints `file:line: ID message`
 //! diagnostics, and exits nonzero when any non-suppressed finding
 //! remains. With `--json PATH` the v2 report — per-finding symbol spans
 //! and a per-ID suppression summary — is written, read back and

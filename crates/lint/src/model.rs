@@ -1,17 +1,10 @@
-//! The workspace symbol model: every file's parsed items plus name
-//! indexes, built once per lint run and shared by the semantic lints.
-//!
-//! Parsing is memoized in a thread-local cache keyed by a 64-bit FNV-1a
-//! hash of the file *contents* (item structure is path-independent), so
-//! repeated runs over the same sources — the fixture suite lints
-//! hundreds of small workspaces, and `run_all` builds the model after
-//! the token passes — pay the parse cost once per distinct file.
+//! The workspace symbol model: every file's parsed functions plus name
+//! indexes, built once per lint run and used by S102 and the report's
+//! symbol spans.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 
-use crate::parse::{parse_items, FileItems, FnItem, StructItem};
+use crate::parse::{parse_fns, FnItem};
 use crate::source::File;
 
 /// Identifies one function in the model: `(file index, fn index)`.
@@ -23,55 +16,25 @@ pub struct FnId {
     pub idx: usize,
 }
 
-thread_local! {
-    /// Content-hash → parsed items. Thread-local (not a process-wide
-    /// lock) keeps the lint crate inside its own T001 rule.
-    static PARSE_CACHE: RefCell<HashMap<u64, Rc<FileItems>>> = RefCell::new(HashMap::new());
-}
-
-/// 64-bit FNV-1a over the source bytes: cheap, dependency-free, and
-/// collision-safe enough for a cache keyed by a few hundred files.
-fn fnv1a64(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in s.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The symbol model over one workspace (or one fixture mini-workspace).
 pub struct Model<'a> {
     /// The files, in the caller's (sorted) order.
     pub files: &'a [File],
-    /// Parsed items, parallel to `files`.
-    pub items: Vec<Rc<FileItems>>,
+    /// Each file's parsed functions, parallel to `files`.
+    pub fns: Vec<Vec<FnItem>>,
     fns_by_name: HashMap<String, Vec<FnId>>,
     file_by_path: HashMap<String, usize>,
 }
 
 impl<'a> Model<'a> {
-    /// Builds (or fetches from cache) the model for `files`.
+    /// Parses `files` and indexes their functions.
     pub fn build(files: &'a [File]) -> Model<'a> {
-        let items: Vec<Rc<FileItems>> = files
-            .iter()
-            .map(|f| {
-                let key = fnv1a64(&f.src);
-                PARSE_CACHE.with(|c| {
-                    if let Some(hit) = c.borrow().get(&key) {
-                        return Rc::clone(hit);
-                    }
-                    let parsed = Rc::new(parse_items(f));
-                    c.borrow_mut().insert(key, Rc::clone(&parsed));
-                    parsed
-                })
-            })
-            .collect();
+        let fns: Vec<Vec<FnItem>> = files.iter().map(parse_fns).collect();
         let mut fns_by_name: HashMap<String, Vec<FnId>> = HashMap::new();
         let mut file_by_path = HashMap::new();
-        for (fi, (f, it)) in files.iter().zip(&items).enumerate() {
+        for (fi, (f, file_fns)) in files.iter().zip(&fns).enumerate() {
             file_by_path.insert(f.path.clone(), fi);
-            for (idx, func) in it.fns.iter().enumerate() {
+            for (idx, func) in file_fns.iter().enumerate() {
                 fns_by_name
                     .entry(func.name.clone())
                     .or_default()
@@ -80,7 +43,7 @@ impl<'a> Model<'a> {
         }
         Model {
             files,
-            items,
+            fns,
             fns_by_name,
             file_by_path,
         }
@@ -88,7 +51,7 @@ impl<'a> Model<'a> {
 
     /// The function behind `id`.
     pub fn fn_item(&self, id: FnId) -> &FnItem {
-        &self.items[id.file].fns[id.idx]
+        &self.fns[id.file][id.idx]
     }
 
     /// The file a function lives in.
@@ -111,42 +74,12 @@ impl<'a> Model<'a> {
         self.file_by_path.get(path).copied()
     }
 
-    /// Every named-field struct called `name`, as `(file index, item)`.
-    pub fn structs_named(&self, name: &str) -> Vec<(usize, &StructItem)> {
-        let mut out = Vec::new();
-        for (fi, it) in self.items.iter().enumerate() {
-            for s in &it.structs {
-                if s.name == name && s.named {
-                    out.push((fi, s));
-                }
-            }
-        }
-        out
-    }
-
-    /// Resolves a struct name as seen from `use_file`: definitions in
-    /// the same crate win; a unique workspace-wide definition is
-    /// accepted otherwise; ambiguity resolves to `None` (never guess).
-    pub fn resolve_struct(&self, name: &str, use_file: usize) -> Option<&StructItem> {
-        let defs = self.structs_named(name);
-        let use_crate = self.files[use_file].crate_dir.as_deref();
-        let local: Vec<_> = defs
-            .iter()
-            .filter(|(fi, _)| self.files[*fi].crate_dir.as_deref() == use_crate)
-            .collect();
-        match (local.len(), defs.len()) {
-            (1, _) => Some(local[0].1),
-            (0, 1) => Some(defs[0].1),
-            _ => None,
-        }
-    }
-
     /// The innermost function whose extent (declaration line through
     /// body close) contains `line` in file `fi`.
     pub fn enclosing_fn(&self, fi: usize, line: u32) -> Option<FnId> {
         let f = &self.files[fi];
         let mut best: Option<(u32, FnId)> = None;
-        for (idx, func) in self.items[fi].fns.iter().enumerate() {
+        for (idx, func) in self.fns[fi].iter().enumerate() {
             let Some((_, close)) = func.body else {
                 if func.line == line {
                     return Some(FnId { file: fi, idx });
@@ -178,31 +111,6 @@ impl<'a> Model<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn resolves_same_crate_first() {
-        let files = vec![
-            File::new("crates/core/src/a.rs", "struct S { x: u32 }"),
-            File::new("crates/bench/src/b.rs", "struct S { y: u32 }"),
-            File::new("crates/core/src/use_site.rs", "fn f() {}"),
-        ];
-        let m = Model::build(&files);
-        let s = m.resolve_struct("S", 2).unwrap();
-        assert_eq!(s.fields[0].0, "x");
-        // From the bench crate, the bench definition wins.
-        let s = m.resolve_struct("S", 1).unwrap();
-        assert_eq!(s.fields[0].0, "y");
-    }
-
-    #[test]
-    fn ambiguity_resolves_to_none() {
-        let files = vec![
-            File::new("crates/core/src/a.rs", "struct S { x: u32 }"),
-            File::new("crates/core/src/b.rs", "struct S { y: u32 }"),
-        ];
-        let m = Model::build(&files);
-        assert!(m.resolve_struct("S", 0).is_none());
-    }
 
     #[test]
     fn enclosing_fn_by_line() {

@@ -1,10 +1,10 @@
 //! A lightweight item-level Rust parser on top of the lexer.
 //!
-//! The semantic lints (S101–S104) need to know *which symbols exist* —
-//! structs with their field lists, free and associated functions with
-//! their body extents — not what every expression means. So this parser
-//! recognizes item structure only and treats function bodies as opaque
-//! token ranges for the call-graph layer ([`crate::callgraph`]) to scan.
+//! The semantic lint S102 needs to know *which functions exist* — free
+//! and associated functions with their body extents — not what every
+//! expression means. So this parser recognizes item structure only and
+//! treats function bodies as opaque token ranges for the call-graph layer
+//! ([`crate::callgraph`]) to scan.
 //!
 //! Soundness posture (see `DESIGN.md` §16):
 //!
@@ -14,9 +14,9 @@
 //! * **Over-approximation:** `#[cfg]`-gated items are always parsed, so
 //!   the model may contain symbols a given build excludes.
 //!
-//! Both directions are deliberate: the lints built on the model only
-//! ever compare *sets of names*, where a missing nested item can at
-//! worst cause a false negative in a place token lints already cover.
+//! Both directions are deliberate: S102 only ever asks which *names*
+//! are reachable, where a missing nested item can at worst cause a false
+//! negative in a place token lints already cover.
 
 use crate::lex::Kind;
 use crate::source::File;
@@ -39,32 +39,9 @@ pub struct FnItem {
     pub has_self: bool,
 }
 
-/// One `struct` item with its named fields (empty for tuple/unit
-/// structs).
-#[derive(Debug, Clone)]
-pub struct StructItem {
-    /// The struct's name.
-    pub name: String,
-    /// 1-based line of the name token.
-    pub line: u32,
-    /// Whether the struct has a named-field body (`struct S { … }`).
-    pub named: bool,
-    /// Declared field names with their lines, in declaration order.
-    pub fields: Vec<(String, u32)>,
-}
-
-/// Every item parsed out of one file.
-#[derive(Debug, Default)]
-pub struct FileItems {
-    /// All functions, in source order.
-    pub fns: Vec<FnItem>,
-    /// All structs, in source order.
-    pub structs: Vec<StructItem>,
-}
-
-/// Parses the item structure of `f`.
-pub fn parse_items(f: &File) -> FileItems {
-    let mut out = FileItems::default();
+/// Parses the functions of `f`, in source order.
+pub fn parse_fns(f: &File) -> Vec<FnItem> {
+    let mut out = Vec::new();
     parse_region(f, 0, f.tokens.len(), None, &mut out);
     out
 }
@@ -78,7 +55,7 @@ enum SigEnd {
 
 /// Parses items in the token range `[start, end)` with the given owner
 /// (the enclosing `impl` type or `trait` name).
-fn parse_region(f: &File, start: usize, end: usize, owner: Option<&str>, out: &mut FileItems) {
+fn parse_region(f: &File, start: usize, end: usize, owner: Option<&str>, out: &mut Vec<FnItem>) {
     let mut i = start;
     while i < end {
         // Attributes (`#[…]` / `#![…]`) are skipped as token groups.
@@ -98,8 +75,7 @@ fn parse_region(f: &File, start: usize, end: usize, owner: Option<&str>, out: &m
         }
         match f.t(i) {
             "fn" => i = parse_fn(f, i, end, owner, out),
-            "struct" => i = parse_struct(f, i, end, out),
-            "enum" | "union" => i = skip_type_item(f, i, end),
+            "struct" | "enum" | "union" => i = skip_type_item(f, i, end),
             "trait" => i = parse_trait(f, i, end, out),
             "impl" => i = parse_impl(f, i, end, out),
             "mod" => i = parse_mod(f, i, end, out),
@@ -135,7 +111,7 @@ fn parse_region(f: &File, start: usize, end: usize, owner: Option<&str>, out: &m
 
 /// Parses `fn name …` at token `i` (the `fn` keyword); returns the index
 /// just past the item.
-fn parse_fn(f: &File, i: usize, end: usize, owner: Option<&str>, out: &mut FileItems) -> usize {
+fn parse_fn(f: &File, i: usize, end: usize, owner: Option<&str>, out: &mut Vec<FnItem>) -> usize {
     let Some(name_tok) = f.tokens.get(i + 1) else {
         return i + 1;
     };
@@ -148,7 +124,7 @@ fn parse_fn(f: &File, i: usize, end: usize, owner: Option<&str>, out: &mut FileI
     match scan_signature(f, i + 2, end) {
         SigEnd::Body(open) => {
             let close = f.matching(open);
-            out.fns.push(FnItem {
+            out.push(FnItem {
                 name,
                 owner: owner.map(str::to_string),
                 line,
@@ -158,7 +134,7 @@ fn parse_fn(f: &File, i: usize, end: usize, owner: Option<&str>, out: &mut FileI
             close + 1
         }
         SigEnd::Semi(semi) => {
-            out.fns.push(FnItem {
+            out.push(FnItem {
                 name,
                 owner: owner.map(str::to_string),
                 line,
@@ -241,94 +217,7 @@ fn scan_signature(f: &File, from: usize, end: usize) -> SigEnd {
     SigEnd::None
 }
 
-/// Parses `struct name …` at token `i`; returns the index past the item.
-fn parse_struct(f: &File, i: usize, end: usize, out: &mut FileItems) -> usize {
-    let Some(name_tok) = f.tokens.get(i + 1) else {
-        return i + 1;
-    };
-    if name_tok.kind != Kind::Ident {
-        return i + 1;
-    }
-    let name = f.t(i + 1).to_string();
-    let line = name_tok.line;
-    match scan_signature(f, i + 2, end) {
-        SigEnd::Body(open) => {
-            let close = f.matching(open);
-            let fields = parse_fields(f, open, close);
-            out.structs.push(StructItem {
-                name,
-                line,
-                named: true,
-                fields,
-            });
-            close + 1
-        }
-        SigEnd::Semi(semi) => {
-            // Tuple or unit struct: no named fields to model.
-            out.structs.push(StructItem {
-                name,
-                line,
-                named: false,
-                fields: Vec::new(),
-            });
-            semi + 1
-        }
-        SigEnd::None => end,
-    }
-}
-
-/// Collects named fields inside a struct body `{ … }`.
-fn parse_fields(f: &File, open: usize, close: usize) -> Vec<(String, u32)> {
-    let mut fields = Vec::new();
-    let mut k = open + 1;
-    while k < close {
-        if f.is_punct(k, "#") && f.is_punct(k + 1, "[") {
-            k = f.matching(k + 1) + 1;
-            continue;
-        }
-        if f.is_ident(k, "pub") {
-            k += 1;
-            if f.is_punct(k, "(") {
-                k = f.matching(k) + 1;
-            }
-            continue;
-        }
-        if f.tokens[k].kind == Kind::Ident && f.is_punct(k + 1, ":") {
-            fields.push((f.t(k).to_string(), f.tokens[k].line));
-            k += 2;
-            // Skip the type to the `,` at depth 0; `>>` closes two
-            // angle levels, delimiter groups are skipped whole.
-            let mut angle = 0i32;
-            while k < close {
-                match (f.tokens[k].kind, f.t(k)) {
-                    (Kind::Punct, "(" | "[" | "{") => k = f.matching(k) + 1,
-                    (Kind::Punct, "<") => {
-                        angle += 1;
-                        k += 1;
-                    }
-                    (Kind::Punct, ">") => {
-                        angle = (angle - 1).max(0);
-                        k += 1;
-                    }
-                    (Kind::Punct, ">>") => {
-                        angle = (angle - 2).max(0);
-                        k += 1;
-                    }
-                    (Kind::Punct, ",") if angle == 0 => {
-                        k += 1;
-                        break;
-                    }
-                    _ => k += 1,
-                }
-            }
-            continue;
-        }
-        k += 1;
-    }
-    fields
-}
-
-/// Skips an `enum`/`union` item (name, generics, body or `;`).
+/// Skips a `struct`/`enum`/`union` item (name, generics, body or `;`).
 fn skip_type_item(f: &File, i: usize, end: usize) -> usize {
     match scan_signature(f, i + 1, end) {
         SigEnd::Body(open) => f.matching(open) + 1,
@@ -339,7 +228,7 @@ fn skip_type_item(f: &File, i: usize, end: usize) -> usize {
 
 /// Parses `trait Name … { … }`, recursing into the body with the trait
 /// as owner so method declarations become [`FnItem`]s.
-fn parse_trait(f: &File, i: usize, end: usize, out: &mut FileItems) -> usize {
+fn parse_trait(f: &File, i: usize, end: usize, out: &mut Vec<FnItem>) -> usize {
     let Some(name_tok) = f.tokens.get(i + 1) else {
         return i + 1;
     };
@@ -361,7 +250,7 @@ fn parse_trait(f: &File, i: usize, end: usize, out: &mut FileItems) -> usize {
 /// Parses `impl … { … }`: determines the self-type name (the last path
 /// segment after `for`, or of the sole type) and recurses with it as
 /// owner.
-fn parse_impl(f: &File, i: usize, end: usize, out: &mut FileItems) -> usize {
+fn parse_impl(f: &File, i: usize, end: usize, out: &mut Vec<FnItem>) -> usize {
     let mut j = i + 1;
     // Leading generic parameters.
     if f.is_punct(j, "<") {
@@ -419,7 +308,7 @@ fn parse_impl(f: &File, i: usize, end: usize, out: &mut FileItems) -> usize {
 }
 
 /// Parses `mod name { … }` (recursing, owner reset) or skips `mod name;`.
-fn parse_mod(f: &File, i: usize, end: usize, out: &mut FileItems) -> usize {
+fn parse_mod(f: &File, i: usize, end: usize, out: &mut Vec<FnItem>) -> usize {
     let mut j = i + 1;
     while j < end && !f.is_punct(j, "{") && !f.is_punct(j, ";") {
         j += 1;
@@ -469,8 +358,8 @@ fn skip_to_semi(f: &File, from: usize, end: usize) -> usize {
 mod tests {
     use super::*;
 
-    fn items(src: &str) -> FileItems {
-        parse_items(&File::new("crates/core/src/x.rs", src))
+    fn items(src: &str) -> Vec<FnItem> {
+        parse_fns(&File::new("crates/core/src/x.rs", src))
     }
 
     #[test]
@@ -481,7 +370,6 @@ mod tests {
              impl S {\n    fn method(&self) -> u32 { self.x }\n    fn assoc() -> S { todo!() }\n}\n",
         );
         let names: Vec<_> = it
-            .fns
             .iter()
             .map(|f| (f.owner.as_deref(), f.name.as_str(), f.has_self))
             .collect();
@@ -493,9 +381,6 @@ mod tests {
                 (Some("S"), "assoc", false),
             ]
         );
-        assert_eq!(it.structs[0].fields.len(), 2);
-        assert_eq!(it.structs[0].fields[0].0, "x");
-        assert_eq!(it.structs[0].fields[1].0, "y");
     }
 
     #[test]
@@ -504,11 +389,11 @@ mod tests {
             "trait T { fn decl(&self); fn with_default(&self) {} }\n\
              impl T for Wrapper<'_> { fn decl(&self) {} }\n",
         );
-        assert_eq!(it.fns[0].owner.as_deref(), Some("T"));
-        assert!(it.fns[0].body.is_none());
-        assert_eq!(it.fns[1].owner.as_deref(), Some("T"));
-        assert!(it.fns[1].body.is_some());
-        assert_eq!(it.fns[2].owner.as_deref(), Some("Wrapper"));
+        assert_eq!(it[0].owner.as_deref(), Some("T"));
+        assert!(it[0].body.is_none());
+        assert_eq!(it[1].owner.as_deref(), Some("T"));
+        assert!(it[1].body.is_some());
+        assert_eq!(it[2].owner.as_deref(), Some("Wrapper"));
     }
 
     #[test]
@@ -518,10 +403,9 @@ mod tests {
              where W: Clone { None }\n\
              struct G<K, V> { map: FxHashMap<K, Vec<V>>, n: usize }\n",
         );
-        assert_eq!(it.fns[0].name, "tricky");
-        assert!(it.fns[0].body.is_some());
-        let fields: Vec<_> = it.structs[0].fields.iter().map(|f| f.0.as_str()).collect();
-        assert_eq!(fields, vec!["map", "n"]);
+        assert_eq!(it[0].name, "tricky");
+        assert!(it[0].body.is_some());
+        assert_eq!(it.len(), 1);
     }
 
     #[test]
@@ -530,22 +414,21 @@ mod tests {
             "macro_rules! m { ($x:expr) => { fn not_an_item() {} }; }\n\
              fn outer() { fn inner() {} let c = |x: u32| x; }\n",
         );
-        let names: Vec<_> = it.fns.iter().map(|f| f.name.as_str()).collect();
+        let names: Vec<_> = it.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["outer"]);
     }
 
     #[test]
-    fn tuple_structs_and_mods() {
+    fn type_items_are_skipped_and_mods_entered() {
         let it = items(
             "struct Unit;\npub struct Pair(u32, u32);\n\
-             mod inner { pub fn in_mod() {} struct Deep { d: u8 } }\n",
+             mod inner { struct Deep { d: u8 } pub fn in_mod() {} }\n\
+             enum E { A { f: fn() } }\nfn after() {}\n",
         );
-        assert!(!it.structs[0].named);
-        assert!(!it.structs[1].named);
-        assert!(it
-            .fns
+        let names: Vec<_> = it
             .iter()
-            .any(|f| f.name == "in_mod" && f.owner.is_none()));
-        assert!(it.structs.iter().any(|s| s.name == "Deep" && s.named));
+            .map(|f| (f.owner.as_deref(), f.name.as_str()))
+            .collect();
+        assert_eq!(names, vec![(None, "in_mod"), (None, "after")]);
     }
 }

@@ -2,6 +2,7 @@
 //! and suppression comments.
 
 use crate::lex::{lex, Kind, Span};
+use crate::lints::known_id;
 
 /// The suppression comment grammar, per site:
 ///
@@ -11,9 +12,9 @@ use crate::lex::{lex, Kind, Span};
 /// ```
 ///
 /// A suppression applies to findings on its own line or the line directly
-/// below it (comment-above style). The ` -- reason` part is mandatory;
-/// a `pfsim-lint:` comment that fails to parse is itself reported (S000)
-/// and suppresses nothing.
+/// below it (comment-above style). The ` -- reason` part is mandatory and
+/// every ID must be a registered lint; a `pfsim-lint:` comment that fails
+/// to parse is itself reported (S000) and suppresses nothing.
 #[derive(Debug, Clone)]
 pub struct Suppression {
     /// Line the comment sits on.
@@ -205,7 +206,8 @@ impl File {
 }
 
 /// Parses `allow(ID, …) -- reason`; `None` on any grammar violation
-/// (missing ids, empty reason, unknown directive).
+/// (missing ids, an id not in [`crate::lints::LINTS`], empty reason,
+/// unknown directive), so a suppression cannot outlive its lint.
 fn parse_allow(s: &str) -> Option<(Vec<String>, String)> {
     let rest = s.strip_prefix("allow")?.trim_start();
     let rest = rest.strip_prefix('(')?;
@@ -214,7 +216,7 @@ fn parse_allow(s: &str) -> Option<(Vec<String>, String)> {
         .split(',')
         .map(|id| id.trim().to_string())
         .collect();
-    if ids.is_empty() || ids.iter().any(|id| !is_lint_id(id)) {
+    if ids.is_empty() || ids.iter().any(|id| !known_id(id)) {
         return None;
     }
     let tail = rest[close + 1..].trim_start();
@@ -223,12 +225,6 @@ fn parse_allow(s: &str) -> Option<(Vec<String>, String)> {
         return None;
     }
     Some((ids, reason.to_string()))
-}
-
-/// A lint ID is one uppercase letter followed by three digits.
-fn is_lint_id(s: &str) -> bool {
-    let b = s.as_bytes();
-    b.len() == 4 && b[0].is_ascii_uppercase() && b[1..].iter().all(u8::is_ascii_digit)
 }
 
 #[cfg(test)]
@@ -264,6 +260,7 @@ let a = 1; // pfsim-lint: allow(D001) -- the definition site itself
 let b = 2;
 // pfsim-lint: allow(D001)
 // pfsim-lint: allow(D1)  -- bad id
+// pfsim-lint: allow(D999) -- well-shaped but unregistered id
 ";
         let f = File::new("crates/core/src/x.rs", src);
         assert_eq!(f.suppressions.len(), 2);
@@ -271,6 +268,6 @@ let b = 2;
         assert_eq!(f.suppressions[0].ids, vec!["D001"]);
         assert_eq!(f.suppressions[1].ids, vec!["K002", "D003"]);
         assert_eq!(f.suppressions[1].reason, "two ids, one reason");
-        assert_eq!(f.malformed_suppressions, vec![4, 5]);
+        assert_eq!(f.malformed_suppressions, vec![4, 5, 6]);
     }
 }

@@ -8,7 +8,7 @@
 //! ```
 //!
 //! Files named `case__part.rs` are linted together as one mini-workspace
-//! (used by C001, which needs a trait definition file plus a caller).
+//! (used by S102, which needs a trait definition file plus a caller).
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};

@@ -40,7 +40,7 @@ fn real_workspace_spans_are_sane() {
     let model = Model::build(&files);
     let mut fns_seen = 0usize;
     for (fi, f) in model.files.iter().enumerate() {
-        for (idx, func) in model.items[fi].fns.iter().enumerate() {
+        for (idx, func) in model.fns[fi].iter().enumerate() {
             fns_seen += 1;
             assert!(!func.name.is_empty(), "{}: unnamed fn", f.path);
             assert!(func.line >= 1);
@@ -75,39 +75,6 @@ fn real_workspace_spans_are_sane() {
     assert!(fns_seen > 500, "only {fns_seen} fns parsed");
 }
 
-/// The kernel state struct parses with its exact field list — the list
-/// S101 diffs snapshot()/restore() against.
-#[test]
-fn system_struct_fields_parse_exactly() {
-    let files = workspace();
-    let model = Model::build(&files);
-    let fi = file_index(&files, "crates/core/src/system.rs");
-    let sys = model.items[fi]
-        .structs
-        .iter()
-        .find(|s| s.name == "System" && s.named)
-        .expect("struct System");
-    let names: Vec<&str> = sys.fields.iter().map(|(n, _)| n.as_str()).collect();
-    assert_eq!(
-        names,
-        [
-            "cfg",
-            "workload",
-            "queue",
-            "mesh",
-            "nodes",
-            "last_time",
-            "dir_actions",
-            "obs",
-            "check",
-            "started"
-        ]
-    );
-    for w in sys.fields.windows(2) {
-        assert!(w[0].1 <= w[1].1, "field lines out of order");
-    }
-}
-
 /// The codec and kernel entry points the semantic lints anchor on all
 /// parse with bodies and the right owners.
 #[test]
@@ -130,8 +97,7 @@ fn anchor_symbols_resolve() {
         ("crates/bench/src/manifest.rs", None, "validate_doc"),
     ] {
         let fi = file_index(&files, path);
-        let hit = model.items[fi]
-            .fns
+        let hit = model.fns[fi]
             .iter()
             .find(|f| f.name == name && f.owner.as_deref() == owner)
             .unwrap_or_else(|| panic!("{path}: fn {owner:?}::{name} not parsed"));
@@ -152,7 +118,7 @@ fn checksink_hooks_reachable_in_real_kernel() {
         if f.crate_dir.as_deref() != Some("core") || !f.path.contains("/src/") {
             continue;
         }
-        for (idx, func) in model.items[rfi].fns.iter().enumerate() {
+        for (idx, func) in model.fns[rfi].iter().enumerate() {
             if ["run", "run_until", "snapshot", "restore"].contains(&func.name.as_str())
                 && !f.in_test(func.line)
             {
@@ -163,7 +129,7 @@ fn checksink_hooks_reachable_in_real_kernel() {
     assert!(!roots.is_empty());
     let reach = reachable(&model, &roots, "core");
     let mut hooks = 0usize;
-    for (idx, func) in model.items[fi].fns.iter().enumerate() {
+    for (idx, func) in model.fns[fi].iter().enumerate() {
         if func.owner.as_deref() != Some("CheckSink") || func.name == "into_any" {
             continue;
         }
@@ -186,18 +152,5 @@ fn real_workspace_is_lint_clean() {
     assert!(active.is_empty(), "active findings: {active:?}");
     for f in &findings {
         assert!(f.reason.is_some(), "suppression without reason: {f:?}");
-    }
-}
-
-/// The content-hash parse cache returns the same parsed items for the
-/// same source text — the property the ci.sh stage's run-to-run speed
-/// rests on.
-#[test]
-fn parse_cache_shares_identical_sources() {
-    let files = workspace();
-    let m1 = Model::build(&files);
-    let m2 = Model::build(&files);
-    for (a, b) in m1.items.iter().zip(&m2.items) {
-        assert!(std::rc::Rc::ptr_eq(a, b));
     }
 }

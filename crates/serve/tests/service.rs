@@ -311,6 +311,25 @@ fn api_rejects_bad_input() {
     assert_eq!(status, 400, "`threads` is an unknown field: {body}");
     assert!(body.contains("unknown spec field 'threads'"), "{body}");
 
+    // The client reads the server's `error` member: a rejected submit
+    // surfaces the server's reason, not the raw response body.
+    let err = srv.client.submit("not json").unwrap_err();
+    assert!(
+        err.starts_with("submit rejected (400): invalid spec"),
+        "{err}"
+    );
+
+    // An SLC geometry the cache cannot build is a 400, not a dead worker.
+    let mut odd_slc = WireSpec::baseline_grid("odd-slc", Size::Default, &[App::Mp3d], &[]);
+    odd_slc.variants[0].slc_kb = Some(16);
+    odd_slc.variants[0].slc_ways = Some(3);
+    let (status, body) = srv
+        .client
+        .post("/jobs", Some(&odd_slc.to_json().render()))
+        .unwrap();
+    assert_eq!(status, 400, "unbuildable SLC geometry: {body}");
+    assert!(body.contains("slc_kb 16"), "{body}");
+
     let (status, _) = srv.client.get("/jobs/job-999").unwrap();
     assert_eq!(status, 404);
     let (status, _) = srv.client.post("/jobs/job-999/cancel", None).unwrap();

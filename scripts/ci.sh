@@ -16,15 +16,6 @@ if [[ "${1:-}" == "--no-perf" ]]; then
     run_perf=0
 fi
 
-echo "==> no deprecated entry points remain anywhere"
-# PR 8 deleted the #[deprecated] experiment shims outright; nothing in
-# the workspace may reintroduce the attribute (the lint crate's own
-# sources discuss lints by name and are exempt).
-if grep -rn '#\[deprecated' crates/ --include='*.rs' | grep -v '^crates/lint/'; then
-    echo "error: #[deprecated] shims found — delete the old entry point instead" >&2
-    exit 1
-fi
-
 echo "==> one CLI parser: binaries parse flags only through pfsim_bench::cli"
 # Every bench/serve binary must go through cli::Args so flags and error
 # messages stay identical across all of them; direct env::args access
@@ -45,15 +36,13 @@ else
     echo "==> SKIPPED: cargo clippy is not installed on this toolchain"
 fi
 
-echo "==> pfsim-lint (token + semantic S101/S102/S104; report -> results/lint.json)"
+echo "==> pfsim-lint (token lints + call-graph S102; report -> results/lint.json)"
 # The linter exits non-zero on any non-suppressed finding, and validates
 # the JSON report it just wrote before exiting (manifest discipline).
-# The semantic family runs off the workspace symbol model: S101 diffs
-# snapshot()/restore() field sets, S102 proves CheckSink hooks reachable,
-# S104 diffs wire/manifest key sets between emitters and parsers. This
-# stage runs BEFORE the build, so deleting a restore field arm or a parser
-# key fails here first. The per-file content-hash parse cache keeps the
-# stage warm-fast.
+# Each lint names a bug class the compiler and tests miss; S102 proves
+# every CheckSink hook reachable from the kernel entry points over the
+# workspace call graph. This stage runs BEFORE the build, so an oracle
+# hook cut off from the kernel fails here first.
 mkdir -p results
 cargo run -q -p pfsim-lint --release --offline -- --json results/lint.json
 grep -q '"schema": 2' results/lint.json \
@@ -152,20 +141,22 @@ if [[ "$run_perf" == 1 ]]; then
     echo "==> perfsmoke (throughput + packed pclock/bytes-per-op + manifest validation)"
     # perfsmoke drives a 24-cell ExperimentSpec end-to-end; --check fails
     # unless the pclock total matches the ledger's seed entry AND the JSON
-    # run manifest it just emitted parses, validates, and agrees.
-    ./target/release/perfsmoke --label ci --check
+    # run manifest it just emitted parses, validates, and agrees. No
+    # --label: CI reads the tracked ledgers' seed entries but never
+    # rewrites them.
+    ./target/release/perfsmoke --check
 
     echo "==> perfsmoke under PFSIM_CHECK=1 (oracle on every cell, pclock-neutral)"
     # The oracle's hooks are read-only: the checked run must reproduce the
     # exact same pclock total --check just validated, or checking is
     # perturbing the simulation.
-    PFSIM_CHECK=1 ./target/release/perfsmoke --label ci-checked --check
+    PFSIM_CHECK=1 ./target/release/perfsmoke --check
 
     echo "==> perfsmoke --large (event-kernel-bound grid; ledger BENCH_PR6.json)"
     # The large grid is where the event kernel dominates wall-clock;
     # --check pins its pclock total to the BENCH_PR6.json seed the same
     # way the default grid pins 14059066.
-    ./target/release/perfsmoke --large --label ci-large --check
+    ./target/release/perfsmoke --large --check
 fi
 
 echo "==> CI gate passed"

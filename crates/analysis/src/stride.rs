@@ -34,7 +34,7 @@ pub struct Characterization {
     pub sequence_misses: u64,
     /// stride (in blocks) → misses inside sequences with that stride.
     /// Sorted by key: histogram iteration feeds the published tables, so
-    /// its order must be deterministic (lint D003).
+    /// its order must be deterministic.
     pub stride_histogram: BTreeMap<i64, u64>,
     /// sequence length (in misses) → number of sequences of that length.
     pub length_histogram: BTreeMap<usize, u64>,

@@ -5,6 +5,10 @@
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the shared trace cache is one of the two places pfsim-bench may use locks"
+)]
 use std::sync::{Arc, Mutex, OnceLock};
 
 use pfsim::{MissRecord, SimResult};
@@ -90,12 +94,20 @@ impl Size {
 /// `par_map` workers asking for different traces generate them in
 /// parallel, while workers asking for the same trace block on one
 /// generation instead of duplicating it.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the shared trace cache is one of the two places pfsim-bench may use locks"
+)]
 static TRACE_CACHE: OnceLock<Mutex<TraceMap>> = OnceLock::new();
 
 /// The cache's key space: `(app, size, cpus)` → shared packed trace.
 type TraceMap = HashMap<(App, Size, u16), TraceCell>;
 
 /// One cache slot: a lazily-filled cell holding the shared packed trace.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the shared trace cache is one of the two places pfsim-bench may use locks"
+)]
 type TraceCell = Arc<OnceLock<Arc<PackedTrace>>>;
 
 /// The shared packed trace for `(app, size)` on the paper's 16-processor

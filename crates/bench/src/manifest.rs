@@ -63,7 +63,10 @@ record! {
     /// [`ExperimentRun::write_manifest`](crate::ExperimentRun::write_manifest)
     /// feeds it a freshly-simulated run, and `pfsim-serve` feeds it a mix of
     /// cached and fresh cell documents — both produce the same byte layout.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one parameter per top-level manifest member, in document order"
+    )]
     pub fn assemble_manifest(
         name: &str,
         size: &str,

@@ -6,6 +6,12 @@
 //! input order, making the caller's rendered output byte-identical to a
 //! serial sweep regardless of completion order.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the grid fan-out is one of the two places pfsim-bench may use threads and locks"
+)]
+
 use std::collections::VecDeque;
 use std::sync::Mutex;
 

@@ -221,7 +221,7 @@ mod tests {
                 dm.insert(BlockAddr::new(k), i);
                 model[(k % sets as u64) as usize] = Some(k);
             }
-            #[allow(clippy::needless_range_loop)] // set is the set index
+            #[expect(clippy::needless_range_loop, reason = "set is the set index")]
             for set in 0..sets {
                 match model[set] {
                     Some(k) => {

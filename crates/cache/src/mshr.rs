@@ -109,8 +109,12 @@ impl<E> MshrFile<E> {
         }
         self.entries.push((block, entry));
         self.high_water = self.high_water.max(self.entries.len());
-        // pfsim-lint: allow(K002) -- push on the line above guarantees last_mut is Some
-        Ok(&mut self.entries.last_mut().expect("just pushed").1)
+        #[expect(
+            clippy::expect_used,
+            reason = "push on the line above guarantees last_mut is Some"
+        )]
+        let last = self.entries.last_mut().expect("just pushed");
+        Ok(&mut last.1)
     }
 
     /// Whether a transaction for `block` is outstanding.

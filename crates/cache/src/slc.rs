@@ -208,7 +208,10 @@ impl SecondLevelCache {
     pub fn with_block_bytes(config: SlcConfig, block_bytes: u64) -> Self {
         let sets = match config.sets(block_bytes) {
             Ok(sets) => sets,
-            // pfsim-lint: allow(K002) -- construction-time geometry check (documented panic), never on the event path
+            #[expect(
+                clippy::panic,
+                reason = "construction-time geometry check (documented panic), never on the event path"
+            )]
             Err(e) => panic!("{e}"),
         };
         let storage = match (config, sets) {
@@ -523,7 +526,7 @@ mod tests {
             let blocks: Vec<u64> = (0..len).map(|_| rng.random_range(0u64..2048)).collect();
             let mut inf = SecondLevelCache::new(SlcConfig::infinite());
             let mut fin = SecondLevelCache::new(SlcConfig::direct_mapped(16 * 1024)); // 512 sets
-            let mut evicted = std::collections::HashSet::new();
+            let mut evicted = std::collections::BTreeSet::new();
             for &b in &blocks {
                 let block = BlockAddr::new(b);
                 inf.fill(block, LineState::Shared, false);

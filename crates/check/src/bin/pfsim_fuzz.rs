@@ -18,27 +18,11 @@
 //! Exit status: 0 = expectation met (clean, or — with --inject — caught
 //! and shrunk), 1 = unexpected outcome.
 
-use pfsim::SystemConfig;
-use pfsim_check::{emit_repro, run_with_fault, shrink, total_ops, FaultInjection, OpMatrix};
+use pfsim_check::{
+    emit_repro, run_with_fault, shrink, total_ops, FaultInjection, FuzzCase, SMOKE_CASES,
+    SMOKE_SEED,
+};
 use pfsim_mem::SplitMix64;
-use pfsim_prefetch::Scheme;
-use pfsim_workloads::fuzz::{random_ops, random_workload};
-
-const SMOKE_CASES: usize = 200;
-const SMOKE_SEED: u64 = 0x5eed_f002;
-
-/// The scheme rotation: every case exercises a different prefetcher.
-const SCHEMES: [Scheme; 6] = [
-    Scheme::None,
-    Scheme::Sequential { degree: 2 },
-    Scheme::IDetection { degree: 1 },
-    Scheme::SimpleStride { degree: 1 },
-    Scheme::DDetection { degree: 1 },
-    Scheme::AdaptiveSequential {
-        initial_degree: 2,
-        max_degree: 8,
-    },
-];
 
 struct Args {
     cases: usize,
@@ -80,37 +64,8 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args { cases, seed, fault })
 }
 
-/// One case's full configuration, derived deterministically from the RNG.
-struct Case {
-    ops: OpMatrix,
-    scheme: Scheme,
-    finite_slc: bool,
-    blocks: u64,
-    locks: u64,
-}
-
-fn draw_case(rng: &mut SplitMix64, index: usize) -> Case {
-    let ops = random_ops(rng);
-    Case {
-        ops,
-        scheme: SCHEMES[index % SCHEMES.len()],
-        finite_slc: index % 2 == 1,
-        blocks: [32, 48, 96][index % 3],
-        locks: [2, 4][index % 2],
-    }
-}
-
-fn config_for(case: &Case) -> SystemConfig {
-    let mut cfg = SystemConfig::paper_baseline().with_scheme(case.scheme);
-    if case.finite_slc {
-        cfg = cfg.with_finite_slc(1024);
-    }
-    cfg
-}
-
-fn run_case(case: &Case, ops: &[Vec<(u8, u16)>], fault: FaultInjection) -> (bool, Vec<String>) {
-    let wl = random_workload(ops, case.blocks, case.locks);
-    let report = run_with_fault(config_for(case), wl, fault);
+fn run_case(case: &FuzzCase, ops: &[Vec<(u8, u16)>], fault: FaultInjection) -> (bool, Vec<String>) {
+    let report = run_with_fault(case.config(), case.workload(ops), fault);
     (report.ok, report.violations)
 }
 
@@ -126,9 +81,8 @@ fn main() {
     let mut rng = SplitMix64::seed_from_u64(args.seed);
     let mut reads = 0u64;
     for i in 0..args.cases {
-        let case = draw_case(&mut rng, i);
-        let wl = random_workload(&case.ops, case.blocks, case.locks);
-        let report = run_with_fault(config_for(&case), wl, args.fault);
+        let case = FuzzCase::draw(&mut rng, i);
+        let report = run_with_fault(case.config(), case.workload(&case.ops), args.fault);
         reads += report.reads_checked;
         if !report.ok {
             eprintln!(

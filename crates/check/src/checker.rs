@@ -67,10 +67,7 @@ pub struct Checker {
 }
 
 fn join_into(dst: &mut Bound, src: &Bound) {
-    for (&addr, &seq) in src {
-        let e = dst.entry(addr).or_insert(seq);
-        *e = (*e).max(seq);
-    }
+    dst.merge(src, |ours, &theirs| *ours = (*ours).max(theirs));
 }
 
 impl Checker {

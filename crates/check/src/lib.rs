@@ -38,11 +38,13 @@
 
 #![warn(missing_docs)]
 
+mod cases;
 mod checker;
 mod model;
 mod oracle;
 mod shrink;
 
+pub use cases::{FuzzCase, SMOKE_CASES, SMOKE_SEED};
 pub use checker::{Checker, WriteMeta};
 pub use model::{Block, FaultInjection, MachineModel, Observed, WriteId};
 pub use oracle::{run_checked, run_with_fault, CheckReport, ConsistencyOracle};

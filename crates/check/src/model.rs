@@ -415,7 +415,7 @@ impl MachineModel {
             }
         }
         for (cpu, p) in self.pending.iter().enumerate() {
-            let n: usize = p.values().map(Vec::len).sum();
+            let n: usize = p.sorted_entries().iter().map(|(_, w)| w.len()).sum();
             if n > 0 {
                 out.push(format!("cpu {cpu}: {n} writes never gained ownership"));
             }
@@ -432,14 +432,24 @@ impl MachineModel {
                 self.reply_stash.len()
             ));
         }
-        let wb: usize = self.wb_stash.values().map(VecDeque::len).sum();
+        let wb: usize = self
+            .wb_stash
+            .sorted_entries()
+            .iter()
+            .map(|(_, q)| q.len())
+            .sum();
         if wb > 0 {
             out.push(format!("{wb} writebacks still in flight"));
         }
 
-        let mut blocks: Vec<u64> = expected.keys().chain(self.memory.keys()).copied().collect();
+        let mut blocks: Vec<u64> = expected
+            .sorted_keys()
+            .into_iter()
+            .chain(self.memory.sorted_keys())
+            .copied()
+            .collect();
         for copies in &self.copies {
-            blocks.extend(copies.keys().copied());
+            blocks.extend(copies.sorted_keys().into_iter().copied());
         }
         blocks.sort_unstable();
         blocks.dedup();
@@ -489,7 +499,12 @@ fn diff_block(
     want: &Block,
     describe: &impl Fn(WriteId) -> String,
 ) -> Option<String> {
-    let mut addrs: Vec<u64> = got.keys().chain(want.keys()).copied().collect();
+    let mut addrs: Vec<u64> = got
+        .sorted_keys()
+        .into_iter()
+        .chain(want.sorted_keys())
+        .copied()
+        .collect();
     addrs.sort_unstable();
     addrs.dedup();
     for a in addrs {

@@ -191,7 +191,7 @@ impl CheckSink for ConsistencyOracle {
                 .push(format!("{} never performed", self.checker.describe(id)));
         }
         let mut expected: FxHashMap<u64, crate::model::Block> = FxHashMap::default();
-        for (&addr, &id) in self.checker.flat() {
+        for (&addr, &id) in self.checker.flat().sorted_entries() {
             let b = self.geometry.block_of(Addr::new(addr)).as_u64();
             expected.entry(b).or_default().insert(addr, id);
         }

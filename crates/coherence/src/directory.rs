@@ -275,7 +275,10 @@ pub struct Directory {
     /// Deliberately `Box`ed: the pool hands the same allocations back to
     /// [`Entry::busy`], so engaging an entry in steady state never touches
     /// the allocator.
-    #[allow(clippy::vec_box)]
+    #[expect(
+        clippy::vec_box,
+        reason = "the pool recycles the Box allocations themselves"
+    )]
     spare: Vec<Box<Busy>>,
 }
 
@@ -366,10 +369,13 @@ impl Directory {
                 Self::writeback_during_txn(stats, entry, from, actions);
                 Self::retire_if_idle(spare, &mut entry.busy);
             } else {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "busy-ness established by the branch condition above"
+                )]
                 entry
                     .busy
                     .as_mut()
-                    // pfsim-lint: allow(K002) -- busy-ness established by the branch condition above
                     .expect("checked")
                     .pending
                     .push_back(request);
@@ -399,14 +405,23 @@ impl Directory {
             spare,
             ..
         } = self;
+        #[expect(
+            clippy::expect_used,
+            reason = "protocol trap: fetch_done always names a tracked block"
+        )]
         let entry = entries
             .get_mut(block.as_u64())
-            // pfsim-lint: allow(K002) -- protocol trap: fetch_done always names a tracked block
             .expect("fetch_done for unknown block");
         let Entry { state, busy } = entry;
-        // pfsim-lint: allow(K002) -- protocol trap: fetch_done only arrives while a transaction is open
+        #[expect(
+            clippy::expect_used,
+            reason = "protocol trap: fetch_done only arrives while a transaction is open"
+        )]
         let b = busy.as_mut().expect("fetch_done with no transaction");
-        // pfsim-lint: allow(K002) -- protocol trap: fetch_done only arrives while a transaction is open
+        #[expect(
+            clippy::expect_used,
+            reason = "protocol trap: fetch_done only arrives while a transaction is open"
+        )]
         let txn = b.txn.as_mut().expect("fetch_done with no transaction");
         assert!(
             matches!(txn.waiting, Waiting::Fetch { .. }),
@@ -473,17 +488,30 @@ impl Directory {
             spare,
             ..
         } = self;
+        #[expect(
+            clippy::expect_used,
+            reason = "protocol trap: inval_ack always names a tracked block"
+        )]
         let entry = entries
             .get_mut(block.as_u64())
-            // pfsim-lint: allow(K002) -- protocol trap: inval_ack always names a tracked block
             .expect("inval_ack for unknown block");
         let Entry { state, busy } = entry;
-        // pfsim-lint: allow(K002) -- protocol trap: inval_ack only arrives while a transaction is open
+        #[expect(
+            clippy::expect_used,
+            reason = "protocol trap: inval_ack only arrives while a transaction is open"
+        )]
         let b = busy.as_mut().expect("inval_ack with no transaction");
-        // pfsim-lint: allow(K002) -- protocol trap: inval_ack only arrives while a transaction is open
+        #[expect(
+            clippy::expect_used,
+            reason = "protocol trap: inval_ack only arrives while a transaction is open"
+        )]
         let txn = b.txn.as_mut().expect("inval_ack with no transaction");
-        let Waiting::Acks { remaining } = &mut txn.waiting else {
-            // pfsim-lint: allow(K002) -- protocol trap: a stray ack means the directory state machine is corrupt
+        #[expect(
+            clippy::panic,
+            reason = "protocol trap: a stray ack means the directory state machine is corrupt"
+        )]
+        let Waiting::Acks { remaining } = &mut txn.waiting
+        else {
             panic!("inval_ack while waiting for {:?}", txn.waiting);
         };
         *remaining -= 1;
@@ -634,9 +662,15 @@ impl Directory {
     ) {
         stats.writebacks += 1;
         let Entry { state, busy } = entry;
-        // pfsim-lint: allow(K002) -- caller dispatches here only for busy entries
+        #[expect(
+            clippy::expect_used,
+            reason = "caller dispatches here only for busy entries"
+        )]
         let b = busy.as_mut().expect("busy entry has a txn");
-        // pfsim-lint: allow(K002) -- caller dispatches here only for busy entries
+        #[expect(
+            clippy::expect_used,
+            reason = "caller dispatches here only for busy entries"
+        )]
         let txn = b.txn.as_mut().expect("busy entry has a txn");
         match txn.waiting {
             Waiting::Fetch { owner } if owner == from => {
@@ -723,7 +757,10 @@ impl Directory {
 
     /// Installs `txn` on an idle entry, reusing a retired `Busy` box when
     /// one is available.
-    #[allow(clippy::vec_box)]
+    #[expect(
+        clippy::vec_box,
+        reason = "the pool recycles the Box allocations themselves"
+    )]
     fn engage(spare: &mut Vec<Box<Busy>>, entry: &mut Entry, txn: Txn) {
         debug_assert!(entry.busy.is_none());
         let busy = match spare.pop() {
@@ -742,10 +779,16 @@ impl Directory {
 
     /// Returns an entry's `Busy` box to the spare pool once it holds
     /// neither a transaction nor queued requests.
-    #[allow(clippy::vec_box)]
+    #[expect(
+        clippy::vec_box,
+        reason = "the pool recycles the Box allocations themselves"
+    )]
     fn retire_if_idle(spare: &mut Vec<Box<Busy>>, busy: &mut Option<Box<Busy>>) {
         if busy.as_ref().is_some_and(|b| b.txn.is_none()) {
-            // pfsim-lint: allow(K002) -- is_some_and on the line above checked the txn is gone
+            #[expect(
+                clippy::expect_used,
+                reason = "is_some_and on the line above checked the txn is gone"
+            )]
             let b = busy.take().expect("checked");
             debug_assert!(b.pending.is_empty(), "drained entry still has requests");
             if spare.len() < SPARE_CAP {

@@ -38,6 +38,12 @@
 //! ```
 
 #![warn(missing_docs)]
+// Event hot path: no panic, unwrap or expect outside tests. A site whose
+// invariant makes one unreachable carries an `#[expect]` stating it.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 mod directory;
 mod sharers;

@@ -15,10 +15,11 @@
 //! followed by [`System::run`](System::run) produces exactly the
 //! `SimResult`, metrics snapshot and oracle-hook stream of running the
 //! original system straight through. The snapshot therefore copies
-//! *every* field of [`System`] and [`Node`] by exhaustive destructuring —
-//! no `..` rest-patterns, no `Default::default()` fills — so adding
-//! machine state without snapshotting it is a compile error (and lint
-//! K003 keeps it that way).
+//! *every* field of [`System`] by exhaustive destructuring (no `..` rest
+//! patterns, no `Default::default()` fills; a test below keeps it that
+//! way), so adding machine state without snapshotting it is a compile
+//! error. `Node` and `Obs` derive `Clone`, which cannot skip a field
+//! either.
 
 use crate::check::CheckSink;
 use crate::node::Node;
@@ -37,7 +38,7 @@ pub struct Checkpoint<W> {
     queue: pfsim_engine::EventQueue<crate::system::Ev>,
     mesh: pfsim_network::Mesh,
     nodes: Vec<Node>,
-    last_time: pfsim_engine::Cycle,
+    last_time: crate::system::Clock,
     dir_actions: pfsim_coherence::ActionBuf,
     obs: Obs,
     check: Option<Box<dyn CheckSink>>,
@@ -75,10 +76,10 @@ impl<W: Workload> System<W> {
             workload: workload.clone(),
             queue: queue.clone(),
             mesh: mesh.clone(),
-            nodes: nodes.iter().map(fork_node).collect(),
+            nodes: nodes.clone(),
             last_time: *last_time,
             dir_actions: dir_actions.clone(),
-            obs: fork_obs(obs),
+            obs: obs.clone(),
             check,
             started: *started,
         })
@@ -117,91 +118,36 @@ impl<W: Workload> System<W> {
             workload: workload.clone(),
             queue: queue.clone(),
             mesh: mesh.clone(),
-            nodes: nodes.iter().map(fork_node).collect(),
+            nodes: nodes.clone(),
             last_time: *last_time,
             dir_actions: dir_actions.clone(),
-            obs: fork_obs(obs),
+            obs: obs.clone(),
             check,
             started: *started,
         }
     }
 }
 
-/// Deep-copies one node, field by exhaustive field.
-fn fork_node(node: &Node) -> Node {
-    let Node {
-        status,
-        cpu_time,
-        issue_time,
-        pending_op,
-        flc,
-        flwb,
-        slc,
-        mshr,
-        slc_server,
-        incoming,
-        slc_scheduled_at,
-        drain_block,
-        prefetcher,
-        pending_write_txns,
-        pf_scratch,
-        dir,
-        dir_server,
-        mem,
-        locks,
-        barriers,
-        stats,
-        removal,
-        miss_trace,
-        record,
-    } = node;
-    Node {
-        status: *status,
-        cpu_time: *cpu_time,
-        issue_time: *issue_time,
-        pending_op: *pending_op,
-        flc: flc.clone(),
-        flwb: flwb.clone(),
-        slc: slc.clone(),
-        mshr: mshr.clone(),
-        slc_server: *slc_server,
-        incoming: incoming.clone(),
-        slc_scheduled_at: *slc_scheduled_at,
-        drain_block: *drain_block,
-        prefetcher: prefetcher.clone(),
-        pending_write_txns: *pending_write_txns,
-        pf_scratch: pf_scratch.clone(),
-        dir: dir.clone(),
-        dir_server: *dir_server,
-        mem: *mem,
-        locks: locks.clone(),
-        barriers: barriers.clone(),
-        stats: *stats,
-        removal: removal.clone(),
-        miss_trace: miss_trace.clone(),
-        record: *record,
-    }
-}
-
-/// Deep-copies the observability state (registry contents plus the
-/// pre-registered handles, which are plain indices).
-fn fork_obs(obs: &Obs) -> Obs {
-    let Obs {
-        reg,
-        ev_cpu_step,
-        ev_slc_work,
-        ev_deliver,
-        queue_depth,
-        queue_overflow,
-        mshr_occupancy,
-    } = obs;
-    Obs {
-        reg: reg.clone(),
-        ev_cpu_step: *ev_cpu_step,
-        ev_slc_work: *ev_slc_work,
-        ev_deliver: *ev_deliver,
-        queue_depth: *queue_depth,
-        queue_overflow: *queue_overflow,
-        mshr_occupancy: *mshr_occupancy,
+#[cfg(test)]
+mod tests {
+    /// The snapshot and restore paths above destructure and rebuild
+    /// `System` and `Checkpoint` field by field. A `..` rest pattern, a
+    /// `..base` struct update or a `Default::default()` fill would let a
+    /// newly added field escape the checkpoint without a compile error.
+    #[test]
+    fn snapshot_code_names_every_field() {
+        let src = include_str!("checkpoint.rs");
+        let code: String = src
+            .split("#[cfg(test)]")
+            .next()
+            .unwrap_or(src)
+            .lines()
+            .map(|l| l.split("//").next().unwrap_or(""))
+            .collect::<String>()
+            .split_whitespace()
+            .collect();
+        for banned in ["..}", "..)", "{..", ",..", "Default::default"] {
+            assert!(!code.contains(banned), "checkpoint.rs contains `{banned}`");
+        }
     }
 }

@@ -227,7 +227,6 @@ impl SystemConfig {
             .checked_mul(height)
             .filter(|&n| (1..=pfsim_coherence::MAX_SHARERS as u16).contains(&n))
             .unwrap_or_else(|| {
-                // pfsim-lint: allow(K002) -- configuration-time validation
                 panic!(
                     "{width}x{height} mesh needs 1..={} nodes",
                     pfsim_coherence::MAX_SHARERS

@@ -70,7 +70,7 @@ mod stats;
 mod sync;
 mod system;
 
-pub use check::CheckSink;
+pub use check::{CheckSink, HookCounts};
 pub use checkpoint::Checkpoint;
 pub use config::{ConsistencyModel, RecordMisses, SystemConfig, SystemConfigBuilder};
 pub use experiment::Run;

@@ -1,5 +1,12 @@
 //! Inter-node messages.
 
+// Event hot path: no panic, unwrap or expect outside tests. A site whose
+// invariant makes one unreachable carries an `#[expect]` stating it.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use pfsim_coherence::DirRequest;
 use pfsim_mem::{Addr, BlockAddr, NodeId};
 use pfsim_network::MessageKind;

@@ -1,6 +1,13 @@
 //! Per-node state: the processor, its caches and buffers, and the
 //! home-side directory, memory and lock table (Figure 1 of the paper).
 
+// Event hot path: no panic, unwrap or expect outside tests. A site whose
+// invariant makes one unreachable carries an `#[expect]` stating it.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::collections::VecDeque;
 
 use pfsim_cache::{FifoBuffer, FirstLevelCache, MshrFile, SecondLevelCache};
@@ -12,6 +19,7 @@ use pfsim_prefetch::Prefetcher;
 use crate::msg::Msg;
 use crate::stats::{MissCause, MissRecord, NodeStats};
 use crate::sync::{BarrierTable, LockTable};
+use crate::system::Clock;
 use crate::SystemConfig;
 
 /// What the simulated processor is doing.
@@ -138,14 +146,15 @@ pub(crate) enum DrainBlock {
 }
 
 /// One processing node.
+#[derive(Clone)]
 pub(crate) struct Node {
     // --- processor side ---
     pub status: CpuStatus,
     /// The processor's local clock (may run ahead of the event loop by at
     /// most `cpu_slice`).
-    pub cpu_time: Cycle,
+    pub cpu_time: Clock,
     /// When the currently blocking operation was issued.
-    pub issue_time: Cycle,
+    pub issue_time: Clock,
     /// Operation that could not be issued because the FLWB was full.
     pub pending_op: Option<pfsim_workloads::Op>,
     pub flc: FirstLevelCache,
@@ -196,8 +205,8 @@ impl Node {
     pub(crate) fn new(cfg: &SystemConfig, record: bool) -> Self {
         Node {
             status: CpuStatus::Ready,
-            cpu_time: Cycle::ZERO,
-            issue_time: Cycle::ZERO,
+            cpu_time: Clock::ZERO,
+            issue_time: Clock::ZERO,
             pending_op: None,
             flc: FirstLevelCache::new(cfg.flc_bytes, cfg.geometry),
             flwb: FifoBuffer::new(cfg.flwb_entries),

@@ -1,5 +1,12 @@
 //! Home-side synchronization: queue-based locks and barriers.
 
+// Event hot path: no panic, unwrap or expect outside tests. A site whose
+// invariant makes one unreachable carries an `#[expect]` stating it.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::collections::VecDeque;
 
 use pfsim_mem::{Addr, FxHashMap, NodeId};
@@ -59,10 +66,13 @@ impl LockTable {
     ///
     /// Panics if `from` does not hold the lock (a protocol violation).
     pub fn release(&mut self, lock: Addr, from: NodeId) -> Option<NodeId> {
+        #[expect(
+            clippy::panic,
+            reason = "protocol trap: releasing an unheld lock means the workload is malformed"
+        )]
         let state = self
             .locks
             .get_mut(&lock)
-            // pfsim-lint: allow(K002) -- protocol trap: releasing an unheld lock means the workload is malformed
             .unwrap_or_else(|| panic!("release of unknown lock {lock}"));
         assert_eq!(state.holder, Some(from), "release by non-holder");
         state.holder = state.waiters.pop_front();

@@ -5,6 +5,13 @@
 //! plus an effect context [`Fx`] holding the event queue, the mesh and
 //! the oracle — split-borrowed from the [`System`] once per event.
 
+// Event hot path: no panic, unwrap or expect outside tests. A site whose
+// invariant makes one unreachable carries an `#[expect]` stating it.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use pfsim_cache::{Eviction, LineState, MshrTryAlloc};
 use pfsim_coherence::{ActionBuf, DirAction, DirRequest, DirStats};
 use pfsim_engine::{CounterId, Cycle, EventQueue, HistogramId, Registry};
@@ -39,11 +46,35 @@ impl Ev {
     }
 }
 
+/// A simulated clock: the kernel's time cursor or a processor's local
+/// clock. Only this module (the event kernel) can set one; everywhere else
+/// a clock is read-only, so simulated time cannot advance outside the
+/// kernel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Clock(Cycle);
+
+impl Clock {
+    /// Time zero.
+    pub(crate) const ZERO: Clock = Clock(Cycle::ZERO);
+
+    /// The current reading.
+    #[inline]
+    pub(crate) fn get(self) -> Cycle {
+        self.0
+    }
+
+    #[inline]
+    fn set(&mut self, t: Cycle) {
+        self.0 = t;
+    }
+}
+
 /// The observability registry plus pre-registered handles for the metrics
 /// the event loop touches. Hot-path updates go through the index handles
 /// (no name lookups); end-of-run gauges use `Registry::record` by name.
 /// Every mutating registry call is a no-op behind one predictable branch
 /// when instrumentation is off.
+#[derive(Clone)]
 pub(crate) struct Obs {
     pub(crate) reg: Registry,
     pub(crate) ev_cpu_step: CounterId,
@@ -159,8 +190,8 @@ fn defer_for_flwb(node: &mut Node, fx: &mut Fx, n: u16, op: Op, t: Cycle) {
 /// blocking operation's FLWB entry is already queued).
 fn block_cpu(node: &mut Node, fx: &mut Fx, n: u16, status: CpuStatus, t: Cycle) {
     node.status = status;
-    node.issue_time = t;
-    node.cpu_time = t;
+    node.issue_time.set(t);
+    node.cpu_time.set(t);
     notify_slc(node, fx, n, t);
 }
 
@@ -209,7 +240,7 @@ impl<W: Workload> Core<'_, W> {
         if node.status != CpuStatus::Ready {
             return;
         }
-        let mut t = node.cpu_time.max(now);
+        let mut t = node.cpu_time.get().max(now);
         let slice_end = t + cfg.cpu_slice;
         let geometry = cfg.geometry;
         let sequential = cfg.consistency == crate::ConsistencyModel::Sequential;
@@ -217,7 +248,7 @@ impl<W: Workload> Core<'_, W> {
 
         loop {
             if t >= slice_end {
-                node.cpu_time = t;
+                node.cpu_time.set(t);
                 fx.schedule(t, Ev::CpuStep(n));
                 return;
             }
@@ -227,7 +258,7 @@ impl<W: Workload> Core<'_, W> {
                     Some(op) => op,
                     None => {
                         node.status = CpuStatus::Done;
-                        node.cpu_time = t;
+                        node.cpu_time.set(t);
                         return;
                     }
                 },
@@ -253,13 +284,16 @@ impl<W: Workload> Core<'_, W> {
                         return;
                     }
                     node.stats.reads += 1;
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "FLWB checked not-full just above; push cannot fail"
+                    )]
                     node.flwb
                         .push(FlwbEntry::Read {
                             addr,
                             pc,
                             issued: t,
                         })
-                        // pfsim-lint: allow(K002) -- FLWB checked not-full just above; push cannot fail
                         .expect("checked above");
                     block_cpu(node, fx, n, CpuStatus::WaitRead, t);
                     return;
@@ -274,9 +308,12 @@ impl<W: Workload> Core<'_, W> {
                         return;
                     }
                     node.stats.writes += 1;
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "FLWB checked not-full just above; push cannot fail"
+                    )]
                     node.flwb
                         .push(FlwbEntry::Write { addr, issued: t })
-                        // pfsim-lint: allow(K002) -- FLWB checked not-full just above; push cannot fail
                         .expect("checked above");
                     if let Some(k) = fx.check() {
                         k.write_issued(n, addr);
@@ -285,8 +322,8 @@ impl<W: Workload> Core<'_, W> {
                         // Sequential consistency: the processor waits for
                         // every write to perform globally.
                         node.status = CpuStatus::WaitWrite;
-                        node.issue_time = t;
-                        node.cpu_time = t;
+                        node.issue_time.set(t);
+                        node.cpu_time.set(t);
                         notify_slc(node, fx, n, t);
                         return;
                     }
@@ -299,9 +336,12 @@ impl<W: Workload> Core<'_, W> {
                         defer_for_flwb(node, fx, n, op, t);
                         return;
                     }
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "FLWB checked not-full just above; push cannot fail"
+                    )]
                     node.flwb
                         .push(FlwbEntry::Acquire { lock, issued: t })
-                        // pfsim-lint: allow(K002) -- FLWB checked not-full just above; push cannot fail
                         .expect("checked above");
                     block_cpu(node, fx, n, CpuStatus::WaitLock, t);
                     return;
@@ -312,9 +352,12 @@ impl<W: Workload> Core<'_, W> {
                         defer_for_flwb(node, fx, n, op, t);
                         return;
                     }
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "FLWB checked not-full just above; push cannot fail"
+                    )]
                     node.flwb
                         .push(FlwbEntry::Release { lock, issued: t })
-                        // pfsim-lint: allow(K002) -- FLWB checked not-full just above; push cannot fail
                         .expect("checked above");
                     block_cpu(node, fx, n, CpuStatus::WaitLock, t);
                     return;
@@ -325,9 +368,12 @@ impl<W: Workload> Core<'_, W> {
                         defer_for_flwb(node, fx, n, op, t);
                         return;
                     }
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "FLWB checked not-full just above; push cannot fail"
+                    )]
                     node.flwb
                         .push(FlwbEntry::Barrier { id, issued: t })
-                        // pfsim-lint: allow(K002) -- FLWB checked not-full just above; push cannot fail
                         .expect("checked above");
                     block_cpu(node, fx, n, CpuStatus::WaitBarrier, t);
                     return;
@@ -346,7 +392,7 @@ impl<W: Workload> Core<'_, W> {
         }
         let flc_fill = self.cfg.flc_fill;
         self.nodes[ni].flc.fill(block);
-        let issue = self.nodes[ni].issue_time;
+        let issue = self.nodes[ni].issue_time.get();
         self.nodes[ni].stats.read_stall +=
             (done + flc_fill).saturating_since(issue).saturating_sub(1);
         self.resume_cpu(n, done + flc_fill);
@@ -358,8 +404,8 @@ impl<W: Workload> Core<'_, W> {
         debug_assert_ne!(node.status, CpuStatus::Ready);
         debug_assert_ne!(node.status, CpuStatus::Done);
         node.status = CpuStatus::Ready;
-        node.cpu_time = node.cpu_time.max(at);
-        let at = node.cpu_time;
+        node.cpu_time.set(node.cpu_time.get().max(at));
+        let at = node.cpu_time.get();
         self.fx.schedule(at, Ev::CpuStep(n));
     }
 
@@ -535,7 +581,7 @@ impl<W: Workload> Core<'_, W> {
                 );
                 // The release itself completes once issued (the lock
                 // hand-off happens at the home).
-                let issue = self.nodes[ni].issue_time;
+                let issue = self.nodes[ni].issue_time.get();
                 self.nodes[ni].stats.sync_stall += done.saturating_since(issue);
                 self.resume_cpu(n, done);
             }
@@ -569,7 +615,7 @@ impl<W: Workload> Core<'_, W> {
             let waited = self.nodes[ni]
                 .slc_server
                 .free_at()
-                .saturating_since(self.nodes[ni].issue_time);
+                .saturating_since(self.nodes[ni].issue_time.get());
             self.nodes[ni].stats.flwb_stall += waited;
             let at = self.nodes[ni].slc_server.free_at();
             self.resume_cpu(n, at);
@@ -631,13 +677,16 @@ impl<W: Workload> Core<'_, W> {
                                 cause,
                             });
                         }
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "MSHR capacity reserved before the op was popped from the lane"
+                        )]
                         node.mshr
                             .alloc(block, {
                                 let mut e = MshrEntry::new(TxnKind::ReadShared);
                                 e.waiting_cpu = true;
                                 e
                             })
-                            // pfsim-lint: allow(K002) -- MSHR capacity reserved before the op was popped from the lane
                             .expect("capacity checked before pop");
                         ReadOutcome::Miss
                     }
@@ -698,13 +747,16 @@ impl<W: Workload> Core<'_, W> {
                     }
                     return;
                 }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "MSHR capacity reserved before the op was popped from the lane"
+                )]
                 node.mshr
                     .alloc(block, {
                         let mut e = MshrEntry::new(TxnKind::Upgrade);
                         e.write_pending = true;
                         e
                     })
-                    // pfsim-lint: allow(K002) -- MSHR capacity reserved before the op was popped from the lane
                     .expect("capacity checked before pop");
                 node.pending_write_txns += 1;
                 DirRequest::Upgrade {
@@ -722,13 +774,16 @@ impl<W: Workload> Core<'_, W> {
                     }
                     return;
                 }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "MSHR capacity reserved before the op was popped from the lane"
+                )]
                 node.mshr
                     .alloc(block, {
                         let mut e = MshrEntry::new(TxnKind::ReadExclusive);
                         e.write_pending = true;
                         e
                     })
-                    // pfsim-lint: allow(K002) -- MSHR capacity reserved before the op was popped from the lane
                     .expect("capacity checked before pop");
                 node.pending_write_txns += 1;
                 DirRequest::ReadExclusive {
@@ -874,10 +929,13 @@ impl<W: Workload> Core<'_, W> {
             }
             Msg::AckReply { block } => {
                 let node = &mut self.nodes[ni];
+                #[expect(
+                    clippy::expect_used,
+                    reason = "protocol trap: an ack always matches an open upgrade transaction"
+                )]
                 let entry = node
                     .mshr
                     .remove(block)
-                    // pfsim-lint: allow(K002) -- protocol trap: an ack always matches an open upgrade transaction
                     .expect("upgrade ack without transaction");
                 debug_assert_eq!(entry.kind, TxnKind::Upgrade);
                 if node.slc.promote(block) {
@@ -924,6 +982,10 @@ impl<W: Workload> Core<'_, W> {
                     // the local-home case. The pending-write accounting
                     // carries over to the new transaction.
                     let node = &mut self.nodes[ni];
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "re-allocating the MSHR slot freed by the remove above"
+                    )]
                     node.mshr
                         .alloc(block, {
                             let mut e = MshrEntry::new(TxnKind::ReadExclusive);
@@ -931,7 +993,6 @@ impl<W: Workload> Core<'_, W> {
                             e.write_pending = entry.write_pending;
                             e
                         })
-                        // pfsim-lint: allow(K002) -- re-allocating the MSHR slot freed by the remove above
                         .expect("slot just freed");
                     self.fx.send(
                         self.cfg.geometry,
@@ -963,10 +1024,13 @@ impl<W: Workload> Core<'_, W> {
     fn slc_fill(&mut self, n: u16, block: BlockAddr, exclusive: bool, done: Cycle) {
         let ni = n as usize;
 
+        #[expect(
+            clippy::expect_used,
+            reason = "protocol trap: a data reply always matches an open transaction"
+        )]
         let entry = self.nodes[ni]
             .mshr
             .remove(block)
-            // pfsim-lint: allow(K002) -- protocol trap: a data reply always matches an open transaction
             .expect("data reply without transaction");
 
         // Insert the block; a finite SLC may evict a victim.
@@ -1032,13 +1096,16 @@ impl<W: Workload> Core<'_, W> {
                 // Ownership still needed: chain an upgrade. The slot just
                 // freed guarantees space.
                 let node = &mut self.nodes[ni];
+                #[expect(
+                    clippy::expect_used,
+                    reason = "re-allocating the MSHR slot freed by the remove above"
+                )]
                 node.mshr
                     .alloc(block, {
                         let mut e = MshrEntry::new(TxnKind::Upgrade);
                         e.write_pending = true;
                         e
                     })
-                    // pfsim-lint: allow(K002) -- re-allocating the MSHR slot freed by the remove above
                     .expect("slot just freed");
                 let home = home_of(self.cfg, block);
                 self.fx.send(
@@ -1077,7 +1144,7 @@ impl<W: Workload> Core<'_, W> {
         if self.cfg.consistency == crate::ConsistencyModel::Sequential
             && self.nodes[ni].status == CpuStatus::WaitWrite
         {
-            let issue = self.nodes[ni].issue_time;
+            let issue = self.nodes[ni].issue_time.get();
             self.nodes[ni].stats.write_stall += at.saturating_since(issue).saturating_sub(1);
             self.resume_cpu(n, at);
         }
@@ -1188,7 +1255,7 @@ impl<W: Workload> Core<'_, W> {
                 if let Some(k) = self.fx.check() {
                     k.lock_granted(n, lock);
                 }
-                let issue = self.nodes[ni].issue_time;
+                let issue = self.nodes[ni].issue_time.get();
                 self.nodes[ni].stats.sync_stall += now.saturating_since(issue);
                 self.resume_cpu(n, now + 1);
             }
@@ -1212,7 +1279,7 @@ impl<W: Workload> Core<'_, W> {
                 if let Some(k) = self.fx.check() {
                     k.barrier_released(n, id);
                 }
-                let issue = self.nodes[ni].issue_time;
+                let issue = self.nodes[ni].issue_time.get();
                 self.nodes[ni].stats.barrier_stall += now.saturating_since(issue);
                 self.resume_cpu(n, now + 1);
             }
@@ -1337,7 +1404,7 @@ pub struct System<W: Workload> {
     pub(crate) queue: EventQueue<Ev>,
     pub(crate) mesh: Mesh,
     pub(crate) nodes: Vec<Node>,
-    pub(crate) last_time: Cycle,
+    pub(crate) last_time: Clock,
     /// Reusable scratch buffer for directory actions: `deliver` borrows it
     /// per message so the protocol hot path never allocates.
     pub(crate) dir_actions: ActionBuf,
@@ -1385,7 +1452,7 @@ impl<W: Workload> System<W> {
             workload,
             queue: EventQueue::new(),
             nodes,
-            last_time: Cycle::ZERO,
+            last_time: Clock::ZERO,
             dir_actions: ActionBuf::new(),
             check: None,
             started: false,
@@ -1457,7 +1524,7 @@ impl<W: Workload> System<W> {
     /// hot loop, shared with [`run_until`](Self::run_until).
     #[inline(always)]
     fn dispatch_one(&mut self, t: Cycle, ev: Ev, instrumented: bool) {
-        self.last_time = self.last_time.max(t);
+        self.last_time.set(self.last_time.get().max(t));
         if instrumented {
             self.observe_event(&ev);
         }
@@ -1528,6 +1595,10 @@ impl<W: Workload> System<W> {
                 )
             })
             .collect();
+        #[expect(
+            clippy::panic,
+            reason = "deadlock trap: failing loudly with full diagnostics is the designed response"
+        )]
         if !stuck.is_empty() {
             let mut detail = stuck.join("\n");
             for (i, node) in self.nodes.iter().enumerate() {
@@ -1543,7 +1614,6 @@ impl<W: Workload> System<W> {
                     ));
                 }
             }
-            // pfsim-lint: allow(K002) -- deadlock trap: failing loudly with full diagnostics is the designed response
             panic!("simulation deadlocked with processors still blocked:\n{detail}");
         }
         if let Some(k) = self.check.as_deref_mut() {
@@ -1553,7 +1623,8 @@ impl<W: Workload> System<W> {
         // Fold in each processor's final run-ahead segment: a trace that
         // ends in compute-only work retires past the last scheduled event.
         for node in &self.nodes {
-            self.last_time = self.last_time.max(node.cpu_time);
+            self.last_time
+                .set(self.last_time.get().max(node.cpu_time.get()));
         }
 
         let dir: DirStats = self.nodes.iter().fold(DirStats::default(), |mut acc, n| {
@@ -1572,7 +1643,7 @@ impl<W: Workload> System<W> {
             None
         };
         SimResult {
-            exec_cycles: self.last_time.as_u64(),
+            exec_cycles: self.last_time.get().as_u64(),
             net: self.mesh.stats(),
             dir,
             miss_traces: self

@@ -393,3 +393,46 @@ fn set_associativity_absorbs_conflict_misses() {
     assert_eq!(sa.total(|n| n.replacement_misses), 0, "{:?}", sa.nodes[0]);
     assert!(sa.read_misses() < dm.read_misses() / 5);
 }
+
+/// Every registry a run builds gives each metric name one kind and one
+/// registering call site (the registry panics otherwise). The prefetcher
+/// telemetry names differ per scheme, so each of the seven runs once.
+#[test]
+fn every_scheme_registers_its_metrics_once() {
+    let schemes = [
+        Scheme::None,
+        Scheme::Sequential { degree: 1 },
+        Scheme::IDetection { degree: 1 },
+        Scheme::SimpleStride { degree: 1 },
+        Scheme::DDetection { degree: 1 },
+        Scheme::DDetectionAdaptive {
+            degree: 1,
+            max_depth: 4,
+        },
+        Scheme::AdaptiveSequential {
+            initial_degree: 1,
+            max_degree: 4,
+        },
+    ];
+    for scheme in schemes {
+        // A new scheme fails to compile here until it joins the list.
+        match scheme {
+            Scheme::None
+            | Scheme::Sequential { .. }
+            | Scheme::IDetection { .. }
+            | Scheme::SimpleStride { .. }
+            | Scheme::DDetection { .. }
+            | Scheme::DDetectionAdaptive { .. }
+            | Scheme::AdaptiveSequential { .. } => {}
+        }
+        let r = pfsim::experiment::Run::new(micro::sequential_walk(16, 32, 1))
+            .scheme(scheme)
+            .instrument(true)
+            .execute();
+        let m = r.metrics.expect("instrumented run carries a snapshot");
+        assert!(
+            m.counter("ev_cpu_step").is_some_and(|n| n > 0),
+            "{scheme:?}"
+        );
+    }
+}

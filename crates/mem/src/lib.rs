@@ -41,7 +41,7 @@ mod rng;
 
 pub use addr::{Addr, BlockAddr, NodeId, PageAddr, Pc};
 pub use geometry::Geometry;
-pub use hash::{sorted_entries, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use layout::ArrayLayout;
 pub use paged::PagedMap;
 pub use placement::PagePlacement;

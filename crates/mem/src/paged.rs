@@ -202,12 +202,12 @@ mod tests {
         assert_eq!(keys, [2, 64, 65, 500, 1000]);
     }
 
-    /// Agrees with a reference hash map over a random workload.
+    /// Agrees with a reference map over a random workload.
     #[test]
     fn matches_hashmap_reference() {
         let mut rng = crate::SplitMix64::seed_from_u64(0xda7a);
         let mut paged: PagedMap<u64> = PagedMap::new();
-        let mut reference = std::collections::HashMap::new();
+        let mut reference = std::collections::BTreeMap::new();
         for _ in 0..10_000 {
             let key = rng.random_range(0u64..2000);
             match rng.random_range(0u64..3) {

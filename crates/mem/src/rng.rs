@@ -213,7 +213,6 @@ mod tests {
     #[should_panic(expected = "empty range")]
     fn empty_range_panics() {
         let mut r = SplitMix64::seed_from_u64(0);
-        #[allow(clippy::reversed_empty_ranges)]
         let _ = r.random_range(5u64..5);
     }
 

@@ -378,8 +378,8 @@ mod tests {
                 .collect();
             let mut m = mesh();
             let mut now = Cycle::ZERO;
-            let mut last_delivery: std::collections::HashMap<(u16, u16), Cycle> =
-                std::collections::HashMap::new();
+            let mut last_delivery: std::collections::BTreeMap<(u16, u16), Cycle> =
+                std::collections::BTreeMap::new();
             for (from, to, flits) in pairs {
                 if from == to {
                     continue;

@@ -888,3 +888,15 @@ fn server_status_json(shared: &Shared) -> Json {
         ("metrics", manifest::metrics_json(&snap)),
     ])
 }
+
+#[cfg(test)]
+mod tests {
+    /// The service registry gives each metric name one kind and one
+    /// registering call site (the registry panics otherwise).
+    #[test]
+    fn service_metrics_register_once() {
+        let snap = super::Metrics::new().snapshot();
+        assert_eq!(snap.counters.len(), 10);
+        assert_eq!(snap.histograms.len(), 3);
+    }
+}

@@ -286,6 +286,18 @@ fn api_rejects_bad_input() {
     assert_eq!(status, 400);
     assert!(body.contains("invalid spec"), "{body}");
 
+    // Unbounded, 100,000 nested brackets overflow the connection thread's
+    // stack and abort the whole daemon. The parser's depth bound makes
+    // them a 400, and the server keeps answering.
+    let (status, body) = srv
+        .client
+        .post("/jobs", Some(&"[".repeat(100_000)))
+        .unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("nesting deeper than"), "{body}");
+    let (status, body) = srv.client.get("/status").unwrap();
+    assert_eq!(status, 200, "{body}");
+
     let mut doc = Json::parse(&tiny_spec("sneaky")).unwrap();
     if let Json::Object(members) = &mut doc {
         members.push(("rm_rf".to_string(), Json::Bool(true)));

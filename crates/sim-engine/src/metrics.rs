@@ -12,6 +12,13 @@
 //! identical runs produce bit-identical [`MetricsSnapshot`]s: the registry
 //! is as deterministic as the simulation it observes.
 //!
+//! Each name has one kind and one registering call site. Registering a
+//! name again from another line, or as the other kind, panics: two
+//! components sharing a counter by accident would silently merge their
+//! counts. `record`/`record_max` fold into a name by value, so any number
+//! of them may share a name, but never with a `counter`/`histogram`
+//! handle.
+//!
 //! # Examples
 //!
 //! ```
@@ -26,6 +33,8 @@
 //! assert_eq!(snap.counter("events"), Some(1));
 //! assert_eq!(snap.histogram("queue_depth").unwrap().count, 1);
 //! ```
+
+use std::panic::Location;
 
 /// Index handle for a registered counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,6 +102,10 @@ pub struct Registry {
     enabled: bool,
     counters: Vec<(&'static str, u64)>,
     histograms: Vec<(&'static str, Histogram)>,
+    /// Each name's kind (`true`: histogram) and first registration: the
+    /// call site of the `counter`/`histogram` that returned its handle, or
+    /// `None` for a name first folded in by `record`/`record_max`.
+    sites: Vec<(&'static str, bool, Option<&'static Location<'static>>)>,
 }
 
 impl Registry {
@@ -103,6 +116,7 @@ impl Registry {
             enabled,
             counters: Vec::new(),
             histograms: Vec::new(),
+            sites: Vec::new(),
         }
     }
 
@@ -112,22 +126,67 @@ impl Registry {
         self.enabled
     }
 
-    /// Registers (or finds) the counter `name`.
+    /// Registers (or, from the same call site, finds) the counter `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` was registered from another call site or as a
+    /// histogram.
+    #[track_caller]
     pub fn counter(&mut self, name: &'static str) -> CounterId {
-        if let Some(i) = self.counters.iter().position(|(n, _)| *n == name) {
-            return CounterId(i as u32);
-        }
-        self.counters.push((name, 0));
-        CounterId((self.counters.len() - 1) as u32)
+        self.claim(name, false, Some(Location::caller()));
+        CounterId(self.counter_slot(name))
     }
 
-    /// Registers (or finds) the histogram `name`.
+    /// Registers (or, from the same call site, finds) the histogram `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` was registered from another call site or as a
+    /// counter.
+    #[track_caller]
     pub fn histogram(&mut self, name: &'static str) -> HistogramId {
+        self.claim(name, true, Some(Location::caller()));
         if let Some(i) = self.histograms.iter().position(|(n, _)| *n == name) {
             return HistogramId(i as u32);
         }
         self.histograms.push((name, Histogram::default()));
         HistogramId((self.histograms.len() - 1) as u32)
+    }
+
+    /// The counter slot of `name`, created on first use.
+    fn counter_slot(&mut self, name: &'static str) -> u32 {
+        if let Some(i) = self.counters.iter().position(|(n, _)| *n == name) {
+            return i as u32;
+        }
+        self.counters.push((name, 0));
+        (self.counters.len() - 1) as u32
+    }
+
+    /// Records `site` as the registration of `name`, or checks it against
+    /// the first one (see the module docs).
+    #[track_caller]
+    fn claim(
+        &mut self,
+        name: &'static str,
+        histogram: bool,
+        site: Option<&'static Location<'static>>,
+    ) {
+        match self.sites.iter().find(|(n, ..)| *n == name) {
+            None => self.sites.push((name, histogram, site)),
+            Some(&(_, was_histogram, first)) => {
+                assert!(
+                    was_histogram == histogram,
+                    "metric `{name}` registered as both counter and histogram"
+                );
+                assert!(
+                    first == site,
+                    "metric `{name}` registered at {} and again at {}",
+                    first.map_or("a record/record_max call".to_string(), |l| l.to_string()),
+                    Location::caller(),
+                );
+            }
+        }
     }
 
     /// Adds `by` to a counter. One branch when disabled.
@@ -150,19 +209,31 @@ impl Registry {
     ///
     /// Linear name lookup: meant for end-of-run gauge folding, not the
     /// event loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is a `counter`/`histogram` handle's name.
+    #[track_caller]
     pub fn record(&mut self, name: &'static str, by: u64) {
         if self.enabled {
-            let id = self.counter(name);
-            self.counters[id.0 as usize].1 += by;
+            self.claim(name, false, None);
+            let i = self.counter_slot(name);
+            self.counters[i as usize].1 += by;
         }
     }
 
     /// Sets the counter `name` to the maximum of its current value and
     /// `v` (for high-water gauges folded across nodes).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is a `counter`/`histogram` handle's name.
+    #[track_caller]
     pub fn record_max(&mut self, name: &'static str, v: u64) {
         if self.enabled {
-            let id = self.counter(name);
-            let slot = &mut self.counters[id.0 as usize].1;
+            self.claim(name, false, None);
+            let i = self.counter_slot(name);
+            let slot = &mut self.counters[i as usize].1;
             *slot = (*slot).max(v);
         }
     }
@@ -429,12 +500,38 @@ mod tests {
     #[test]
     fn registration_is_idempotent() {
         let mut reg = Registry::new(true);
-        let a = reg.counter("same");
-        let b = reg.counter("same");
+        let ids: Vec<CounterId> = (0..2).map(|_| reg.counter("same")).collect();
+        let (a, b) = (ids[0], ids[1]);
         assert_eq!(a, b);
         reg.inc(a, 1);
         reg.inc(b, 1);
         assert_eq!(reg.snapshot().counter("same"), Some(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "metric `same` registered at")]
+    fn registration_from_a_second_site_panics() {
+        let mut reg = Registry::new(true);
+        reg.counter("same");
+        reg.counter("same");
+    }
+
+    #[test]
+    #[should_panic(expected = "metric `latency` registered as both counter and histogram")]
+    fn registration_as_the_other_kind_panics() {
+        let mut reg = Registry::new(true);
+        for _ in 0..2 {
+            reg.histogram("latency");
+            reg.counter("latency");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "metric `events` registered at")]
+    fn recording_into_a_handle_panics() {
+        let mut reg = Registry::new(true);
+        reg.counter("events");
+        reg.record("events", 1);
     }
 
     #[test]

@@ -1,5 +1,12 @@
 //! The deterministic event queue at the heart of the simulator.
 
+// Event hot path: no panic, unwrap or expect outside tests. A site whose
+// invariant makes one unreachable carries an `#[expect]` stating it.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -239,7 +246,10 @@ impl<E> EventQueue<E> {
             if head.at.as_u64() >= horizon {
                 break;
             }
-            // pfsim-lint: allow(K002) -- peek returned Some on this very iteration
+            #[expect(
+                clippy::expect_used,
+                reason = "peek returned Some on this very iteration"
+            )]
             let e = self.overflow.pop().expect("peeked");
             self.bucket_push((e.at.as_u64() & MASK) as usize, e.event);
         }
@@ -270,13 +280,19 @@ impl<E> EventQueue<E> {
         // on the advance, since an empty heap has nothing to drain no
         // matter how far the cursor moved.
         let from = (self.cursor & MASK) as usize;
-        // pfsim-lint: allow(K002) -- wheel_len > 0 guarantees an occupied bucket exists
+        #[expect(
+            clippy::expect_used,
+            reason = "wheel_len > 0 guarantees an occupied bucket exists"
+        )]
         let i = self.next_occupied(from).expect("wheel_len > 0");
         self.cursor += (i.wrapping_sub(from) & (BUCKETS - 1)) as u64;
         if !self.overflow.is_empty() {
             self.drain_overflow();
         }
-        // pfsim-lint: allow(K002) -- occupancy bitmap says this bucket is non-empty
+        #[expect(
+            clippy::expect_used,
+            reason = "occupancy bitmap says this bucket is non-empty"
+        )]
         let event = self.bucket_pop(i).expect("occupied bit set");
         Some((Cycle::new(self.cursor), event))
     }
@@ -288,7 +304,10 @@ impl<E> EventQueue<E> {
         }
         if self.wheel_len > 0 {
             let from = (self.cursor & MASK) as usize;
-            // pfsim-lint: allow(K002) -- wheel_len > 0 guarantees an occupied bucket exists
+            #[expect(
+                clippy::expect_used,
+                reason = "wheel_len > 0 guarantees an occupied bucket exists"
+            )]
             let i = self.next_occupied(from).expect("wheel_len > 0");
             let advance = (i.wrapping_sub(from) & (BUCKETS - 1)) as u64;
             return Some(Cycle::new(self.cursor + advance));

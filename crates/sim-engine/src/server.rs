@@ -1,5 +1,12 @@
 //! A first-come-first-served resource model.
 
+// Event hot path: no panic, unwrap or expect outside tests. A site whose
+// invariant makes one unreachable carries an `#[expect]` stating it.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::Cycle;
 
 /// A single-ported resource that serves one request at a time in arrival

@@ -1,5 +1,12 @@
 //! Simulation time measured in processor clocks.
 
+// Event hot path: no panic, unwrap or expect outside tests. A site whose
+// invariant makes one unreachable carries an `#[expect]` stating it.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 

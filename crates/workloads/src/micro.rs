@@ -231,7 +231,7 @@ mod tests {
         assert_eq!(
             pcs[0..3]
                 .iter()
-                .collect::<std::collections::HashSet<_>>()
+                .collect::<std::collections::BTreeSet<_>>()
                 .len(),
             3
         );

@@ -250,7 +250,7 @@ mod tests {
             .windows(2)
             .map(|w| w[1] as i64 - w[0] as i64)
             .collect();
-        let distinct: std::collections::HashSet<_> = deltas.iter().collect();
+        let distinct: std::collections::BTreeSet<_> = deltas.iter().collect();
         assert!(distinct.len() > 3, "cell walk is too regular");
         let small = deltas
             .iter()

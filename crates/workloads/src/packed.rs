@@ -498,6 +498,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the property under test is agreement across threads"
+    )]
     fn shared_decode_is_identical_across_threads() {
         let ops = sample_ops();
         let trace = Arc::new(pack(&ops));

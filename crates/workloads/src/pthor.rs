@@ -110,7 +110,7 @@ fn emit(params: PthorParams) -> TraceBuilder {
         .collect();
 
     for round in 0..tasks_per_cpu {
-        #[allow(clippy::needless_range_loop)] // p is also the cpu id
+        #[expect(clippy::needless_range_loop, reason = "p is also the cpu id")]
         for p in 0..cpus {
             let e = cursors[p] % elements;
 
@@ -170,7 +170,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        let deltas: std::collections::HashSet<i64> = reads
+        let deltas: std::collections::BTreeSet<i64> = reads
             .windows(2)
             .map(|w| w[1] as i64 - w[0] as i64)
             .collect();
@@ -203,7 +203,7 @@ mod tests {
             fanout: 2,
             cpus: 4,
         });
-        let locks: std::collections::HashSet<u64> = wl
+        let locks: std::collections::BTreeSet<u64> = wl
             .trace(0)
             .iter()
             .filter_map(|op| match op {

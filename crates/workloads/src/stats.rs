@@ -2,7 +2,7 @@
 //! tables: operation mix, shared-data footprint and sharing degree,
 //! computed from a trace without running the timing model.
 
-use pfsim_mem::{sorted_entries, FxHashMap, FxHashSet, Geometry};
+use pfsim_mem::{FxHashMap, FxHashSet, Geometry};
 
 use crate::{Op, PackedTrace, TraceWorkload, Workload as _};
 
@@ -127,9 +127,7 @@ where
     }
 
     stats.footprint_blocks = touched.len() as u64;
-    // The sums below are commutative, but walk the snapshot anyway: no
-    // hash-ordered loop survives to be copied somewhere order-sensitive.
-    for (_, touch) in sorted_entries(&touched) {
+    for (_, touch) in touched.sorted_entries() {
         if touch.multi {
             stats.shared_blocks += 1;
             // Communicated: the block is written and more than one

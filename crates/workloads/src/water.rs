@@ -246,7 +246,7 @@ mod tests {
         });
         // Collect the pc of the first partner-position load, then check
         // consecutive reads from that pc within a run differ by 672 bytes.
-        let mut strides = std::collections::HashMap::new();
+        let mut strides = std::collections::BTreeMap::new();
         for cpu in 0..4 {
             let mut prev: Option<u64> = None;
             for op in wl.trace(cpu) {

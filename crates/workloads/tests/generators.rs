@@ -242,6 +242,10 @@ fn wide_escape_survives_mixed_op_kinds() {
 /// yields byte-identical packed traces — the property that lets the
 /// bench cache share one trace across a whole experiment grid.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the property under test is agreement across threads"
+)]
 fn identical_seeds_are_byte_identical_across_threads() {
     for app in App::MODERN {
         let reference = app.build_packed_for(ProblemSize::Default, 16);

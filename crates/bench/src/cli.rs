@@ -17,7 +17,7 @@
 //!
 //! let args = Args::parse_from("figure6", SIZE_FLAGS, ["--paper".to_string()]).unwrap();
 //! assert_eq!(args.size, Size::Paper);
-//! assert!(Args::parse_from("figure6", SIZE_FLAGS, ["--label".to_string()]).is_err());
+//! assert!(Args::parse_from("figure6", SIZE_FLAGS, ["--check".to_string()]).is_err());
 //! ```
 
 use crate::Size;
@@ -58,29 +58,9 @@ const FLAGS: &[FlagDef] = &[
         help: "--size=<default|paper|large>: select the problem size",
     },
     FlagDef {
-        name: "--label",
-        value: ValueForm::Next,
-        help: "record the run under this label in the grid's ledger",
-    },
-    FlagDef {
-        name: "--grid",
-        value: ValueForm::Next,
-        help: "record the generation/simulation split in BENCH_PR2.json",
-    },
-    FlagDef {
         name: "--check",
         value: ValueForm::None,
-        help: "fail unless the run matches its ledger/manifest anchors",
-    },
-    FlagDef {
-        name: "--checkpoint",
-        value: ValueForm::None,
-        help: "run the warmup-checkpoint benchmark",
-    },
-    FlagDef {
-        name: "--trend",
-        value: ValueForm::None,
-        help: "print the pclocks/sec trajectory of every ledger and exit",
+        help: "fail unless the manifest validates and matches the run's total",
     },
     FlagDef {
         name: "--spec",
@@ -138,17 +118,7 @@ pub const POSITIONAL: &str = "@positional";
 pub const SIZE_FLAGS: &[&str] = &["--paper", "--large", "--size"];
 
 /// The `perfsmoke` flag set.
-pub const PERFSMOKE_FLAGS: &[&str] = &[
-    "--paper",
-    "--large",
-    "--size",
-    "--label",
-    "--grid",
-    "--check",
-    "--checkpoint",
-    "--trend",
-    "--spec",
-];
+pub const PERFSMOKE_FLAGS: &[&str] = &["--check", "--spec"];
 
 /// The `pfsim-serve` flag set.
 pub const SERVE_FLAGS: &[&str] = &[
@@ -169,16 +139,8 @@ pub const CLIENT_FLAGS: &[&str] = &["--host", "--port", "--out", POSITIONAL];
 pub struct Args {
     /// Problem size (`--paper` / `--large` / `--size=`).
     pub size: Size,
-    /// Ledger label (`--label`).
-    pub label: Option<String>,
-    /// BENCH_PR2 grid label (`--grid`).
-    pub grid: Option<String>,
     /// `--check`.
     pub check: bool,
-    /// `--checkpoint`.
-    pub checkpoint: bool,
-    /// `--trend`.
-    pub trend: bool,
     /// Wire-spec path (`--spec`).
     pub spec: Option<String>,
     /// `--port` (None means the binary's default).
@@ -206,11 +168,7 @@ impl Default for Args {
     fn default() -> Self {
         Args {
             size: Size::Default,
-            label: None,
-            grid: None,
             check: false,
-            checkpoint: false,
-            trend: false,
             spec: None,
             port: None,
             port_file: None,
@@ -310,11 +268,7 @@ fn apply(
             };
             set_size(size, picked)?;
         }
-        "--label" => args.label = value,
-        "--grid" => args.grid = value,
         "--check" => args.check = true,
-        "--checkpoint" => args.checkpoint = true,
-        "--trend" => args.trend = true,
         "--spec" => args.spec = value,
         "--port" => {
             let v = uint(&value)?;
@@ -430,27 +384,29 @@ mod tests {
     /// message naming the binary, even though the flag itself is known.
     #[test]
     fn flags_outside_the_accepted_set_name_the_binary() {
-        let err = parse(SIZE_FLAGS, &["--label", "x"]).unwrap_err();
-        assert!(err.contains("--label") && err.contains("unit"), "{err}");
+        let err = parse(SIZE_FLAGS, &["--spec", "x"]).unwrap_err();
+        assert!(err.contains("--spec") && err.contains("unit"), "{err}");
         // The same token parses fine for a binary that accepts it.
-        let args = parse(PERFSMOKE_FLAGS, &["--label", "x"]).unwrap();
-        assert_eq!(args.label.as_deref(), Some("x"));
+        let args = parse(PERFSMOKE_FLAGS, &["--spec", "x"]).unwrap();
+        assert_eq!(args.spec.as_deref(), Some("x"));
     }
 
     #[test]
     fn perfsmoke_flags_parse_typed() {
-        let args = parse(PERFSMOKE_FLAGS, &["--label", "ci", "--check", "--large"]).unwrap();
-        assert_eq!(args.label.as_deref(), Some("ci"));
+        let args = parse(PERFSMOKE_FLAGS, &["--spec", "grid.json", "--check"]).unwrap();
+        assert_eq!(args.spec.as_deref(), Some("grid.json"));
         assert!(args.check);
-        assert_eq!(args.size, Size::Large);
-        assert!(!args.trend && !args.checkpoint);
+        // perfsmoke runs only specs: size and ledger flags are rejected.
+        for gone in [&["--large"][..], &["--label", "ci"]] {
+            assert!(parse(PERFSMOKE_FLAGS, gone).is_err(), "{gone:?}");
+        }
     }
 
     #[test]
     fn numeric_flags_reject_garbage_and_missing_values() {
         let err = parse(SERVE_FLAGS, &["--workers", "many"]).unwrap_err();
         assert!(err.contains("--workers") && err.contains("many"), "{err}");
-        let err = parse(PERFSMOKE_FLAGS, &["--label"]).unwrap_err();
+        let err = parse(PERFSMOKE_FLAGS, &["--spec"]).unwrap_err();
         assert!(err.contains("expects a value"), "{err}");
         let err = parse(SERVE_FLAGS, &["--port", "70000"]).unwrap_err();
         assert!(err.contains("--port"), "{err}");
@@ -510,7 +466,7 @@ mod tests {
     fn usage_lists_only_accepted_flags() {
         let u = usage("figure6", SIZE_FLAGS);
         assert!(u.contains("--paper") && u.contains("--size"), "{u}");
-        assert!(!u.contains("--label"), "{u}");
+        assert!(!u.contains("--spec"), "{u}");
         let u = usage("pfsim-client", CLIENT_FLAGS);
         assert!(u.contains("[args...]"), "{u}");
     }

@@ -16,7 +16,6 @@ use pfsim_analysis::{MissEvent, RunMetrics};
 use pfsim_workloads::{App, PackedTrace, ProblemSize, TraceCursor, TraceWorkload};
 
 pub mod cli;
-pub mod ledger;
 pub mod manifest;
 mod parallel;
 pub mod spec;

@@ -6,8 +6,8 @@
 //! wall-clock) and what came out (per-node statistics, network and
 //! directory aggregates, the observability snapshot when instrumentation
 //! was on). [`validate_manifest`] re-parses a manifest and cross-checks
-//! its internal invariants — `perfsmoke --check` runs it against the
-//! manifest it just emitted, and CI validates a small end-to-end run.
+//! its internal invariants — `perfsmoke --spec --check` and every
+//! `pfsim-benchmark` pass run it against the manifest just emitted.
 
 use std::path::Path;
 
@@ -264,9 +264,9 @@ fn unix_time() -> u64 {
 ///
 /// Reading is symmetric with writing: every field [`manifest_json`]
 /// emits that downstream consumers care about comes back as a typed
-/// accessor, so the server cache, `perfsmoke --check`, and the trend
-/// report all share one walk of the document instead of each re-deriving
-/// field paths by hand.
+/// accessor, so the server cache, `perfsmoke --check`, `pfsim-client`
+/// and `pfsim-benchmark` all share one walk of the document instead of
+/// each re-deriving field paths by hand.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Manifest {
     /// The experiment name.

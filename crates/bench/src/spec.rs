@@ -71,15 +71,14 @@ pub struct ExperimentSpec {
 impl ExperimentSpec {
     /// A new spec named `name` (the manifest is written as
     /// `<name>.json`): default problem size, no apps, no variants,
-    /// parallel execution, instrumentation from the `PFSIM_INSTRUMENT`
-    /// environment variable.
+    /// parallel execution, no instrumentation.
     pub fn new(name: impl Into<String>) -> Self {
         ExperimentSpec {
             name: name.into(),
             size: Size::Default,
             apps: Vec::new(),
             variants: Vec::new(),
-            instrument: instrument_from_env(),
+            instrument: false,
             parallel: true,
             quiet: false,
             warmup: 0,
@@ -140,15 +139,14 @@ impl ExperimentSpec {
         self
     }
 
-    /// Forces the observability registry on (or off) for every cell,
-    /// overriding `PFSIM_INSTRUMENT`.
+    /// Turns the observability registry on (or off) for every cell.
     pub fn instrument(mut self, on: bool) -> Self {
         self.instrument = on;
         self
     }
 
     /// Runs cells one at a time on the calling thread (deterministic
-    /// wall-clock attribution; the perfsmoke ledger needs this).
+    /// wall-clock attribution; `pfsim-benchmark` times cells this way).
     pub fn serial(mut self) -> Self {
         self.parallel = false;
         self
@@ -193,14 +191,6 @@ impl ExperimentSpec {
     pub fn run(self) -> ExperimentRun {
         Runner::new().execute(self)
     }
-}
-
-/// Whether `PFSIM_INSTRUMENT` asks for the observability registry.
-fn instrument_from_env() -> bool {
-    matches!(
-        std::env::var("PFSIM_INSTRUMENT").as_deref(),
-        Ok("1") | Ok("true") | Ok("on")
-    )
 }
 
 /// Whether `PFSIM_CHECK` asks for the online consistency oracle.
@@ -495,7 +485,7 @@ pub struct ExperimentRun {
 
 impl ExperimentRun {
     /// Sum of simulated execution time over all cells, in pclocks (the
-    /// perfsmoke ledger quantity).
+    /// grid total a manifest records as `total_pclocks`).
     pub fn total_pclocks(&self) -> u64 {
         self.cells.iter().map(|c| c.result.exec_cycles).sum()
     }

@@ -482,14 +482,22 @@ fn variant_from_json(v: &Json) -> Result<WireVariant, String> {
     Ok(variant)
 }
 
+/// The largest finite SLC a wire spec may ask for, in KB: 64 times the
+/// paper's 16 KB. The cache allocates its whole tag array up front, and
+/// an allocation that fails aborts the process (a whole `pfsim-serve`
+/// daemon), so the size is bounded before anything is built.
+const MAX_SLC_KB: u64 = 1024;
+
 /// Rejects an SLC geometry the cache cannot build, with the cache's own
-/// rule — a bad spec fails validation instead of panicking mid-run.
+/// rule — a bad spec fails validation instead of panicking mid-run — and
+/// an SLC larger than [`MAX_SLC_KB`].
 fn check_slc(v: &WireVariant) -> Result<(), String> {
     let Some(kb) = v.slc_kb else {
         return Ok(());
     };
-    kb.checked_mul(1024)
-        .ok_or_else(|| format!("slc_kb {kb} overflows a byte count"))?;
+    if kb > MAX_SLC_KB {
+        return Err(format!("slc_kb {kb} exceeds the {MAX_SLC_KB} KB bound"));
+    }
     let cfg = v.config();
     match cfg.slc.sets(cfg.geometry.block_bytes()) {
         Ok(_) => Ok(()),
@@ -858,6 +866,25 @@ mod tests {
             assert_ne!(bad, ok, "{config}: mutation did not apply");
             let err = WireSpec::parse(&bad).unwrap_err();
             assert!(err.starts_with("variants[0]: slc_kb"), "{config}: {err}");
+        }
+    }
+
+    /// `slc_kb` is bounded before the cache allocates its tag array: an
+    /// oversized SLC is a validation error naming the bound, not an
+    /// aborted process, and the bound itself is a buildable SLC.
+    #[test]
+    fn slc_kb_is_bounded() {
+        let with_slc = |kb: u64| {
+            let mut spec = grid();
+            spec.variants[0].slc_kb = Some(kb);
+            WireSpec::parse(&spec.to_json().render())
+        };
+        assert!(with_slc(MAX_SLC_KB).is_ok());
+        for kb in [2 * MAX_SLC_KB, 4_194_304] {
+            assert_eq!(
+                with_slc(kb).unwrap_err(),
+                format!("variants[0]: slc_kb {kb} exceeds the 1024 KB bound")
+            );
         }
     }
 

@@ -1,10 +1,11 @@
-//! Packed-trace replay determinism.
+//! Packed-trace replay determinism and size.
 //!
 //! The packed shared-trace subsystem must be invisible to the timing
 //! model: replaying an `Arc<PackedTrace>` through a `TraceCursor` has to
 //! produce the same `SimResult`, byte for byte, as the materialized
 //! `Vec<Op>` path — for every application — and decoding the same shared
-//! trace from many threads at once must yield identical op streams.
+//! trace from many threads at once must yield identical op streams. The
+//! encoding must also stay within its bytes-per-op budget.
 
 use std::sync::Arc;
 
@@ -79,4 +80,19 @@ fn materialized_trace_equals_packed_decode() {
         let decoded: Vec<Op> = packed.iter_cpu(cpu).collect();
         assert_eq!(wl.trace(cpu), &decoded[..], "cpu {cpu}");
     }
+}
+
+/// The packed encoding's budget from the trace-subsystem design: a narrow
+/// read is 9 bytes, so the six applications together must stay under 10
+/// bytes per op (they measure 7.90).
+#[test]
+fn packed_encoding_stays_within_ten_bytes_per_op() {
+    let traces: Vec<_> = App::ALL
+        .iter()
+        .map(|&app| shared_trace(app, Size::Default))
+        .collect();
+    let bytes: usize = traces.iter().map(|t| t.packed_bytes()).sum();
+    let ops: usize = traces.iter().map(|t| t.total_ops()).sum();
+    let per_op = bytes as f64 / ops as f64;
+    assert!(per_op <= 10.0, "{bytes} B / {ops} ops = {per_op:.2} B/op");
 }

@@ -342,6 +342,19 @@ fn api_rejects_bad_input() {
     assert_eq!(status, 400, "unbuildable SLC geometry: {body}");
     assert!(body.contains("slc_kb 16"), "{body}");
 
+    // Unbounded, a 4 GB SLC aborts the daemon allocating its tag array.
+    // Wire validation bounds it first, and the server keeps answering.
+    let mut huge_slc = WireSpec::baseline_grid("huge-slc", Size::Default, &[App::Mp3d], &[]);
+    huge_slc.variants[0].slc_kb = Some(4_194_304);
+    let (status, body) = srv
+        .client
+        .post("/jobs", Some(&huge_slc.to_json().render()))
+        .unwrap();
+    assert_eq!(status, 400, "oversized SLC: {body}");
+    assert!(body.contains("exceeds the 1024 KB bound"), "{body}");
+    let (status, body) = srv.client.get("/status").unwrap();
+    assert_eq!(status, 200, "{body}");
+
     let (status, _) = srv.client.get("/jobs/job-999").unwrap();
     assert_eq!(status, 404);
     let (status, _) = srv.client.post("/jobs/job-999/cancel", None).unwrap();
@@ -416,8 +429,9 @@ fn status_exposes_metrics_registry() {
 }
 
 /// The small determinism-anchor grid through the service: the full
-/// 24-cell default grid totals exactly 14059066 pclocks (the BENCH_PR1
-/// seed), and a re-submission replays it entirely from cache.
+/// 24-cell default grid totals exactly 14059066 pclocks (the
+/// `fig6-default` anchor), and a re-submission replays it entirely from
+/// cache.
 /// Minutes in debug builds — run explicitly or via the ci.sh serve
 /// stage in release.
 #[test]
@@ -438,14 +452,14 @@ fn small_grid_anchor_through_the_service() {
     .render();
     let first = submit_and_wait(&srv.client, &spec);
     let manifest = Manifest::parse(&srv.client.manifest(&first).unwrap()).unwrap();
-    assert_eq!(manifest.total_pclocks, 14059066, "BENCH_PR1 seed anchor");
+    assert_eq!(manifest.total_pclocks, 14059066, "fig6-default anchor");
     let second = submit_and_wait(&srv.client, &spec);
     let status = srv.client.job_status(&second).unwrap();
     assert_eq!(status.get("cache_hits").unwrap().as_u64(), Some(24));
     srv.stop();
 }
 
-/// The large anchor (BENCH_PR6 seed) through the service.
+/// The large anchor (the `fig6-large` total) through the service.
 #[test]
 #[ignore = "large grid: ~minutes even in release"]
 fn large_grid_anchor_through_the_service() {
@@ -464,6 +478,6 @@ fn large_grid_anchor_through_the_service() {
     .render();
     let job = submit_and_wait(&srv.client, &spec);
     let manifest = Manifest::parse(&srv.client.manifest(&job).unwrap()).unwrap();
-    assert_eq!(manifest.total_pclocks, 151368054, "BENCH_PR6 seed anchor");
+    assert_eq!(manifest.total_pclocks, 151368054, "fig6-large anchor");
     srv.stop();
 }

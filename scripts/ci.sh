@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
 # The full local CI gate: formatting, clippy (which carries the code
 # invariants: see DESIGN.md §11), release build, test suites, the
-# benchmark crate, and the performance smoke tests. Run from anywhere
-# inside the repo.
+# benchmark crate, and one pfsim-benchmark pass per workload. Run from
+# anywhere inside the repo.
 #
 # Usage: scripts/ci.sh [--no-perf]
 #
-#   --no-perf   skip the perfsmoke and pfsim-benchmark passes (the
-#               functional gates still run; useful on loaded machines where
-#               wall-clock numbers are meaningless)
+#   --no-perf   skip the pfsim-benchmark passes (the functional gates still
+#               run; useful on loaded machines where wall-clock numbers are
+#               meaningless)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -87,12 +87,29 @@ echo "==> workload characterization (Table 2 methodology on the modern families)
 # stage doubles as a manifest-discipline check for the big-mesh grid.
 ./target/release/workload_char
 
+# The Figure-6 grid as a wire spec (6 apps x baseline, I-det, D-det and
+# Seq at degree 1 on the paper's machine) and its pinned pclock total.
+# The oracle and serve stages both run it.
+fig6_spec=scripts/fig6-default.json
+fig6_pclocks=14059066
+
+echo "==> perfsmoke --spec under PFSIM_CHECK=1 (oracle on every fig6-default cell)"
+# The oracle's hooks are read-only: the checked run must reproduce the
+# grid's anchor total, or checking is perturbing the simulation. --check
+# also validates the manifest and its total against the run.
+oracle_dir=$(mktemp -d)
+PFSIM_CHECK=1 PFSIM_RESULTS_DIR="$oracle_dir" \
+    ./target/release/perfsmoke --spec "$fig6_spec" --check
+grep -q "\"total_pclocks\": $fig6_pclocks" "$oracle_dir/fig6-default.json" \
+    || { echo "error: oracle-on manifest total diverged from $fig6_pclocks" >&2; exit 1; }
+rm -rf "$oracle_dir"
+
 echo "==> pfsim-serve end-to-end (submit, cache replay, graceful drain)"
 # Boots the service on an ephemeral port, submits the 24-cell anchor
 # grid twice through pfsim-client, and checks the whole service
-# contract: the manifest validates and carries the BENCH_PR1 seed total
-# (14059066), the replay is answered 100% from the result cache with
-# byte-identical manifest bytes, and SIGTERM drains cleanly.
+# contract: the manifest validates and carries the grid's anchor total,
+# the replay is answered 100% from the result cache with byte-identical
+# manifest bytes, and SIGTERM drains cleanly.
 serve_dir=$(mktemp -d)
 ./target/release/pfsim-serve --port 0 --port-file "$serve_dir/port" \
     --results-dir "$serve_dir/results" --workers 1 >"$serve_dir/serve.log" 2>&1 &
@@ -103,26 +120,12 @@ for _ in $(seq 1 100); do
 done
 [[ -s "$serve_dir/port" ]] || { cat "$serve_dir/serve.log" >&2; exit 1; }
 serve_port=$(cat "$serve_dir/port")
-cat > "$serve_dir/spec.json" <<'SPEC'
-{
-  "wire_version": 3,
-  "name": "ci-serve",
-  "size": "default",
-  "apps": ["MP3D", "Cholesky", "Water", "LU", "Ocean", "PTHOR"],
-  "variants": [
-    {"label": "baseline", "scheme": {"kind": "none"}, "config": {}},
-    {"label": "I-det(d=1)", "scheme": {"kind": "i-detection", "degree": 1}, "config": {}},
-    {"label": "D-det(d=1)", "scheme": {"kind": "d-detection", "degree": 1}, "config": {}},
-    {"label": "Seq(d=1)", "scheme": {"kind": "sequential", "degree": 1}, "config": {}}
-  ]
-}
-SPEC
-./target/release/pfsim-client --port "$serve_port" submit "$serve_dir/spec.json" \
+./target/release/pfsim-client --port "$serve_port" submit "$fig6_spec" \
     --out "$serve_dir/first.json" > "$serve_dir/first.log"
-./target/release/pfsim-client --port "$serve_port" submit "$serve_dir/spec.json" \
+./target/release/pfsim-client --port "$serve_port" submit "$fig6_spec" \
     --out "$serve_dir/second.json" > "$serve_dir/second.log"
-grep -q '"total_pclocks": 14059066' "$serve_dir/first.json" \
-    || { echo "error: serve manifest total diverged from the BENCH_PR1 seed" >&2; exit 1; }
+grep -q "\"total_pclocks\": $fig6_pclocks" "$serve_dir/first.json" \
+    || { echo "error: serve manifest total diverged from $fig6_pclocks" >&2; exit 1; }
 cmp "$serve_dir/first.json" "$serve_dir/second.json" \
     || { echo "error: cache replay manifest is not byte-identical" >&2; exit 1; }
 grep -q '(24 cache hits, 0 simulated)' "$serve_dir/second.log" \
@@ -136,29 +139,13 @@ grep -q 'drained' "$serve_dir/serve.log" \
 rm -rf "$serve_dir"
 
 if [[ "$run_perf" == 1 ]]; then
-    echo "==> perfsmoke (throughput + packed pclock/bytes-per-op + manifest validation)"
-    # perfsmoke drives a 24-cell ExperimentSpec end-to-end; --check fails
-    # unless the pclock total matches the ledger's seed entry AND the JSON
-    # run manifest it just emitted parses, validates, and agrees. No
-    # --label: CI reads the tracked ledgers' seed entries but never
-    # rewrites them.
-    ./target/release/perfsmoke --check
-
-    echo "==> perfsmoke under PFSIM_CHECK=1 (oracle on every cell, pclock-neutral)"
-    # The oracle's hooks are read-only: the checked run must reproduce the
-    # exact same pclock total --check just validated, or checking is
-    # perturbing the simulation.
-    PFSIM_CHECK=1 ./target/release/perfsmoke --check
-
-    echo "==> perfsmoke --large (event-kernel-bound grid; ledger BENCH_PR6.json)"
-    # The large grid is where the event kernel dominates wall-clock;
-    # --check pins its pclock total to the BENCH_PR6.json seed the same
-    # way the default grid pins 14059066.
-    ./target/release/perfsmoke --large --check
-
     echo "==> pfsim-benchmark: one pass per workload (84 cell anchors)"
     # A run exits 1 if any cell misses its pinned pclock anchor
-    # (benchmark/src/grid.rs) or fails a check.
+    # (benchmark/src/grid.rs) or fails a check; a pass also validates its
+    # manifest and compares the manifest's total with the run's. These
+    # passes gate the fig6-default (14059066) and fig6-large (151368054)
+    # totals, the 8x8 families (3363151) and the finite-SLC grid
+    # (17725835).
     for workload in fig6-default fig6-large families-8x8 fig6-finite16k; do
         cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
             --workload "$workload" --seed 1 --seconds 1 --trace 0

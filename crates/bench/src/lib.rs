@@ -87,20 +87,27 @@ impl Size {
 }
 
 /// Per-process memoized trace cache: each `(app, size, cpus)` is
-/// generated exactly once, packed, and shared by every subsequent run.
+/// generated once, packed, and shared by every subsequent run.
 ///
 /// The per-key cell is initialized *outside* the map lock, so concurrent
 /// `par_map` workers asking for different traces generate them in
 /// parallel, while workers asking for the same trace block on one
-/// generation instead of duplicating it.
+/// generation instead of duplicating it. The cache holds at most
+/// [`TRACE_CACHE_BYTES`] of packed traces (see [`TraceCache::evict_to`]).
 #[expect(
     clippy::disallowed_types,
     reason = "the shared trace cache is one of the two places pfsim-bench may use locks"
 )]
-static TRACE_CACHE: OnceLock<Mutex<TraceMap>> = OnceLock::new();
+static TRACE_CACHE: OnceLock<Mutex<TraceCache>> = OnceLock::new();
 
-/// The cache's key space: `(app, size, cpus)` → shared packed trace.
-type TraceMap = HashMap<(App, Size, u16), TraceCell>;
+/// The packed bytes the process-wide trace cache may hold: over four times
+/// the whole Large trace set (224 MB), so no benchmark grid evicts, while
+/// a long-running `pfsim-serve` asked for ever more `(app, size, cpus)`
+/// keys stays bounded.
+pub const TRACE_CACHE_BYTES: usize = 1 << 30;
+
+/// The cache's key: `(app, size, cpus)`.
+type TraceKey = (App, Size, u16);
 
 /// One cache slot: a lazily-filled cell holding the shared packed trace.
 #[expect(
@@ -108,6 +115,54 @@ type TraceMap = HashMap<(App, Size, u16), TraceCell>;
     reason = "the shared trace cache is one of the two places pfsim-bench may use locks"
 )]
 type TraceCell = Arc<OnceLock<Arc<PackedTrace>>>;
+
+/// The trace cache's map, with each entry's last request time.
+#[derive(Debug, Default)]
+struct TraceCache {
+    entries: HashMap<TraceKey, (TraceCell, u64)>,
+    /// Requests served so far; stamps each entry's latest request.
+    requests: u64,
+}
+
+impl TraceCache {
+    /// The cell for `key`, created empty on first request, stamped as the
+    /// most recently requested.
+    fn request(&mut self, key: TraceKey) -> TraceCell {
+        self.requests += 1;
+        let (cell, stamp) = self.entries.entry(key).or_default();
+        *stamp = self.requests;
+        Arc::clone(cell)
+    }
+
+    /// Drops the least recently requested filled entries, never `keep`,
+    /// until the cached traces' packed bytes fit under `cap`. A run that
+    /// holds a dropped trace keeps it alive; the next request regenerates
+    /// it.
+    fn evict_to(&mut self, cap: usize, keep: TraceKey) {
+        let bytes = |cell: &TraceCell| cell.get().map_or(0, |t| t.packed_bytes());
+        let mut held: usize = self.entries.values().map(|(cell, _)| bytes(cell)).sum();
+        while held > cap {
+            let Some((&victim, (cell, _))) = self
+                .entries
+                .iter()
+                .filter(|&(&key, (cell, _))| key != keep && bytes(cell) > 0)
+                .min_by_key(|(_, (_, stamp))| *stamp)
+            else {
+                break;
+            };
+            held -= bytes(cell);
+            self.entries.remove(&victim);
+        }
+    }
+}
+
+/// The process-wide trace cache, locked.
+fn trace_cache() -> std::sync::MutexGuard<'static, TraceCache> {
+    TRACE_CACHE
+        .get_or_init(Default::default)
+        .lock()
+        .expect("nothing panics while holding the trace cache lock")
+}
 
 /// The shared packed trace for `(app, size)` on the paper's 16-processor
 /// machine, generating it on first use.
@@ -118,11 +173,17 @@ pub fn shared_trace(app: App, size: Size) -> Arc<PackedTrace> {
 /// The shared packed trace for `(app, size)` partitioned onto `cpus`
 /// processors — the big-mesh grids ask for 64 (8×8) or 256 (16×16).
 pub fn shared_trace_for(app: App, size: Size, cpus: u16) -> Arc<PackedTrace> {
-    let cell = {
-        let mut map = TRACE_CACHE.get_or_init(Default::default).lock().unwrap();
-        Arc::clone(map.entry((app, size, cpus)).or_default())
-    };
-    Arc::clone(cell.get_or_init(|| Arc::new(app.build_packed_for(size.problem(), cpus as usize))))
+    let key = (app, size, cpus);
+    let cell = trace_cache().request(key);
+    let mut filled = false;
+    let trace = Arc::clone(cell.get_or_init(|| {
+        filled = true;
+        Arc::new(app.build_packed_for(size.problem(), cpus as usize))
+    }));
+    if filled {
+        trace_cache().evict_to(TRACE_CACHE_BYTES, key);
+    }
+    trace
 }
 
 /// A fresh replay cursor over the cached shared trace for `(app, size)`.
@@ -218,6 +279,35 @@ mod tests {
         for t in &traces {
             assert!(Arc::ptr_eq(t, &traces[0]));
         }
+    }
+
+    /// The cache drops the least recently *requested* filled entries
+    /// first, never the one just requested, and a dropped entry comes back
+    /// empty, to be regenerated, on its next request.
+    #[test]
+    fn trace_cache_evicts_least_recently_requested_first() {
+        let trace = |reads: u64| {
+            let mut b = pfsim_workloads::TraceBuilder::new("t", 1);
+            let pc = b.pc_site();
+            for i in 0..reads {
+                b.read(0, pfsim_mem::Addr::new(64 * i), pc);
+            }
+            Arc::new(b.finish_packed())
+        };
+        let [a, b, c] = [Size::Default, Size::Paper, Size::Large].map(|size| (App::Lu, size, 16));
+        let mut cache = TraceCache::default();
+        for key in [a, b, c] {
+            cache.request(key).set(trace(25)).unwrap(); // 100 bytes each
+        }
+        cache.request(a); // b is now the least recently requested
+        cache.evict_to(300, c);
+        assert_eq!(cache.entries.len(), 3, "300 bytes fit a 300-byte cap");
+        cache.evict_to(250, c);
+        assert!(!cache.entries.contains_key(&b), "b goes first");
+        cache.evict_to(0, c);
+        let left: Vec<_> = cache.entries.keys().collect();
+        assert_eq!(left, [&c], "c was just requested, so it stays over the cap");
+        assert!(cache.request(b).get().is_none());
     }
 
     #[test]

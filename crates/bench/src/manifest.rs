@@ -12,8 +12,8 @@
 use std::path::Path;
 
 use pfsim::{
-    ConsistencyModel, HistogramSnapshot, MetricsSnapshot, NodeStats, RecordMisses, SimResult,
-    SystemConfig,
+    ConsistencyModel, DirStats, HistogramSnapshot, MetricsSnapshot, NetStats, NodeStats,
+    RecordMisses, SimResult, SystemConfig,
 };
 use pfsim_analysis::Json;
 
@@ -152,8 +152,8 @@ record! {
         "wall_seconds": Json::Float(c.wall_seconds),
         "exec_cycles": Json::uint(c.result.exec_cycles),
         "aggregates": aggregates_json(&c.result),
-        "net": net_json(&c.result),
-        "dir": dir_json(&c.result),
+        "net": net_json(&c.result.net),
+        "dir": dir_json(&c.result.dir),
         "nodes": Json::Array(c.result.nodes.iter().map(node_json).collect()),
         "metrics": c.result.metrics.as_ref().map_or(Json::Null, metrics_json),
     }
@@ -169,50 +169,93 @@ record! {
     }
 }
 
+// The counter records destructure their struct exhaustively, so a counter
+// added without a manifest key is a compile error (E0027).
 record! {
-    fn net_json(r: &SimResult), NET_KEYS {
-        "messages": Json::uint(r.net.messages),
-        "flits": Json::uint(r.net.flits),
-        "flit_hops": Json::uint(r.net.flit_hops),
-        "queuing_cycles": Json::uint(r.net.queuing_cycles),
+    fn net_json(
+        &NetStats {
+            messages,
+            flits,
+            flit_hops,
+            queuing_cycles,
+        }: &NetStats,
+    ), NET_KEYS {
+        "messages": Json::uint(messages),
+        "flits": Json::uint(flits),
+        "flit_hops": Json::uint(flit_hops),
+        "queuing_cycles": Json::uint(queuing_cycles),
     }
 }
 
 record! {
-    fn dir_json(r: &SimResult), DIR_KEYS {
-        "memory_supplied": Json::uint(r.dir.memory_supplied),
-        "owner_supplied": Json::uint(r.dir.owner_supplied),
-        "invalidations": Json::uint(r.dir.invalidations),
-        "writebacks": Json::uint(r.dir.writebacks),
-        "stale_writebacks": Json::uint(r.dir.stale_writebacks),
+    fn dir_json(
+        &DirStats {
+            memory_supplied,
+            owner_supplied,
+            invalidations,
+            writebacks,
+            stale_writebacks,
+        }: &DirStats,
+    ), DIR_KEYS {
+        "memory_supplied": Json::uint(memory_supplied),
+        "owner_supplied": Json::uint(owner_supplied),
+        "invalidations": Json::uint(invalidations),
+        "writebacks": Json::uint(writebacks),
+        "stale_writebacks": Json::uint(stale_writebacks),
     }
 }
 
 record! {
-    fn node_json(n: &NodeStats), NODE_KEYS {
-        "reads": Json::uint(n.reads),
-        "writes": Json::uint(n.writes),
-        "flc_read_hits": Json::uint(n.flc_read_hits),
-        "slc_read_hits": Json::uint(n.slc_read_hits),
-        "tagged_hits": Json::uint(n.tagged_hits),
-        "read_misses": Json::uint(n.read_misses),
-        "delayed_hits": Json::uint(n.delayed_hits),
-        "read_stall": Json::uint(n.read_stall),
-        "sync_stall": Json::uint(n.sync_stall),
-        "write_stall": Json::uint(n.write_stall),
-        "barrier_stall": Json::uint(n.barrier_stall),
-        "flwb_stall": Json::uint(n.flwb_stall),
-        "prefetches_issued": Json::uint(n.prefetches_issued),
-        "prefetches_useful": Json::uint(n.prefetches_useful),
-        "pf_dropped_present": Json::uint(n.pf_dropped_present),
-        "pf_dropped_inflight": Json::uint(n.pf_dropped_inflight),
-        "pf_dropped_full": Json::uint(n.pf_dropped_full),
-        "cold_misses": Json::uint(n.cold_misses),
-        "coherence_misses": Json::uint(n.coherence_misses),
-        "replacement_misses": Json::uint(n.replacement_misses),
-        "invals_received": Json::uint(n.invals_received),
-        "writebacks": Json::uint(n.writebacks),
-        "spurious_slc_wakeups": Json::uint(n.spurious_slc_wakeups),
+    fn node_json(
+        &NodeStats {
+            reads,
+            writes,
+            flc_read_hits,
+            slc_read_hits,
+            tagged_hits,
+            read_misses,
+            delayed_hits,
+            read_stall,
+            sync_stall,
+            write_stall,
+            barrier_stall,
+            flwb_stall,
+            prefetches_issued,
+            prefetches_useful,
+            pf_dropped_present,
+            pf_dropped_inflight,
+            pf_dropped_full,
+            cold_misses,
+            coherence_misses,
+            replacement_misses,
+            invals_received,
+            writebacks,
+            spurious_slc_wakeups,
+        }: &NodeStats,
+    ), NODE_KEYS {
+        "reads": Json::uint(reads),
+        "writes": Json::uint(writes),
+        "flc_read_hits": Json::uint(flc_read_hits),
+        "slc_read_hits": Json::uint(slc_read_hits),
+        "tagged_hits": Json::uint(tagged_hits),
+        "read_misses": Json::uint(read_misses),
+        "delayed_hits": Json::uint(delayed_hits),
+        "read_stall": Json::uint(read_stall),
+        "sync_stall": Json::uint(sync_stall),
+        "write_stall": Json::uint(write_stall),
+        "barrier_stall": Json::uint(barrier_stall),
+        "flwb_stall": Json::uint(flwb_stall),
+        "prefetches_issued": Json::uint(prefetches_issued),
+        "prefetches_useful": Json::uint(prefetches_useful),
+        "pf_dropped_present": Json::uint(pf_dropped_present),
+        "pf_dropped_inflight": Json::uint(pf_dropped_inflight),
+        "pf_dropped_full": Json::uint(pf_dropped_full),
+        "cold_misses": Json::uint(cold_misses),
+        "coherence_misses": Json::uint(coherence_misses),
+        "replacement_misses": Json::uint(replacement_misses),
+        "invals_received": Json::uint(invals_received),
+        "writebacks": Json::uint(writebacks),
+        "spurious_slc_wakeups": Json::uint(spurious_slc_wakeups),
     }
 }
 

@@ -74,9 +74,10 @@ pub use check::{CheckSink, HookCounts};
 pub use checkpoint::Checkpoint;
 pub use config::{ConsistencyModel, RecordMisses, SystemConfig, SystemConfigBuilder};
 pub use experiment::Run;
-pub use pfsim_coherence::MAX_SHARERS;
+pub use pfsim_coherence::{DirStats, MAX_SHARERS};
 pub use pfsim_engine::metrics::{HistogramSnapshot, MetricsSnapshot};
 pub use pfsim_engine::Cycle;
+pub use pfsim_network::NetStats;
 pub use stats::{MissCause, MissRecord, NodeStats, SimResult};
 pub use sync::{BarrierTable, LockTable};
 pub use system::System;

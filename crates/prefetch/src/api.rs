@@ -241,7 +241,6 @@ impl Scheme {
                     degree,
                     adaptive_depth: true,
                     max_depth,
-                    ..DDetectionConfig::default()
                 },
             )),
             Scheme::AdaptiveSequential {

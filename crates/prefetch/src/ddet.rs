@@ -4,21 +4,23 @@ use pfsim_mem::{Addr, BlockAddr, Geometry};
 
 use crate::{LruTable, Prefetcher, ReadAccess};
 
-/// Configuration of the D-detection scheme.
-///
-/// The paper's implementation gives the miss list, the frequency table, the
-/// list of common strides and the stream list 16 entries each, all with LRU
-/// replacement, and uses a stride threshold of 3: four misses belonging to
-/// the same stride sequence are required before the stride is recorded as
-/// common, and two further misses initiate prefetching.
+/// Entries in each of the four tables: the paper gives the miss list, the
+/// frequency table, the list of common strides and the stream list 16
+/// entries each, all with LRU replacement.
+const TABLE_ENTRIES: usize = 16;
+
+/// Times a stride must recur before it becomes "common". The paper's 3
+/// means four misses belonging to the same stride sequence are required
+/// before the stride is recorded as common, and two further misses
+/// initiate prefetching.
+const STRIDE_THRESHOLD: u32 = 3;
+
+/// Configuration of the D-detection scheme. The four tables' size (16) and
+/// the stride threshold (3) are fixed at the paper's values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DDetectionConfig {
     /// Degree of prefetching *d* (the initial per-stream lookahead).
     pub degree: u32,
-    /// Entries in each of the four tables.
-    pub table_entries: usize,
-    /// Number of times a stride must recur before becoming "common".
-    pub stride_threshold: u32,
     /// Hagersten's adaptive lookahead (§6): "if the prefetched block is
     /// accessed before it has arrived, the number of blocks that are
     /// prefetched is increased", per stream, up to `max_depth`.
@@ -31,8 +33,6 @@ impl Default for DDetectionConfig {
     fn default() -> Self {
         DDetectionConfig {
             degree: 1,
-            table_entries: 16,
-            stride_threshold: 3,
             adaptive_depth: false,
             max_depth: 8,
         }
@@ -122,10 +122,10 @@ impl DDetection {
         DDetection {
             geometry,
             config,
-            miss_list: LruTable::new(config.table_entries),
-            freq: LruTable::new(config.table_entries),
-            common: LruTable::new(config.table_entries),
-            streams: LruTable::new(config.table_entries),
+            miss_list: LruTable::new(TABLE_ENTRIES),
+            freq: LruTable::new(TABLE_ENTRIES),
+            common: LruTable::new(TABLE_ENTRIES),
+            streams: LruTable::new(TABLE_ENTRIES),
             bump_scratch: Vec::new(),
             stream_lookups: 0,
             stream_hits: 0,
@@ -221,11 +221,11 @@ impl DDetection {
             let promoted = match self.freq.get_mut(&stride) {
                 Some(count) => {
                     *count += 1;
-                    *count >= self.config.stride_threshold
+                    *count >= STRIDE_THRESHOLD
                 }
                 None => {
                     self.freq.insert(stride, 1);
-                    self.config.stride_threshold <= 1
+                    false
                 }
             };
             if promoted {
@@ -539,11 +539,7 @@ mod lru_tests {
     use pfsim_mem::{Pc, SplitMix64};
 
     fn ddet() -> DDetection {
-        let d = DDetection::new(Geometry::paper(), DDetectionConfig::default());
-        // These tests are only meaningful against the paper's tables.
-        assert_eq!(d.config().table_entries, 16);
-        assert_eq!(d.config().stride_threshold, 3);
-        d
+        DDetection::new(Geometry::paper(), DDetectionConfig::default())
     }
 
     fn miss(d: &mut DDetection, addr: u64) -> Vec<u64> {

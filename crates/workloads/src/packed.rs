@@ -1,20 +1,40 @@
-//! Packed struct-of-arrays trace encoding shared zero-copy across runs.
+//! Packed per-lane byte-stream trace encoding shared zero-copy across runs.
 //!
 //! The paper's program-driven methodology replays the *same* reference
 //! stream under every architecture configuration (§4). A materialized
 //! [`Vec<Op>`](crate::Op) honors that but costs 16 bytes per operation and
 //! one private copy per run. [`PackedTrace`] encodes each processor's
-//! stream as two parallel arrays — a 1-byte opcode stream and a
-//! fixed-width `u32` payload stream — so a shared-read amounts to 9 bytes
-//! and a whole six-application trace set fits comfortably under 10
-//! amortized bytes per operation. The trace is immutable after
-//! construction; N concurrent runs each hold a [`TraceCursor`] over one
-//! `Arc<PackedTrace>` and decode independently with zero copies.
+//! stream as one variable-length byte stream plus a small table of the
+//! load/store sites that stream uses, so a shared read costs 4 bytes, a
+//! compute 2, and a whole six-application trace set fits under 4 amortized
+//! bytes per operation. The trace is immutable after construction; N
+//! concurrent runs each hold a [`TraceCursor`] over one `Arc<PackedTrace>`
+//! and decode independently with zero copies.
 //!
-//! Addresses are stored as one `u32` word when they fit (every generator's
-//! allocations start at page 1 and stay far below 4 GiB) with a
-//! wide-opcode escape carrying a second high word, so the format loses no
-//! generality over the 64-bit [`Addr`](pfsim_mem::Addr) space.
+//! # Format
+//!
+//! Every op starts with a lead byte: a 3-bit kind in the low bits and a
+//! 5-bit slot above it. Multi-byte fields are little-endian.
+//!
+//! | kind | bytes after the lead byte |
+//! |------|---------------------------|
+//! | `READ`, `WRITE` | a 3-byte address below 2^24 |
+//! | `READ_WIDE`, `WRITE_WIDE` | an 8-byte address |
+//! | `COMPUTE8` | a 1-byte cycle count below 256 |
+//! | `COMPUTE32` | a 4-byte cycle count |
+//! | `SYNC` | an 8-byte lock address or barrier id |
+//!
+//! A read's or write's slot indexes its lane's PC table, which holds the
+//! first 31 distinct PCs the lane uses (the applications use at most 16
+//! sites). Slot 31 escapes: a raw 4-byte PC precedes the address. A sync
+//! op's slot says whether it is an acquire, a release or a barrier. Wide
+//! addresses keep the format general over the 64-bit
+//! [`Addr`](pfsim_mem::Addr) space, although every generator's
+//! allocations stay far below 2^24.
+//!
+//! Each lane ends in 8 bytes of padding, so decode reads an op with one
+//! fixed 8-byte load through safe slicing; only wide and sync ops need a
+//! second load.
 
 use std::sync::Arc;
 
@@ -22,26 +42,50 @@ use pfsim_mem::{Addr, Pc};
 
 use crate::{Op, TraceWorkload, Workload};
 
-/// Opcode bytes of the packed encoding. The `_WIDE` variants carry an
-/// extra high `u32` for addresses that do not fit in one payload word.
-mod opcode {
+/// The 3-bit op kinds of the lead byte. The memory kinds are 0..=3, with
+/// [`WIDE_BIT`] marking an 8-byte address and [`WRITE_BIT`] a store.
+mod kind {
     pub const READ: u8 = 0;
     pub const READ_WIDE: u8 = 1;
     pub const WRITE: u8 = 2;
     pub const WRITE_WIDE: u8 = 3;
-    pub const COMPUTE: u8 = 4;
-    pub const ACQUIRE: u8 = 5;
-    pub const ACQUIRE_WIDE: u8 = 6;
-    pub const RELEASE: u8 = 7;
-    pub const RELEASE_WIDE: u8 = 8;
-    pub const BARRIER: u8 = 9;
+    pub const COMPUTE8: u8 = 4;
+    pub const COMPUTE32: u8 = 5;
+    pub const SYNC: u8 = 6;
 }
 
-/// One processor's packed streams.
+/// A `SYNC` op's slot.
+mod sync {
+    pub const ACQUIRE: u8 = 0;
+    pub const RELEASE: u8 = 1;
+    pub const BARRIER: u8 = 2;
+}
+
+const KIND_BITS: u32 = 3;
+const KIND_MASK: u8 = (1 << KIND_BITS) - 1;
+const WIDE_BIT: u8 = 1;
+const WRITE_BIT: u8 = 2;
+/// The slot that says a raw PC follows; also the PC table's capacity.
+const PC_ESCAPE: usize = 31;
+/// The largest address a narrow read or write carries.
+const NARROW_MAX: u64 = (1 << 24) - 1;
+/// Zero bytes after each lane's last op, so every 8-byte load that starts
+/// inside an op stays in bounds.
+const PADDING: usize = 8;
+
+/// One processor's packed stream.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct PackedLane {
-    pub(crate) opcodes: Vec<u8>,
-    pub(crate) payload: Vec<u32>,
+    /// The encoded ops; a sealed lane ends in [`PADDING`] zero bytes.
+    bytes: Vec<u8>,
+    /// The lane's PC table: the first [`PC_ESCAPE`] distinct PCs of its
+    /// reads and writes, in first-use order.
+    pcs: Vec<u32>,
+    /// Ops encoded.
+    ops: usize,
+    /// Byte offset and cycle count of a trailing compute, which the next
+    /// compute merges into (building only; a sealed lane has none).
+    tail_compute: Option<(usize, u32)>,
 }
 
 impl PackedLane {
@@ -52,144 +96,169 @@ impl PackedLane {
     /// actually issues rather than how chatty the generator was.
     pub(crate) fn push(&mut self, op: Op) {
         match op {
-            Op::Read { addr, pc } => self.push_mem(opcode::READ, addr, Some(pc)),
-            Op::Write { addr, pc } => self.push_mem(opcode::WRITE, addr, Some(pc)),
-            Op::Compute { cycles } => {
-                if cycles == 0 {
-                    return;
-                }
-                if self.opcodes.last() == Some(&opcode::COMPUTE) {
-                    let prev = self.payload.last_mut().expect("compute has payload");
-                    *prev = prev.saturating_add(cycles);
-                    return;
-                }
-                self.opcodes.push(opcode::COMPUTE);
-                self.payload.push(cycles);
-            }
-            Op::Acquire { lock } => self.push_mem(opcode::ACQUIRE, lock, None),
-            Op::Release { lock } => self.push_mem(opcode::RELEASE, lock, None),
-            Op::Barrier { id } => {
-                self.opcodes.push(opcode::BARRIER);
-                self.payload.push(id);
-            }
+            Op::Read { addr, pc } => self.push_mem(kind::READ, addr, pc),
+            Op::Write { addr, pc } => self.push_mem(kind::WRITE, addr, pc),
+            Op::Compute { cycles: 0 } => {}
+            Op::Compute { cycles } => self.push_compute(cycles),
+            Op::Acquire { lock } => self.push_sync(sync::ACQUIRE, lock.as_u64()),
+            Op::Release { lock } => self.push_sync(sync::RELEASE, lock.as_u64()),
+            Op::Barrier { id } => self.push_sync(sync::BARRIER, u64::from(id)),
         }
     }
 
-    /// Emits an address-carrying op. `base` must be a narrow opcode whose
-    /// wide escape is `base + 1`.
-    fn push_mem(&mut self, base: u8, addr: Addr, pc: Option<Pc>) {
-        let raw = addr.as_u64();
-        let lo = raw as u32;
-        let hi = (raw >> 32) as u32;
-        if hi == 0 {
-            self.opcodes.push(base);
-            self.payload.push(lo);
+    /// Appends a compute of `cycles > 0`, re-encoding a trailing compute
+    /// as the saturating sum (which may widen it from 1 to 4 bytes).
+    fn push_compute(&mut self, cycles: u32) {
+        let cycles = match self.tail_compute {
+            Some((at, prev)) => {
+                self.bytes.truncate(at);
+                prev.saturating_add(cycles)
+            }
+            None => {
+                self.ops += 1;
+                cycles
+            }
+        };
+        let at = self.bytes.len();
+        let (kind, len) = if cycles <= 0xff {
+            (kind::COMPUTE8, 2)
         } else {
-            self.opcodes.push(base + 1);
-            self.payload.push(lo);
-            self.payload.push(hi);
-        }
-        if let Some(pc) = pc {
-            self.payload.push(pc.as_u32());
+            (kind::COMPUTE32, 5)
+        };
+        self.put(u64::from(kind) | u64::from(cycles) << 8, len);
+        self.tail_compute = Some((at, cycles));
+    }
+
+    /// Appends a read or write; `base` is its narrow kind.
+    fn push_mem(&mut self, base: u8, addr: Addr, pc: Pc) {
+        let pc = pc.as_u32();
+        let slot = self.pc_slot(pc);
+        let raw = addr.as_u64();
+        let wide = raw > NARROW_MAX;
+        let lead = self.start_op(base | if wide { WIDE_BIT } else { 0 }, slot as u8);
+        // The lead byte and any escaped PC, then the address.
+        let (head, head_len) = if slot < PC_ESCAPE {
+            (lead, 1)
+        } else {
+            (lead | u64::from(pc) << 8, 5)
+        };
+        if wide {
+            self.put(head, head_len);
+            self.put(raw, 8);
+        } else {
+            self.put(head | raw << (8 * head_len), head_len + 3);
         }
     }
 
-    fn packed_bytes(&self) -> usize {
-        self.opcodes.len() + 4 * self.payload.len()
+    /// `pc`'s slot in the PC table, adding it while the table has room;
+    /// [`PC_ESCAPE`] once the table is full.
+    fn pc_slot(&mut self, pc: u32) -> usize {
+        match self.pcs.iter().position(|&p| p == pc) {
+            Some(slot) => slot,
+            None if self.pcs.len() < PC_ESCAPE => {
+                self.pcs.push(pc);
+                self.pcs.len() - 1
+            }
+            None => PC_ESCAPE,
+        }
     }
-}
 
-/// Decodes the op at `op_idx`/`payload_idx`; returns it plus the payload
-/// index of the following op. Callers guarantee `op_idx` is in bounds.
-#[inline]
-fn decode(opcodes: &[u8], payload: &[u32], op_idx: usize, payload_idx: usize) -> (Op, usize) {
-    /// The op's payload words as a fixed-size array: one range check per
-    /// decoded op (the `try_into` length test folds away).
+    fn push_sync(&mut self, sub: u8, payload: u64) {
+        let lead = self.start_op(kind::SYNC, sub);
+        self.put(lead, 1);
+        self.put(payload, 8);
+    }
+
+    /// Counts a non-compute op and returns its lead byte.
+    fn start_op(&mut self, kind: u8, slot: u8) -> u64 {
+        self.tail_compute = None;
+        self.ops += 1;
+        u64::from(kind | slot << KIND_BITS)
+    }
+
+    /// Appends the low `len` bytes of `word`.
     #[inline]
-    fn words<const N: usize>(payload: &[u32], at: usize) -> [u32; N] {
-        payload[at..at + N].try_into().expect("sized by the range")
+    fn put(&mut self, word: u64, len: usize) {
+        let at = self.bytes.len();
+        self.bytes.extend_from_slice(&word.to_le_bytes());
+        self.bytes.truncate(at + len);
     }
-    let wide = |lo: u32, hi: u32| Addr::new(lo as u64 | (hi as u64) << 32);
-    match opcodes[op_idx] {
-        opcode::READ => {
-            let [lo, pc] = words(payload, payload_idx);
-            (
-                Op::Read {
-                    addr: Addr::new(lo as u64),
-                    pc: Pc::new(pc),
-                },
-                payload_idx + 2,
-            )
-        }
-        opcode::READ_WIDE => {
-            let [lo, hi, pc] = words(payload, payload_idx);
-            (
-                Op::Read {
-                    addr: wide(lo, hi),
-                    pc: Pc::new(pc),
-                },
-                payload_idx + 3,
-            )
-        }
-        opcode::WRITE => {
-            let [lo, pc] = words(payload, payload_idx);
-            (
-                Op::Write {
-                    addr: Addr::new(lo as u64),
-                    pc: Pc::new(pc),
-                },
-                payload_idx + 2,
-            )
-        }
-        opcode::WRITE_WIDE => {
-            let [lo, hi, pc] = words(payload, payload_idx);
-            (
-                Op::Write {
-                    addr: wide(lo, hi),
-                    pc: Pc::new(pc),
-                },
-                payload_idx + 3,
-            )
-        }
-        opcode::COMPUTE => {
-            let [cycles] = words(payload, payload_idx);
-            (Op::Compute { cycles }, payload_idx + 1)
-        }
-        opcode::ACQUIRE => {
-            let [lo] = words(payload, payload_idx);
-            (
-                Op::Acquire {
-                    lock: Addr::new(lo as u64),
-                },
-                payload_idx + 1,
-            )
-        }
-        opcode::ACQUIRE_WIDE => {
-            let [lo, hi] = words(payload, payload_idx);
-            (Op::Acquire { lock: wide(lo, hi) }, payload_idx + 2)
-        }
-        opcode::RELEASE => {
-            let [lo] = words(payload, payload_idx);
-            (
-                Op::Release {
-                    lock: Addr::new(lo as u64),
-                },
-                payload_idx + 1,
-            )
-        }
-        opcode::RELEASE_WIDE => {
-            let [lo, hi] = words(payload, payload_idx);
-            (Op::Release { lock: wide(lo, hi) }, payload_idx + 2)
-        }
-        opcode::BARRIER => {
-            let [id] = words(payload, payload_idx);
-            (Op::Barrier { id }, payload_idx + 1)
-        }
-        other => unreachable!("corrupt packed trace: opcode {other}"),
+
+    /// Finishes the lane for decoding: appends the padding.
+    fn seal(mut self) -> Self {
+        self.tail_compute = None;
+        self.bytes.extend_from_slice(&[0; PADDING]);
+        self
     }
 }
 
-/// An immutable packed trace: per-CPU opcode + payload streams.
+/// The 8 bytes at `at`, little-endian. Sealed lanes are padded so this is
+/// in bounds wherever `at` lies inside an op.
+#[inline]
+fn load(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("sized by the range"))
+}
+
+/// Decodes the op at byte offset `at` of a sealed lane; returns it plus
+/// the offset of the following op. Callers guarantee an op starts at `at`.
+#[inline]
+fn decode(bytes: &[u8], pcs: &[u32], at: usize) -> (Op, usize) {
+    let word = load(bytes, at);
+    let lead = word as u8;
+    let slot = lead >> KIND_BITS;
+    match lead & KIND_MASK {
+        mem @ (kind::READ | kind::READ_WIDE | kind::WRITE | kind::WRITE_WIDE) => {
+            // The PC, the bytes from the address on, and the address's offset.
+            let (pc, rest, addr_at) = if usize::from(slot) < PC_ESCAPE {
+                (pcs[usize::from(slot)], word >> 8, at + 1)
+            } else {
+                ((word >> 8) as u32, word >> 40, at + 5)
+            };
+            let (addr, next) = if mem & WIDE_BIT == 0 {
+                (rest & NARROW_MAX, addr_at + 3)
+            } else {
+                (load(bytes, addr_at), addr_at + 8)
+            };
+            let (addr, pc) = (Addr::new(addr), Pc::new(pc));
+            let op = if mem & WRITE_BIT == 0 {
+                Op::Read { addr, pc }
+            } else {
+                Op::Write { addr, pc }
+            };
+            (op, next)
+        }
+        kind::COMPUTE8 => {
+            let cycles = u32::from((word >> 8) as u8);
+            (Op::Compute { cycles }, at + 2)
+        }
+        kind::COMPUTE32 => {
+            let cycles = (word >> 8) as u32;
+            (Op::Compute { cycles }, at + 5)
+        }
+        kind::SYNC => {
+            let payload = load(bytes, at + 1);
+            let op = match slot {
+                sync::ACQUIRE => Op::Acquire {
+                    lock: Addr::new(payload),
+                },
+                sync::RELEASE => Op::Release {
+                    lock: Addr::new(payload),
+                },
+                sync::BARRIER => Op::Barrier { id: payload as u32 },
+                _ => corrupt(lead, at),
+            };
+            (op, at + 9)
+        }
+        _ => corrupt(lead, at),
+    }
+}
+
+#[cold]
+fn corrupt(lead: u8, at: usize) -> ! {
+    unreachable!("corrupt packed trace: lead byte {lead:#04x} at offset {at}")
+}
+
+/// An immutable packed trace: one encoded byte stream per CPU.
 ///
 /// Built by [`TraceBuilder::finish_packed`](crate::TraceBuilder::finish_packed)
 /// and shared across runs behind an [`Arc`]. Decode back to [`Op`]s with
@@ -208,7 +277,7 @@ fn decode(opcodes: &[u8], payload: &[u32], op_idx: usize, payload_idx: usize) ->
 /// b.barrier_all();
 /// let trace = std::sync::Arc::new(b.finish_packed());
 /// assert_eq!(trace.total_ops(), 3); // one read + two barrier arrivals
-/// assert!(trace.bytes_per_op() <= 10.0);
+/// assert_eq!(trace.packed_bytes(), 4 + 2 * 9); // a narrow read, two syncs
 ///
 /// let mut cursor = TraceCursor::new(trace);
 /// assert!(cursor.next(0).is_some());
@@ -221,6 +290,7 @@ pub struct PackedTrace {
 
 impl PackedTrace {
     pub(crate) fn from_lanes(name: String, lanes: Vec<PackedLane>) -> Self {
+        let lanes = lanes.into_iter().map(PackedLane::seal).collect();
         PackedTrace { name, lanes }
     }
 
@@ -236,20 +306,21 @@ impl PackedTrace {
 
     /// Operations in `cpu`'s stream.
     pub fn ops(&self, cpu: usize) -> usize {
-        self.lanes[cpu].opcodes.len()
+        self.lanes[cpu].ops
     }
 
     /// Total operations across all processors.
     pub fn total_ops(&self) -> usize {
-        self.lanes.iter().map(|l| l.opcodes.len()).sum()
+        self.lanes.iter().map(|l| l.ops).sum()
     }
 
-    /// Resident bytes of the packed streams (opcodes + payload words).
+    /// Bytes of the encoded op streams. Each lane's fixed overhead, its PC
+    /// table (at most 31 words) and 8 bytes of padding, is not counted.
     pub fn packed_bytes(&self) -> usize {
-        self.lanes.iter().map(PackedLane::packed_bytes).sum()
+        self.lanes.iter().map(|l| l.bytes.len() - PADDING).sum()
     }
 
-    /// Amortized resident bytes per operation.
+    /// Amortized encoded bytes per operation.
     pub fn bytes_per_op(&self) -> f64 {
         let ops = self.total_ops();
         if ops == 0 {
@@ -262,15 +333,15 @@ impl PackedTrace {
     /// Borrowed decode iterator over `cpu`'s stream.
     ///
     /// This is the analysis-side view: trace-classification tools walk
-    /// ops straight out of the packed arrays without materializing a
+    /// ops straight out of the packed streams without materializing a
     /// `Vec<Op>`.
     pub fn iter_cpu(&self, cpu: usize) -> OpIter<'_> {
         let lane = &self.lanes[cpu];
         OpIter {
-            opcodes: &lane.opcodes,
-            payload: &lane.payload,
-            op_idx: 0,
-            payload_idx: 0,
+            bytes: &lane.bytes,
+            pcs: &lane.pcs,
+            left: lane.ops,
+            at: 0,
         }
     }
 
@@ -289,10 +360,12 @@ impl PackedTrace {
 /// Borrowed iterator decoding one processor's packed stream into [`Op`]s.
 #[derive(Debug, Clone)]
 pub struct OpIter<'a> {
-    opcodes: &'a [u8],
-    payload: &'a [u32],
-    op_idx: usize,
-    payload_idx: usize,
+    bytes: &'a [u8],
+    pcs: &'a [u32],
+    /// Ops not yet decoded.
+    left: usize,
+    /// Byte offset of the next op.
+    at: usize,
 }
 
 impl Iterator for OpIter<'_> {
@@ -300,18 +373,17 @@ impl Iterator for OpIter<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<Op> {
-        if self.op_idx >= self.opcodes.len() {
+        if self.left == 0 {
             return None;
         }
-        let (op, next_payload) = decode(self.opcodes, self.payload, self.op_idx, self.payload_idx);
-        self.op_idx += 1;
-        self.payload_idx = next_payload;
+        let (op, next) = decode(self.bytes, self.pcs, self.at);
+        self.left -= 1;
+        self.at = next;
         Some(op)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.opcodes.len() - self.op_idx;
-        (left, Some(left))
+        (self.left, Some(self.left))
     }
 }
 
@@ -327,14 +399,14 @@ impl ExactSizeIterator for OpIter<'_> {}
 #[derive(Debug, Clone)]
 pub struct TraceCursor {
     trace: Arc<PackedTrace>,
-    /// Per-CPU `(op index, payload index)` positions.
+    /// Per-CPU `(ops left, byte offset of the next op)`.
     cursors: Vec<(usize, usize)>,
 }
 
 impl TraceCursor {
     /// Creates a cursor at the start of `trace`.
     pub fn new(trace: Arc<PackedTrace>) -> Self {
-        let cursors = vec![(0, 0); trace.num_cpus()];
+        let cursors = trace.lanes.iter().map(|l| (l.ops, 0)).collect();
         TraceCursor { trace, cursors }
     }
 
@@ -350,7 +422,9 @@ impl TraceCursor {
 
     /// Rewinds all cursors so the workload can be replayed.
     pub fn rewind(&mut self) {
-        self.cursors.iter_mut().for_each(|c| *c = (0, 0));
+        for (cursor, lane) in self.cursors.iter_mut().zip(&self.trace.lanes) {
+            *cursor = (lane.ops, 0);
+        }
     }
 }
 
@@ -361,13 +435,13 @@ impl Workload for TraceCursor {
 
     #[inline]
     fn next(&mut self, cpu: usize) -> Option<Op> {
-        let (op_idx, payload_idx) = self.cursors[cpu];
-        let lane = &self.trace.lanes[cpu];
-        if op_idx >= lane.opcodes.len() {
+        let (left, at) = self.cursors[cpu];
+        if left == 0 {
             return None;
         }
-        let (op, next_payload) = decode(&lane.opcodes, &lane.payload, op_idx, payload_idx);
-        self.cursors[cpu] = (op_idx + 1, next_payload);
+        let lane = &self.trace.lanes[cpu];
+        let (op, next) = decode(&lane.bytes, &lane.pcs, at);
+        self.cursors[cpu] = (left - 1, next);
         Some(op)
     }
 
@@ -383,6 +457,7 @@ impl Workload for TraceCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pfsim_mem::SplitMix64;
 
     fn sample_ops() -> Vec<Op> {
         vec![
@@ -477,15 +552,53 @@ mod tests {
     }
 
     #[test]
-    fn narrow_read_costs_nine_bytes() {
+    fn narrow_read_costs_four_bytes() {
         let mut lane = PackedLane::default();
         lane.push(Op::Read {
             addr: Addr::new(0x1000),
             pc: Pc::new(0x40),
         });
         let trace = PackedTrace::from_lanes("t".into(), vec![lane]);
-        assert_eq!(trace.packed_bytes(), 9);
-        assert_eq!(trace.bytes_per_op(), 9.0);
+        assert_eq!(trace.packed_bytes(), 4);
+        assert_eq!(trace.bytes_per_op(), 4.0);
+    }
+
+    /// Every row of the format table, plus the PC-table escape.
+    #[test]
+    fn each_op_costs_its_documented_bytes() {
+        let read = |addr, pc| Op::Read {
+            addr: Addr::new(addr),
+            pc: Pc::new(pc),
+        };
+        let cases = [
+            (read(NARROW_MAX, 0x40), 4),
+            (read(NARROW_MAX + 1, 0x40), 9),
+            (Op::Compute { cycles: 255 }, 2),
+            (Op::Compute { cycles: 256 }, 5),
+            (Op::Acquire { lock: Addr::new(0) }, 9),
+            (Op::Barrier { id: 0 }, 9),
+        ];
+        for (op, bytes) in cases {
+            assert_eq!(pack(&[op]).packed_bytes(), bytes, "{op:?}");
+        }
+        // The 32nd distinct PC finds the table full: its 4 raw bytes ride
+        // along, and it decodes back intact.
+        let ops: Vec<Op> = (0..32).map(|k| read(0x1000, 0x40 + 4 * k)).collect();
+        let trace = pack(&ops);
+        assert_eq!(trace.packed_bytes(), 32 * 4 + 4);
+        assert!(trace.iter_cpu(0).eq(ops));
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt packed trace")]
+    fn an_unknown_kind_traps() {
+        let lane = PackedLane {
+            bytes: vec![KIND_MASK, 0],
+            ops: 1,
+            ..PackedLane::default()
+        };
+        let trace = PackedTrace::from_lanes("t".into(), vec![lane]);
+        trace.iter_cpu(0).for_each(drop);
     }
 
     #[test]
@@ -495,6 +608,140 @@ mod tests {
         let wl = trace.materialize();
         assert_eq!(wl.trace(0), &ops[..]);
         assert_eq!(wl.total_ops(), trace.total_ops());
+    }
+
+    /// The documented push contract as a reference model: zero-cycle
+    /// computes vanish and back-to-back computes merge, saturating.
+    fn push_expected(lane: &mut Vec<Op>, op: Op) {
+        if let Op::Compute { cycles } = op {
+            if cycles == 0 {
+                return;
+            }
+            if let Some(Op::Compute { cycles: prev }) = lane.last_mut() {
+                *prev = prev.saturating_add(cycles);
+                return;
+            }
+        }
+        lane.push(op);
+    }
+
+    /// The program counter of load/store site `k`.
+    fn site(k: u32) -> Pc {
+        Pc::new(0x40_0000 + 4 * k)
+    }
+
+    fn random_op(rng: &mut SplitMix64) -> Op {
+        let addr = Addr::new(if rng.random_bool() {
+            rng.random_range(0..=NARROW_MAX)
+        } else {
+            rng.next_u64()
+        });
+        let pc = site(rng.random_range(0u32..40));
+        match rng.random_range(0u8..6) {
+            0 => Op::Read { addr, pc },
+            1 => Op::Write { addr, pc },
+            2 => Op::Compute {
+                cycles: [0, 1, 255, 256, rng.next_u64() as u32][rng.random_range(0usize..5)],
+            },
+            3 => Op::Acquire { lock: addr },
+            4 => Op::Release { lock: addr },
+            _ => Op::Barrier {
+                id: rng.next_u64() as u32,
+            },
+        }
+    }
+
+    /// One lane's ops: every encoding edge, shuffled among random filler.
+    /// Multi-op chunks stay contiguous so their computes coalesce.
+    fn edge_lane(rng: &mut SplitMix64) -> Vec<Op> {
+        // 40 distinct sites: the last 9 overflow the 31-entry PC table.
+        let mut chunks: Vec<Vec<Op>> = (0..40)
+            .map(|k| {
+                vec![Op::Read {
+                    addr: Addr::new(rng.random_range(0..=NARROW_MAX)),
+                    pc: site(k),
+                }]
+            })
+            .collect();
+        for addr in [0, NARROW_MAX, NARROW_MAX + 1, u64::MAX].map(Addr::new) {
+            let pc = site(rng.random_range(0u32..40));
+            chunks.push(vec![Op::Read { addr, pc }]);
+            chunks.push(vec![Op::Write { addr, pc }]);
+            chunks.push(vec![Op::Acquire { lock: addr }]);
+            chunks.push(vec![Op::Release { lock: addr }]);
+        }
+        chunks.push(vec![Op::Barrier { id: u32::MAX }]);
+        chunks.push(vec![Op::Compute { cycles: 255 }]);
+        chunks.push(vec![Op::Compute { cycles: 256 }]);
+        // Saturation, and a 1-byte compute widened to 4 bytes by a merge
+        // across a dropped zero.
+        chunks.push(vec![
+            Op::Compute {
+                cycles: u32::MAX - 1,
+            },
+            Op::Compute { cycles: 10 },
+        ]);
+        chunks.push(vec![
+            Op::Compute { cycles: 200 },
+            Op::Compute { cycles: 0 },
+            Op::Compute { cycles: 100 },
+        ]);
+        for _ in 0..rng.random_range(0usize..200) {
+            chunks.push(vec![random_op(rng)]);
+        }
+        for i in (1..chunks.len()).rev() {
+            chunks.swap(i, rng.random_range(0..=i));
+        }
+        chunks.concat()
+    }
+
+    /// Seeded random lanes across every encoding edge decode to the pushed
+    /// sequence through `iter_cpu`, `materialize`, and a cursor cloned at
+    /// a random op (the checkpoint-fork path), clone and original alike.
+    #[test]
+    fn random_lanes_round_trip_across_every_encoding_edge() {
+        let mut rng = SplitMix64::seed_from_u64(0x4b17_e5ed);
+        for _case in 0..24 {
+            let cpus = rng.random_range(1usize..5);
+            let mut lanes = vec![PackedLane::default(); cpus];
+            let mut expected: Vec<Vec<Op>> = vec![Vec::new(); cpus];
+            for (lane, want) in lanes.iter_mut().zip(&mut expected) {
+                for op in edge_lane(&mut rng) {
+                    lane.push(op);
+                    push_expected(want, op);
+                }
+            }
+            let trace = Arc::new(PackedTrace::from_lanes("edges".into(), lanes));
+            let wl = trace.materialize();
+            for (cpu, want) in expected.iter().enumerate() {
+                assert_eq!(trace.lanes[cpu].pcs.len(), PC_ESCAPE, "table full");
+                assert_eq!(trace.ops(cpu), want.len());
+                assert!(
+                    trace.iter_cpu(cpu).eq(want.iter().copied()),
+                    "iter_cpu({cpu})"
+                );
+                assert_eq!(wl.trace(cpu), &want[..], "materialize, cpu {cpu}");
+            }
+
+            let mut cursor = TraceCursor::new(Arc::clone(&trace));
+            let forks_at: Vec<usize> = expected
+                .iter()
+                .map(|want| rng.random_range(0..=want.len()))
+                .collect();
+            for (cpu, want) in expected.iter().enumerate() {
+                let head: Vec<Op> = (0..forks_at[cpu])
+                    .filter_map(|_| cursor.next(cpu))
+                    .collect();
+                assert_eq!(head, want[..forks_at[cpu]], "cursor head, cpu {cpu}");
+            }
+            let mut fork = cursor.clone();
+            for c in [&mut cursor, &mut fork] {
+                for (cpu, want) in expected.iter().enumerate() {
+                    let tail: Vec<Op> = std::iter::from_fn(|| c.next(cpu)).collect();
+                    assert_eq!(tail, want[forks_at[cpu]..], "cursor tail, cpu {cpu}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property test for the packed shared-trace encoding: seeded random op
-//! streams — including wide (>32-bit) addresses that take the escape
-//! opcodes, lock ops, and barriers — must survive the round trip through
+//! streams — including wide (>32-bit) addresses that take the wide
+//! kinds, lock ops, and barriers — must survive the round trip through
 //! `TraceBuilder::finish_packed` and back out of a `TraceCursor`.
 //!
 //! The expected sequence is computed with the builder's documented
@@ -28,10 +28,12 @@ fn push_expected(lane: &mut Vec<Op>, op: Op) {
 }
 
 /// Draws one random op for `cpu`; roughly a quarter of the addresses set
-/// the high 32 bits so the wide escape opcodes get real coverage.
+/// the high 32 bits and half of the rest fit in 24 bits, so both the
+/// 8-byte and the 3-byte address forms get real coverage.
 fn draw_op(rng: &mut SplitMix64) -> Op {
     let wide = rng.random_range(0u8..4) == 0;
-    let lo = u64::from(rng.random_range(0u32..u32::MAX)) & !0x3f;
+    let lo_end = if rng.random_bool() { 1 << 24 } else { u32::MAX };
+    let lo = u64::from(rng.random_range(0u32..lo_end)) & !0x3f;
     let hi = if wide {
         u64::from(rng.random_range(1u32..0x100)) << 32
     } else {
@@ -139,7 +141,7 @@ fn random_streams_round_trip() {
     }
 }
 
-/// Directed check of the wide-address escapes: a >32-bit address on every
+/// Directed check of the wide kinds: a >32-bit address on every
 /// address-carrying op kind survives packing bit-exactly.
 #[test]
 fn wide_addresses_take_the_escape_and_survive() {
@@ -161,9 +163,9 @@ fn wide_addresses_take_the_escape_and_survive() {
             Op::Release { lock: wide },
         ]
     );
-    // Wide ops cost one extra payload word each: 4 opcodes + (3+3+2+2)
-    // payload words = 44 bytes.
-    assert_eq!(trace.packed_bytes(), 44);
+    // Each wide op is a lead byte plus an 8-byte address (the shared PC
+    // sits in the lane's table): 4 x 9 = 36 bytes.
+    assert_eq!(trace.packed_bytes(), 36);
 }
 
 /// Directed check of compute coalescing: zero-cycle computes vanish and

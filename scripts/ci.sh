@@ -145,10 +145,20 @@ if [[ "$run_perf" == 1 ]]; then
     # manifest and compares the manifest's total with the run's. These
     # passes gate the fig6-default (14059066) and fig6-large (151368054)
     # totals, the 8x8 families (3363151) and the finite-SLC grid
-    # (17725835).
+    # (17725835). fig6-large's peak RSS, which its packed traces dominate,
+    # must also stay at or under 350 MB: it measures about 300 MB, and
+    # measured 519 MB when a memory op took 9 bytes instead of 4.
+    fig6_large_rss_mb=350
     for workload in fig6-default fig6-large families-8x8 fig6-finite16k; do
-        cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
-            --workload "$workload" --seed 1 --seconds 1 --trace 0
+        out=$(cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
+            --workload "$workload" --seed 1 --seconds 1 --trace 0) \
+            || { echo "$out"; exit 1; }
+        echo "$out"
+        if [[ "$workload" == fig6-large ]]; then
+            rss=$(tail -n 1 <<<"$out" | sed -n 's/.*"peak_rss_mb": {"value": \([0-9.]*\).*/\1/p')
+            awk -v rss="$rss" -v cap="$fig6_large_rss_mb" 'BEGIN { exit !(rss != "" && rss <= cap) }' \
+                || { echo "error: fig6-large peak_rss_mb '$rss' exceeds $fig6_large_rss_mb MB" >&2; exit 1; }
+        fi
     done
 fi
 

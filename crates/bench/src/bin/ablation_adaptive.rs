@@ -10,7 +10,7 @@
 
 use pfsim_analysis::{compare, TextTable};
 use pfsim_bench::cli::{Args, SIZE_FLAGS};
-use pfsim_bench::{metrics_of, ExperimentSpec};
+use pfsim_bench::ExperimentSpec;
 use pfsim_prefetch::Scheme;
 use pfsim_workloads::App;
 
@@ -48,15 +48,15 @@ fn main() {
         let [base_cell, seq_cell, adapt_cell, dda_cell] = cells else {
             unreachable!()
         };
-        let base = metrics_of(&base_cell.result);
+        let base = base_cell.result.run_metrics();
         let mut row = vec![app.name().to_string()];
         for cell in [seq_cell, adapt_cell] {
-            let c = compare(&base, &metrics_of(&cell.result));
+            let c = compare(&base, &cell.result.run_metrics());
             row.push(format!("{:.2}", c.relative_misses));
             row.push(format!("{:.2}", c.efficiency));
             row.push(format!("{:.2}", c.relative_traffic));
         }
-        let c = compare(&base, &metrics_of(&dda_cell.result));
+        let c = compare(&base, &dda_cell.result.run_metrics());
         row.push(format!("{:.2}", c.relative_misses));
         row.push(format!("{:.2}", c.relative_stall));
         table.row(row);

@@ -12,7 +12,7 @@
 use pfsim::SystemConfig;
 use pfsim_analysis::{compare, TextTable};
 use pfsim_bench::cli::{Args, SIZE_FLAGS};
-use pfsim_bench::{metrics_of, ExperimentSpec};
+use pfsim_bench::ExperimentSpec;
 use pfsim_prefetch::Scheme;
 use pfsim_workloads::App;
 
@@ -51,11 +51,11 @@ fn main() {
         ]);
         for (bs, group) in blocks.into_iter().zip(cells.chunks(schemes.len())) {
             let (base_cell, scheme_cells) = group.split_first().expect("baseline present");
-            let base = metrics_of(&base_cell.result);
+            let base = base_cell.result.run_metrics();
             let mut row = vec![format!("{bs}B"), format!("{}", base.read_misses)];
             let mut seq_traffic = String::new();
             for cell in scheme_cells {
-                let c = compare(&base, &metrics_of(&cell.result));
+                let c = compare(&base, &cell.result.run_metrics());
                 row.push(format!("{:.2}", c.relative_misses));
                 seq_traffic = format!("{:.2}", c.relative_traffic);
             }

@@ -11,7 +11,7 @@
 use pfsim::{ConsistencyModel, SystemConfig};
 use pfsim_analysis::TextTable;
 use pfsim_bench::cli::{Args, SIZE_FLAGS};
-use pfsim_bench::{metrics_of, ExperimentSpec};
+use pfsim_bench::ExperimentSpec;
 use pfsim_prefetch::Scheme;
 use pfsim_workloads::App;
 
@@ -54,11 +54,11 @@ fn main() {
         let [rc_cell, sc_cell, rc_seq_cell, sc_seq_cell] = cells else {
             unreachable!()
         };
-        let rc = metrics_of(&rc_cell.result);
-        let sc = metrics_of(&sc_cell.result);
+        let rc = rc_cell.result.run_metrics();
+        let sc = sc_cell.result.run_metrics();
         let write_stall = sc_cell.result.total(|n| n.write_stall);
-        let rc_seq = metrics_of(&rc_seq_cell.result);
-        let sc_seq = metrics_of(&sc_seq_cell.result);
+        let rc_seq = rc_seq_cell.result.run_metrics();
+        let sc_seq = sc_seq_cell.result.run_metrics();
         table.row(vec![
             app.name().into(),
             format!("{}", rc.exec_cycles),

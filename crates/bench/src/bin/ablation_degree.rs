@@ -11,7 +11,7 @@
 use pfsim::SystemConfig;
 use pfsim_analysis::{compare, TextTable};
 use pfsim_bench::cli::{Args, SIZE_FLAGS};
-use pfsim_bench::{metrics_of, ExperimentSpec};
+use pfsim_bench::ExperimentSpec;
 use pfsim_prefetch::Scheme;
 use pfsim_workloads::App;
 
@@ -39,7 +39,7 @@ fn main() {
 
     for (app, cells) in run.apps.iter().zip(run.by_app()) {
         let (base_cell, scheme_cells) = cells.split_first().expect("baseline present");
-        let base = metrics_of(&base_cell.result);
+        let base = base_cell.result.run_metrics();
         let mut table = TextTable::new(vec![
             "d".into(),
             "I-det misses".into(),
@@ -52,7 +52,7 @@ fn main() {
         for (d, pair) in degrees.into_iter().zip(scheme_cells.chunks(2)) {
             let mut row = vec![format!("{d}")];
             for cell in pair {
-                let c = compare(&base, &metrics_of(&cell.result));
+                let c = compare(&base, &cell.result.run_metrics());
                 row.push(format!("{:.2}", c.relative_misses));
                 row.push(format!("{:.2}", c.relative_stall));
                 row.push(format!("{:.2}", c.efficiency));

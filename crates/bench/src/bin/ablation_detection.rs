@@ -14,7 +14,7 @@
 
 use pfsim_analysis::{compare, TextTable};
 use pfsim_bench::cli::{Args, SIZE_FLAGS};
-use pfsim_bench::{metrics_of, ExperimentSpec};
+use pfsim_bench::ExperimentSpec;
 use pfsim_prefetch::Scheme;
 use pfsim_workloads::App;
 
@@ -35,14 +35,14 @@ fn main() {
 
     for (app, cells) in run.apps.iter().zip(run.by_app()) {
         let (base_cell, scheme_cells) = cells.split_first().expect("baseline present");
-        let base = metrics_of(&base_cell.result);
+        let base = base_cell.result.run_metrics();
         let mut rows = [
             vec![app.name().to_string()],
             vec![app.name().to_string()],
             vec![app.name().to_string()],
         ];
         for cell in scheme_cells {
-            let c = compare(&base, &metrics_of(&cell.result));
+            let c = compare(&base, &cell.result.run_metrics());
             rows[0].push(format!("{:.2}", c.relative_misses));
             rows[1].push(format!("{:.2}", c.efficiency));
             rows[2].push(format!("{:.2}", c.relative_traffic));

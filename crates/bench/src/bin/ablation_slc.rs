@@ -10,7 +10,7 @@
 use pfsim::SystemConfig;
 use pfsim_analysis::{compare, TextTable};
 use pfsim_bench::cli::{Args, SIZE_FLAGS};
-use pfsim_bench::{metrics_of, ExperimentSpec};
+use pfsim_bench::ExperimentSpec;
 use pfsim_prefetch::Scheme;
 use pfsim_workloads::App;
 
@@ -54,7 +54,7 @@ fn main() {
         ]);
         for ((_, label), group) in capacities.into_iter().zip(cells.chunks(schemes.len())) {
             let (base_cell, scheme_cells) = group.split_first().expect("baseline present");
-            let base = metrics_of(&base_cell.result);
+            let base = base_cell.result.run_metrics();
             let repl = base_cell.result.total(|n| n.replacement_misses);
             let mut row = vec![
                 label.to_string(),
@@ -65,7 +65,7 @@ fn main() {
                 ),
             ];
             for cell in scheme_cells {
-                let c = compare(&base, &metrics_of(&cell.result));
+                let c = compare(&base, &cell.result.run_metrics());
                 row.push(format!("{:.2}", c.relative_misses));
             }
             table.row(row);

@@ -4,7 +4,7 @@
 //! (`Size::from_args` here, positional `args().position(..)` there),
 //! which meant three slightly different spellings of the same error.
 //! Now there is a single typed [`Args`] struct, a single flag table
-//! ([`FLAGS`]) defining each flag's syntax exactly once, and each binary
+//! (`FLAGS`) defining each flag's syntax exactly once, and each binary
 //! merely declares *which* flags it accepts. Unknown flags are rejected
 //! with the same message everywhere; a known flag passed to a binary
 //! that does not accept it names the binary.

@@ -11,9 +11,9 @@ use std::collections::HashMap;
 )]
 use std::sync::{Arc, Mutex, OnceLock};
 
-use pfsim::{MissRecord, SimResult};
-use pfsim_analysis::{MissEvent, RunMetrics};
-use pfsim_workloads::{App, PackedTrace, ProblemSize, TraceCursor, TraceWorkload};
+use pfsim::MissRecord;
+use pfsim_analysis::MissEvent;
+use pfsim_workloads::{App, PackedTrace, ProblemSize, TraceCursor};
 
 pub mod cli;
 pub mod manifest;
@@ -64,24 +64,6 @@ impl Size {
             Size::Default => ProblemSize::Default,
             Size::Paper => ProblemSize::Paper,
             Size::Large => ProblemSize::Large,
-        }
-    }
-
-    /// Builds `app` at this size as a materialized trace.
-    pub fn build(self, app: App) -> TraceWorkload {
-        match self {
-            Size::Default => app.build_default(),
-            Size::Paper => app.build_paper(),
-            Size::Large => app.build_large(),
-        }
-    }
-
-    /// Builds `app` at this size in the packed encoding.
-    pub fn build_packed(self, app: App) -> PackedTrace {
-        match self {
-            Size::Default => app.build_default_packed(),
-            Size::Paper => app.build_paper_packed(),
-            Size::Large => app.build_large_packed(),
         }
     }
 }
@@ -199,12 +181,6 @@ pub fn cursor_for(app: App, size: Size, cpus: u16) -> TraceCursor {
     TraceCursor::new(shared_trace_for(app, size, cpus))
 }
 
-/// Converts a recorded miss stream into classifier input (thin wrapper
-/// over [`SimResult::miss_events`] for callers holding a raw trace).
-pub fn miss_events(trace: &[MissRecord]) -> Vec<MissEvent> {
-    miss_event_iter(trace).collect()
-}
-
 /// Borrowed-iterator view of a recorded miss stream: yields classifier
 /// events straight off the records, no intermediate `Vec`.
 pub fn miss_event_iter(trace: &[MissRecord]) -> impl Iterator<Item = MissEvent> + '_ {
@@ -212,11 +188,6 @@ pub fn miss_event_iter(trace: &[MissRecord]) -> impl Iterator<Item = MissEvent> 
         pc: m.pc,
         block: m.block,
     })
-}
-
-/// Extracts the Figure-6 aggregate metrics from a run.
-pub fn metrics_of(r: &SimResult) -> RunMetrics {
-    r.run_metrics()
 }
 
 /// The processor whose miss stream the characterization records: an
@@ -243,7 +214,6 @@ pub fn recorded_cpu_for(width: u16, height: u16) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pfsim::{RecordMisses, System, SystemConfig};
     use pfsim_workloads::App;
 
     /// Size names round-trip through their `Display` form (the spelling
@@ -255,13 +225,6 @@ mod tests {
         }
         assert!(Size::parse("huge").is_err());
         assert!(Size::parse("Paper").is_err());
-    }
-
-    #[test]
-    fn size_builds_every_app() {
-        for app in App::ALL {
-            assert!(Size::Default.build(app).total_ops() > 0, "{app}");
-        }
     }
 
     #[test]
@@ -292,7 +255,7 @@ mod tests {
             for i in 0..reads {
                 b.read(0, pfsim_mem::Addr::new(64 * i), pc);
             }
-            Arc::new(b.finish_packed())
+            Arc::new(b.finish())
         };
         let [a, b, c] = [Size::Default, Size::Paper, Size::Large].map(|size| (App::Lu, size, 16));
         let mut cache = TraceCache::default();
@@ -308,30 +271,6 @@ mod tests {
         let left: Vec<_> = cache.entries.keys().collect();
         assert_eq!(left, [&c], "c was just requested, so it stays over the cap");
         assert!(cache.request(b).get().is_none());
-    }
-
-    #[test]
-    fn metrics_extraction_matches_result() {
-        let wl = pfsim_workloads::micro::sequential_walk(16, 32, 1);
-        let r = System::new(SystemConfig::paper_baseline(), wl).run();
-        let m = metrics_of(&r);
-        assert_eq!(m.read_misses, r.read_misses());
-        assert_eq!(m.read_stall, r.read_stall());
-        assert_eq!(m.exec_cycles, r.exec_cycles);
-        assert_eq!(m.flits, r.net.flits);
-    }
-
-    #[test]
-    fn miss_events_preserve_pc_and_block() {
-        let wl = pfsim_workloads::micro::sequential_walk(16, 8, 1);
-        let cfg = SystemConfig::paper_baseline().with_recording(RecordMisses::Cpu(0));
-        let r = System::new(cfg, wl).run();
-        let events = miss_events(&r.miss_traces[0]);
-        assert_eq!(events.len(), r.miss_traces[0].len());
-        for (e, m) in events.iter().zip(&r.miss_traces[0]) {
-            assert_eq!(e.pc, m.pc);
-            assert_eq!(e.block, m.block);
-        }
     }
 
     #[test]

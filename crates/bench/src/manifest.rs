@@ -305,7 +305,7 @@ fn unix_time() -> u64 {
 
 /// A validated run manifest, read back into its typed shape.
 ///
-/// Reading is symmetric with writing: every field [`manifest_json`]
+/// Reading is symmetric with writing: every field `manifest_json`
 /// emits that downstream consumers care about comes back as a typed
 /// accessor, so the server cache, `perfsmoke --check`, `pfsim-client`
 /// and `pfsim-benchmark` all share one walk of the document instead of

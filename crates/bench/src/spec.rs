@@ -231,7 +231,7 @@ impl Runner {
         }
     }
 
-    /// Executes `spec`: the generation phase materializes every distinct
+    /// Executes `spec`: the generation phase generates every distinct
     /// `(app, size)` trace (in parallel unless the spec is
     /// [`serial`](ExperimentSpec::serial)), then the simulation phase
     /// runs the full grid app-major. Wall-clock is accounted per phase
@@ -499,11 +499,6 @@ impl ExperimentRun {
     /// The cell for `(app_idx, var_idx)`.
     pub fn cell(&self, app_idx: usize, var_idx: usize) -> &CellResult {
         &self.cells[app_idx * self.variants.len() + var_idx]
-    }
-
-    /// The trace description for `(app, size)`, if the run generated it.
-    pub fn trace(&self, app: App, size: Size) -> Option<&TraceInfo> {
-        self.traces.iter().find(|t| t.app == app && t.size == size)
     }
 
     /// The directory manifests are written to.

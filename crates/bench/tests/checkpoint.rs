@@ -9,11 +9,11 @@
 //! arena-backed event queue they serialize.
 
 use pfsim::{Cycle, SimResult, System, SystemConfig};
-use pfsim_bench::ExperimentSpec;
+use pfsim_bench::{cursor, ExperimentSpec, Size};
 use pfsim_check::ConsistencyOracle;
 use pfsim_mem::{Addr, Pc};
 use pfsim_prefetch::Scheme;
-use pfsim_workloads::{App, Op, TraceWorkload};
+use pfsim_workloads::{App, Op, TraceCursor};
 
 /// Warmup boundary used throughout: deep enough that caches, directory,
 /// mesh, and the calendar queue all carry live state across the snapshot.
@@ -56,8 +56,8 @@ fn instrumented(scheme: Scheme) -> SystemConfig {
 #[test]
 fn run_until_then_run_is_invisible() {
     for scheme in SCHEMES {
-        let straight = System::new(instrumented(scheme), App::Water.build_default()).run();
-        let mut sys = System::new(instrumented(scheme), App::Water.build_default());
+        let straight = System::new(instrumented(scheme), cursor(App::Water, Size::Default)).run();
+        let mut sys = System::new(instrumented(scheme), cursor(App::Water, Size::Default));
         sys.run_until(Cycle::new(BOUNDARY));
         let paused = sys.run();
         assert_identical(&straight, &paused, &format!("{scheme:?} paused"));
@@ -71,7 +71,7 @@ fn run_until_then_run_is_invisible() {
 #[test]
 fn checkpoint_round_trip_matches_straight_through() {
     for app in [App::Water, App::Mp3d] {
-        let mut warm = System::new(instrumented(Scheme::None), app.build_default());
+        let mut warm = System::new(instrumented(Scheme::None), cursor(app, Size::Default));
         warm.run_until(Cycle::new(BOUNDARY));
         let ckpt = warm
             .snapshot()
@@ -79,7 +79,7 @@ fn checkpoint_round_trip_matches_straight_through() {
         for scheme in SCHEMES {
             // Straight-through arm: a fresh machine warmed the same way,
             // never snapshotted.
-            let mut straight = System::new(instrumented(Scheme::None), app.build_default());
+            let mut straight = System::new(instrumented(Scheme::None), cursor(app, Size::Default));
             straight.run_until(Cycle::new(BOUNDARY));
             straight.reconfigure_scheme(scheme);
             let expect = straight.run();
@@ -96,7 +96,10 @@ fn checkpoint_round_trip_matches_straight_through() {
 /// running the first does not perturb the second.
 #[test]
 fn checkpoint_is_reusable() {
-    let mut warm = System::new(instrumented(Scheme::None), App::Cholesky.build_default());
+    let mut warm = System::new(
+        instrumented(Scheme::None),
+        cursor(App::Cholesky, Size::Default),
+    );
     warm.run_until(Cycle::new(BOUNDARY));
     let ckpt = warm
         .snapshot()
@@ -115,7 +118,10 @@ fn oracle_hook_stream_survives_restore() {
     let run_arm = |restore: bool| {
         let cfg = instrumented(Scheme::Sequential { degree: 1 });
         let (geometry, nodes) = (cfg.geometry, cfg.nodes as usize);
-        let mut sys = System::new(cfg.with_scheme(Scheme::None), App::Ocean.build_default());
+        let mut sys = System::new(
+            cfg.with_scheme(Scheme::None),
+            cursor(App::Ocean, Size::Default),
+        );
         sys.set_check_sink(Box::new(ConsistencyOracle::new(geometry, nodes)));
         sys.run_until(Cycle::new(BOUNDARY));
         let mut sys = if restore {
@@ -152,7 +158,10 @@ fn oracle_is_pclock_neutral_across_restore() {
     let run_arm = |with_oracle: bool| {
         let cfg = instrumented(Scheme::DDetection { degree: 1 });
         let (geometry, nodes) = (cfg.geometry, cfg.nodes as usize);
-        let mut sys = System::new(cfg.with_scheme(Scheme::None), App::Mp3d.build_default());
+        let mut sys = System::new(
+            cfg.with_scheme(Scheme::None),
+            cursor(App::Mp3d, Size::Default),
+        );
         if with_oracle {
             sys.set_check_sink(Box::new(ConsistencyOracle::new(geometry, nodes)));
         }
@@ -190,7 +199,7 @@ fn litmus_cell_restores_under_check() {
     for t in &mut traces {
         t.push(Op::Barrier { id: 999 });
     }
-    let wl = TraceWorkload::new("mp-restore", traces);
+    let wl = TraceCursor::from_ops("mp-restore", &traces);
 
     let run_arm = |restore: bool| {
         let cfg = SystemConfig::paper_baseline().with_scheme(Scheme::Sequential { degree: 1 });

@@ -9,7 +9,7 @@
 use pfsim::{SimResult, System, SystemConfig};
 use pfsim_bench::par_map;
 use pfsim_prefetch::Scheme;
-use pfsim_workloads::App;
+use pfsim_workloads::{App, ProblemSize, TraceCursor};
 
 /// The full observable surface of a run, compared field by field so a
 /// mismatch names what diverged instead of dumping two debug strings.
@@ -26,7 +26,8 @@ fn run_once(app: App, scheme: Option<Scheme>) -> SimResult {
     if let Some(s) = scheme {
         cfg = cfg.with_scheme(s);
     }
-    System::new(cfg, app.build_default()).run()
+    let trace = app.build_packed_for(ProblemSize::Default, 16);
+    System::new(cfg, TraceCursor::new(trace)).run()
 }
 
 /// The same experiment run twice in one process is bit-identical,

@@ -1,50 +1,11 @@
-//! Packed-trace replay determinism and size.
-//!
-//! The packed shared-trace subsystem must be invisible to the timing
-//! model: replaying an `Arc<PackedTrace>` through a `TraceCursor` has to
-//! produce the same `SimResult`, byte for byte, as the materialized
-//! `Vec<Op>` path — for every application — and decoding the same shared
-//! trace from many threads at once must yield identical op streams. The
-//! encoding must also stay within its bytes-per-op budget.
+//! Packed-trace replay: decoding the same shared trace from many threads
+//! at once must yield identical op streams, and the encoding must stay
+//! within its bytes-per-op budget.
 
 use std::sync::Arc;
 
-use pfsim::{SimResult, System, SystemConfig};
-use pfsim_bench::{cursor, par_map, shared_trace, Size};
-use pfsim_prefetch::Scheme;
+use pfsim_bench::{par_map, shared_trace, Size};
 use pfsim_workloads::{App, Op, TraceCursor, Workload};
-
-/// The full observable surface of a run, compared field by field so a
-/// mismatch names what diverged instead of dumping two debug strings.
-fn assert_identical(a: &SimResult, b: &SimResult, what: &str) {
-    assert_eq!(a.exec_cycles, b.exec_cycles, "{what}: exec_cycles");
-    assert_eq!(a.nodes, b.nodes, "{what}: per-node counters");
-    assert_eq!(a.net, b.net, "{what}: network stats");
-    assert_eq!(a.dir, b.dir, "{what}: directory stats");
-    assert_eq!(a.miss_traces, b.miss_traces, "{what}: miss traces");
-}
-
-/// For every application, the packed-replay result is byte-identical to
-/// the materialized-trace result, on the baseline and on a prefetching
-/// configuration (which adds prefetch-table and traffic state).
-#[test]
-fn packed_replay_matches_materialized_path_for_every_app() {
-    for app in App::ALL {
-        for scheme in [None, Some(Scheme::Sequential { degree: 1 })] {
-            let mut cfg = SystemConfig::paper_baseline();
-            if let Some(s) = scheme {
-                cfg = cfg.with_scheme(s);
-            }
-            let materialized = System::new(cfg.clone(), app.build_default()).run();
-            let packed = System::new(cfg, cursor(app, Size::Default)).run();
-            assert_identical(
-                &materialized,
-                &packed,
-                &format!("{app} {scheme:?} packed vs materialized"),
-            );
-        }
-    }
-}
 
 /// Two decodes of the same shared trace are identical across threads:
 /// four workers each fully drain a private cursor over one
@@ -66,20 +27,6 @@ fn drain(mut cursor: TraceCursor) -> Vec<Vec<Op>> {
     (0..cursor.num_cpus())
         .map(|cpu| std::iter::from_fn(|| cursor.next(cpu)).collect())
         .collect()
-}
-
-/// The builder's two finishers agree: `finish()` is defined as the decode
-/// of `finish_packed()`, so the materialized trace and the packed decode
-/// enumerate the same ops (spot-checked per CPU on one app).
-#[test]
-fn materialized_trace_equals_packed_decode() {
-    let wl = App::Lu.build_default();
-    let packed = shared_trace(App::Lu, Size::Default);
-    assert_eq!(wl.total_ops(), packed.total_ops());
-    for cpu in 0..wl.num_cpus() {
-        let decoded: Vec<Op> = packed.iter_cpu(cpu).collect();
-        assert_eq!(wl.trace(cpu), &decoded[..], "cpu {cpu}");
-    }
 }
 
 /// The packed encoding's budget: a narrow read is 4 bytes and a compute

@@ -7,7 +7,7 @@ use pfsim::SystemConfig;
 use pfsim_mem::SplitMix64;
 use pfsim_prefetch::Scheme;
 use pfsim_workloads::fuzz::{random_ops, random_workload};
-use pfsim_workloads::TraceWorkload;
+use pfsim_workloads::TraceCursor;
 
 use crate::OpMatrix;
 
@@ -67,7 +67,7 @@ impl FuzzCase {
     }
 
     /// The case's workload over `ops` (its own lanes, or a shrunk copy).
-    pub fn workload(&self, ops: &[Vec<(u8, u16)>]) -> TraceWorkload {
+    pub fn workload(&self, ops: &[Vec<(u8, u16)>]) -> TraceCursor {
         random_workload(ops, self.blocks, self.locks)
     }
 }

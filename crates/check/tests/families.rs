@@ -14,12 +14,12 @@
 use pfsim::SystemConfig;
 use pfsim_check::{run_checked, CheckReport};
 use pfsim_prefetch::Scheme;
-use pfsim_workloads::{chase, mstride, server, TraceWorkload, Workload};
+use pfsim_workloads::{chase, mstride, server, PackedTrace, TraceCursor};
 
 /// Scaled-down CHASE cell: every structural feature of the family
 /// (per-cpu rings, shared probe tree, seeded permutations) at a size
 /// the debug test pass can afford under the oracle.
-fn chase_cell(seed: u64) -> TraceWorkload {
+fn chase_cell(seed: u64) -> PackedTrace {
     chase::build(chase::ChaseParams {
         list_nodes_per_cpu: 32,
         tree_nodes: 31,
@@ -31,7 +31,7 @@ fn chase_cell(seed: u64) -> TraceWorkload {
     })
 }
 
-fn mstride_cell() -> TraceWorkload {
+fn mstride_cell() -> PackedTrace {
     mstride::build(mstride::MstrideParams {
         rows: 32,
         cols: 16,
@@ -41,7 +41,7 @@ fn mstride_cell() -> TraceWorkload {
     })
 }
 
-fn server_cell() -> TraceWorkload {
+fn server_cell() -> PackedTrace {
     server::build(server::ServerParams {
         heap_blocks: 512,
         requests_per_cpu: 16,
@@ -53,7 +53,7 @@ fn server_cell() -> TraceWorkload {
     })
 }
 
-fn cells() -> Vec<TraceWorkload> {
+fn cells() -> Vec<PackedTrace> {
     vec![chase_cell(7), mstride_cell(), server_cell()]
 }
 
@@ -92,7 +92,7 @@ fn families_all_schemes_violation_free() {
             let cfg = SystemConfig::paper_baseline()
                 .with_scheme(scheme)
                 .with_finite_slc(1024);
-            let report = run_checked(cfg, wl);
+            let report = run_checked(cfg, TraceCursor::new(wl));
             assert_clean(&report, &format!("{name} under {scheme:?}"));
         }
     }
@@ -111,7 +111,7 @@ fn chase_fuzz_seeds_clean() {
         let cfg = SystemConfig::paper_baseline()
             .with_scheme(Scheme::DDetection { degree: 1 })
             .with_finite_slc(1024);
-        let report = run_checked(cfg, chase_cell(seed));
+        let report = run_checked(cfg, TraceCursor::new(chase_cell(seed)));
         assert_clean(&report, &format!("chase seed {seed:#x}"));
     }
 }

@@ -16,7 +16,7 @@ use pfsim_check::run_checked;
 use pfsim_mem::{Addr, Pc, SplitMix64};
 use pfsim_prefetch::Scheme;
 use pfsim_workloads::fuzz::{random_ops, random_workload};
-use pfsim_workloads::{Op, TraceWorkload};
+use pfsim_workloads::{Op, TraceCursor};
 
 const CPUS: usize = 16;
 const FINAL_BARRIER: u32 = 999;
@@ -55,7 +55,7 @@ fn rel(lock: Addr) -> Op {
 
 /// Builds a 16-lane workload from sparse per-cpu op lists; every lane
 /// (busy or idle) joins the final barrier so the run ends synchronized.
-fn litmus(name: &str, lanes: &[(usize, &[Op])]) -> TraceWorkload {
+fn litmus(name: &str, lanes: &[(usize, &[Op])]) -> TraceCursor {
     let mut traces = vec![Vec::new(); CPUS];
     for &(cpu, ops) in lanes {
         traces[cpu] = ops.to_vec();
@@ -63,11 +63,11 @@ fn litmus(name: &str, lanes: &[(usize, &[Op])]) -> TraceWorkload {
     for t in &mut traces {
         t.push(Op::Barrier { id: FINAL_BARRIER });
     }
-    TraceWorkload::new(name, traces)
+    TraceCursor::from_ops(name, &traces)
 }
 
 /// The litmus table. Each entry builds its workload fresh per config.
-fn shapes() -> Vec<(&'static str, TraceWorkload)> {
+fn shapes() -> Vec<(&'static str, TraceCursor)> {
     // Barrier-ordering needs every lane at the intermediate barrier too.
     let mut barrier_lanes: Vec<(usize, Vec<Op>)> = (0..CPUS)
         .map(|c| (c, vec![Op::Barrier { id: 1 }]))

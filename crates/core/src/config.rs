@@ -289,18 +289,6 @@ impl SystemConfigBuilder {
         self
     }
 
-    /// Uses the paper's default infinite SLC.
-    pub fn slc_infinite(mut self) -> Self {
-        self.cfg.slc = SlcConfig::infinite();
-        self
-    }
-
-    /// Uses a finite set-associative SLC with true LRU.
-    pub fn slc_set_assoc(mut self, kb: u64, ways: usize) -> Self {
-        self.cfg.slc = SlcConfig::set_associative(kb * 1024, ways);
-        self
-    }
-
     /// Uses coherence blocks of `bytes`, scaling the bus occupancy (see
     /// [`SystemConfig::with_block_bytes`]).
     ///
@@ -382,11 +370,7 @@ mod tests {
         assert_eq!(c.record_misses, RecordMisses::Cpu(5));
         assert!(c.instrument);
 
-        let c = SystemConfig::builder()
-            .slc_set_assoc(16, 4)
-            .block_bytes(64)
-            .slc_infinite()
-            .build();
+        let c = SystemConfig::builder().block_bytes(64).build();
         assert_eq!(c.slc, SlcConfig::infinite());
         assert_eq!(c.geometry.block_bytes(), 64);
         assert_eq!(c.mem_occupancy, 6);

@@ -1,95 +1,7 @@
-//! Convenience drivers for the paper's experiments.
-//!
-//! The single entry point is the [`Run`] builder: configure a workload,
-//! optionally override the scheme, recording or instrumentation, and
-//! [`execute`](Run::execute). It is generic over [`Workload`], so it
-//! accepts both a materialized
-//! [`TraceWorkload`](pfsim_workloads::TraceWorkload) and a zero-copy
-//! [`TraceCursor`](pfsim_workloads::TraceCursor) over a shared packed
-//! trace with static dispatch either way.
+//! The scheme set of the paper's central comparison. A run itself is
+//! `System::new(cfg, workload).run()`.
 
 use pfsim_prefetch::Scheme;
-use pfsim_workloads::Workload;
-
-use crate::{RecordMisses, SimResult, System, SystemConfig};
-
-/// Builder for one simulation run.
-///
-/// Starts from [`SystemConfig::paper_baseline`]; every method overrides
-/// one aspect of the configuration, and [`execute`](Run::execute)
-/// constructs the [`System`] and runs it to completion.
-///
-/// # Examples
-///
-/// ```
-/// use pfsim::experiment::Run;
-/// use pfsim_prefetch::Scheme;
-/// use pfsim_workloads::micro;
-///
-/// let base = Run::new(micro::sequential_walk(16, 64, 1)).execute();
-/// let seq = Run::new(micro::sequential_walk(16, 64, 1))
-///     .scheme(Scheme::Sequential { degree: 1 })
-///     .execute();
-/// assert!(seq.read_misses() < base.read_misses());
-/// ```
-#[derive(Debug, Clone)]
-pub struct Run<W: Workload> {
-    workload: W,
-    cfg: SystemConfig,
-}
-
-impl<W: Workload> Run<W> {
-    /// A paper-baseline run of `workload`.
-    pub fn new(workload: W) -> Self {
-        Run {
-            workload,
-            cfg: SystemConfig::paper_baseline(),
-        }
-    }
-
-    /// Replaces the whole configuration (overrides applied so far are
-    /// discarded; later methods modify the new configuration).
-    pub fn config(mut self, cfg: SystemConfig) -> Self {
-        self.cfg = cfg;
-        self
-    }
-
-    /// Attaches a prefetching scheme.
-    pub fn scheme(mut self, scheme: Scheme) -> Self {
-        self.cfg.scheme = scheme;
-        self
-    }
-
-    /// Records the miss stream of processor `cpu` (the §5.1
-    /// characterization setup).
-    pub fn record_misses(mut self, cpu: usize) -> Self {
-        self.cfg.record_misses = RecordMisses::Cpu(cpu);
-        self
-    }
-
-    /// Records every processor's miss stream.
-    pub fn record_all(mut self) -> Self {
-        self.cfg.record_misses = RecordMisses::All;
-        self
-    }
-
-    /// Enables the observability registry (see
-    /// [`SimResult::metrics`](crate::SimResult::metrics)).
-    pub fn instrument(mut self, on: bool) -> Self {
-        self.cfg.instrument = on;
-        self
-    }
-
-    /// The configuration the run will use.
-    pub fn configuration(&self) -> &SystemConfig {
-        &self.cfg
-    }
-
-    /// Runs the workload to completion.
-    pub fn execute(self) -> SimResult {
-        System::new(self.cfg, self.workload).run()
-    }
-}
 
 /// The comparison of Figure 6: baseline, I-detection, D-detection and
 /// sequential prefetching at degree 1, on the same workload.
@@ -100,47 +12,4 @@ pub fn figure6_schemes() -> [Scheme; 4] {
         Scheme::DDetection { degree: 1 },
         Scheme::Sequential { degree: 1 },
     ]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use pfsim_workloads::micro;
-
-    #[test]
-    fn run_builder_matches_direct_construction() {
-        let direct = System::new(
-            SystemConfig::paper_baseline().with_scheme(Scheme::Sequential { degree: 1 }),
-            micro::sequential_walk(16, 32, 1),
-        )
-        .run();
-        let built = Run::new(micro::sequential_walk(16, 32, 1))
-            .scheme(Scheme::Sequential { degree: 1 })
-            .execute();
-        assert_eq!(built.exec_cycles, direct.exec_cycles);
-        assert_eq!(built.read_misses(), direct.read_misses());
-    }
-
-    #[test]
-    fn run_builder_records_and_instruments() {
-        let r = Run::new(micro::sequential_walk(16, 32, 1))
-            .record_misses(0)
-            .instrument(true)
-            .execute();
-        assert!(!r.miss_traces[0].is_empty());
-        let m = r.metrics.expect("instrumented run carries a snapshot");
-        assert!(m.counter("ev_cpu_step").unwrap() > 0);
-    }
-
-    #[test]
-    fn config_override_then_refine() {
-        let run = Run::new(micro::sequential_walk(16, 8, 1))
-            .config(SystemConfig::builder().slc_kb(16).build())
-            .scheme(Scheme::Sequential { degree: 2 });
-        assert_eq!(run.configuration().scheme, Scheme::Sequential { degree: 2 });
-        assert_eq!(
-            run.configuration().slc,
-            pfsim_cache::SlcConfig::direct_mapped(16 * 1024)
-        );
-    }
 }

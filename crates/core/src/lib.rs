@@ -73,7 +73,6 @@ mod system;
 pub use check::{CheckSink, HookCounts};
 pub use checkpoint::Checkpoint;
 pub use config::{ConsistencyModel, RecordMisses, SystemConfig, SystemConfigBuilder};
-pub use experiment::Run;
 pub use pfsim_coherence::{DirStats, MAX_SHARERS};
 pub use pfsim_engine::metrics::{HistogramSnapshot, MetricsSnapshot};
 pub use pfsim_engine::Cycle;

@@ -1697,20 +1697,6 @@ impl<W: Workload> System<W> {
         }
     }
 
-    /// Per-node resource utilization snapshot (diagnostics).
-    pub fn server_report(&self) -> Vec<(u64, u64, u64)> {
-        self.nodes
-            .iter()
-            .map(|n| {
-                (
-                    n.slc_server.busy_cycles(),
-                    n.dir_server.busy_cycles(),
-                    n.mem.busy_cycles(),
-                )
-            })
-            .collect()
-    }
-
     /// Audits system-wide coherence invariants (used by tests): every
     /// directory entry must agree with the cache states it records.
     ///

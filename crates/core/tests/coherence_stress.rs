@@ -11,9 +11,9 @@ use pfsim::{System, SystemConfig};
 use pfsim_mem::{Addr, Pc, SplitMix64};
 use pfsim_prefetch::Scheme;
 use pfsim_workloads::fuzz::{random_ops, random_workload};
-use pfsim_workloads::{Op, TraceWorkload};
+use pfsim_workloads::{Op, TraceCursor};
 
-fn check(workload: TraceWorkload, scheme: Scheme, finite_slc: bool, instrumented: bool) {
+fn check(workload: TraceCursor, scheme: Scheme, finite_slc: bool, instrumented: bool) {
     let mut cfg = SystemConfig::paper_baseline()
         .with_scheme(scheme)
         .with_instrumentation(instrumented);
@@ -118,7 +118,7 @@ fn single_block_hammer() {
     }
     let mut sys = System::new(
         SystemConfig::paper_baseline(),
-        TraceWorkload::new("hammer", traces),
+        TraceCursor::from_ops("hammer", &traces),
     );
     let r = sys.run();
     sys.audit_coherence();
@@ -149,7 +149,7 @@ fn writeback_fetch_races() {
     }
     let mut sys = System::new(
         SystemConfig::paper_baseline().with_finite_slc(1024),
-        TraceWorkload::new("wb-race", traces),
+        TraceCursor::from_ops("wb-race", &traces),
     );
     let r = sys.run();
     sys.audit_coherence();

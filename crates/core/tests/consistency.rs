@@ -4,12 +4,12 @@
 
 use pfsim::{System, SystemConfig};
 use pfsim_mem::{Addr, Pc};
-use pfsim_workloads::{Op, TraceWorkload};
+use pfsim_workloads::{Op, TraceCursor};
 
-fn solo(ops: Vec<Op>) -> TraceWorkload {
+fn solo(ops: Vec<Op>) -> TraceCursor {
     let mut traces = vec![Vec::new(); 16];
     traces[0] = ops;
-    TraceWorkload::new("solo", traces)
+    TraceCursor::from_ops("solo", &traces)
 }
 
 const LOCAL: u64 = 16 * 4096; // page homed on node 0
@@ -84,7 +84,7 @@ fn release_orders_prior_writes() {
     traces[1].push(Op::Release { lock });
     let mut sys = System::new(
         SystemConfig::paper_baseline(),
-        TraceWorkload::new("release-order", traces),
+        TraceCursor::from_ops("release-order", &traces),
     );
     let r = sys.run();
     sys.audit_coherence();
@@ -136,7 +136,7 @@ fn barrier_separates_phases() {
     }
     let mut sys = System::new(
         SystemConfig::paper_baseline(),
-        TraceWorkload::new("barrier-phases", traces),
+        TraceCursor::from_ops("barrier-phases", &traces),
     );
     let r = sys.run();
     sys.audit_coherence();
@@ -161,7 +161,7 @@ fn queue_based_locks_hand_off_without_retries() {
     }
     let mut sys = System::new(
         SystemConfig::paper_baseline(),
-        TraceWorkload::new("lock-queue", traces),
+        TraceCursor::from_ops("lock-queue", &traces),
     );
     let r = sys.run();
     sys.audit_coherence();
@@ -186,7 +186,7 @@ fn contended_locks_accumulate_sync_stall() {
             trace.push(Op::Compute { cycles: 200 });
             trace.push(Op::Release { lock });
         }
-        TraceWorkload::new("contended", traces)
+        TraceCursor::from_ops("contended", &traces)
     };
     let few = System::new(SystemConfig::paper_baseline(), build(2)).run();
     let many = System::new(SystemConfig::paper_baseline(), build(12)).run();

@@ -5,12 +5,12 @@
 use pfsim::{System, SystemConfig};
 use pfsim_mem::{Addr, Pc};
 use pfsim_prefetch::Scheme;
-use pfsim_workloads::{micro, Op, TraceWorkload};
+use pfsim_workloads::{micro, Op, TraceCursor};
 
-fn solo(ops: Vec<Op>) -> TraceWorkload {
+fn solo(ops: Vec<Op>) -> TraceCursor {
     let mut traces = vec![Vec::new(); 16];
     traces[0] = ops;
-    TraceWorkload::new("solo", traces)
+    TraceCursor::from_ops("solo", &traces)
 }
 
 fn read_at(addr: u64) -> Op {
@@ -131,7 +131,7 @@ fn invalidated_prefetches_are_useless() {
     }
     let mut sys = System::new(
         SystemConfig::paper_baseline().with_scheme(Scheme::Sequential { degree: 1 }),
-        TraceWorkload::new("inval-pf", traces),
+        TraceCursor::from_ops("inval-pf", &traces),
     );
     let r = sys.run();
     sys.audit_coherence();

@@ -5,13 +5,13 @@
 use pfsim::{MissCause, RecordMisses, System, SystemConfig};
 use pfsim_mem::{Addr, Pc};
 use pfsim_prefetch::Scheme;
-use pfsim_workloads::{micro, Op, TraceWorkload};
+use pfsim_workloads::{micro, Op, TraceCursor};
 
 /// A 16-CPU trace where only CPU 0 executes `ops`.
-fn solo(ops: Vec<Op>) -> TraceWorkload {
+fn solo(ops: Vec<Op>) -> TraceCursor {
     let mut traces = vec![Vec::new(); 16];
     traces[0] = ops;
-    TraceWorkload::new("solo", traces)
+    TraceCursor::from_ops("solo", &traces)
 }
 
 fn read(addr: u64) -> Op {
@@ -92,7 +92,7 @@ fn dirty_remote_read_takes_four_traversals() {
     }
     let mut sys = System::new(
         SystemConfig::paper_baseline(),
-        TraceWorkload::new("w", traces),
+        TraceCursor::from_ops("w", &traces),
     );
     let r = sys.run();
     assert_eq!(r.nodes[0].read_misses, 1);
@@ -335,15 +335,15 @@ fn interleaved_streams_fit_in_the_rpt() {
     // them all.
     let mut traces = vec![Vec::new(); 16];
     let wl1 = micro::interleaved_streams(8, 96, 64);
-    traces[0] = wl1.trace(0).to_vec();
+    traces[0] = wl1.trace().iter_cpu(0).collect();
     let base = System::new(
         SystemConfig::paper_baseline(),
-        TraceWorkload::new("w", traces.clone()),
+        TraceCursor::from_ops("w", &traces),
     )
     .run();
     let idet = System::new(
         SystemConfig::paper_baseline().with_scheme(Scheme::IDetection { degree: 1 }),
-        TraceWorkload::new("w", traces),
+        TraceCursor::from_ops("w", &traces),
     )
     .run();
     let covered = |r: &pfsim::SimResult| r.read_misses() + r.total(|n| n.delayed_hits);
@@ -372,7 +372,7 @@ fn set_associativity_absorbs_conflict_misses() {
             }
         }
     }
-    let wl = || TraceWorkload::new("conflict", traces.clone());
+    let wl = || TraceCursor::from_ops("conflict", &traces);
     let dm = System::new(
         SystemConfig::paper_baseline().with_finite_slc(16 * 1024),
         wl(),
@@ -425,14 +425,40 @@ fn every_scheme_registers_its_metrics_once() {
             | Scheme::DDetectionAdaptive { .. }
             | Scheme::AdaptiveSequential { .. } => {}
         }
-        let r = pfsim::experiment::Run::new(micro::sequential_walk(16, 32, 1))
+        let cfg = SystemConfig::builder()
             .scheme(scheme)
             .instrument(true)
-            .execute();
+            .build();
+        let r = System::new(cfg, micro::sequential_walk(16, 32, 1)).run();
         let m = r.metrics.expect("instrumented run carries a snapshot");
         assert!(
             m.counter("ev_cpu_step").is_some_and(|n| n > 0),
             "{scheme:?}"
         );
+    }
+}
+
+/// `run_metrics` carries the run's own totals into the Figure-6 metrics.
+#[test]
+fn run_metrics_match_the_result() {
+    let wl = micro::sequential_walk(16, 32, 1);
+    let r = System::new(SystemConfig::paper_baseline(), wl).run();
+    let m = r.run_metrics();
+    assert_eq!(m.read_misses, r.read_misses());
+    assert_eq!(m.read_stall, r.read_stall());
+    assert_eq!(m.exec_cycles, r.exec_cycles);
+    assert_eq!(m.flits, r.net.flits);
+}
+
+#[test]
+fn miss_events_preserve_pc_and_block() {
+    let wl = micro::sequential_walk(16, 8, 1);
+    let cfg = SystemConfig::paper_baseline().with_recording(RecordMisses::Cpu(0));
+    let r = System::new(cfg, wl).run();
+    let events = r.miss_events(0);
+    assert_eq!(events.len(), r.miss_traces[0].len());
+    for (e, m) in events.iter().zip(&r.miss_traces[0]) {
+        assert_eq!(e.pc, m.pc);
+        assert_eq!(e.block, m.block);
     }
 }

@@ -17,7 +17,7 @@ const CHUNK_MASK: u64 = CHUNK as u64 - 1;
 /// with no hashing, and consecutive blocks land in the same chunk — far
 /// friendlier to the host cache than a hash map when the guest has spatial
 /// locality. Memory is `O(max_key)` in pointer-table space (8 bytes per
-/// [`CHUNK`] keys) plus one chunk per touched 64-key neighbourhood.
+/// `CHUNK` = 64 keys) plus one chunk per touched 64-key neighbourhood.
 ///
 /// Not a general-purpose map: keys far apart (sparse, e.g. ≥ 2³²) grow the
 /// pointer table proportionally. All simulator block indices are dense.

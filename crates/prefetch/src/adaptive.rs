@@ -42,7 +42,6 @@ use crate::{Prefetcher, ReadAccess, ReadOutcome};
 pub struct AdaptiveSequential {
     geometry: Geometry,
     degree: u32,
-    initial_degree: u32,
     max_degree: u32,
     /// Prefetches issued in the current window (as observed through
     /// outcomes; see below).
@@ -69,7 +68,6 @@ impl AdaptiveSequential {
         AdaptiveSequential {
             geometry,
             degree: initial_degree.min(max_degree),
-            initial_degree: initial_degree.min(max_degree),
             max_degree: max_degree.max(1),
             issued: 0,
             useful: 0,
@@ -140,13 +138,6 @@ impl Prefetcher for AdaptiveSequential {
 
     fn name(&self) -> &'static str {
         "Adapt-Seq"
-    }
-
-    fn reset(&mut self) {
-        self.degree = self.initial_degree;
-        self.issued = 0;
-        self.useful = 0;
-        self.dormant_misses = 0;
     }
 
     fn clone_box(&self) -> Box<dyn Prefetcher> {

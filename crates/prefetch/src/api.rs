@@ -106,9 +106,6 @@ pub trait Prefetcher: Send {
         let _ = out;
     }
 
-    /// Forgets all detection state (used between measurement phases).
-    fn reset(&mut self);
-
     /// Deep-copies the scheme, detection tables and all, behind a fresh
     /// box. Checkpointing uses this to capture prefetcher state: a
     /// restored machine must replay bit-identically, so the copy carries
@@ -147,8 +144,6 @@ impl Prefetcher for NoPrefetch {
     fn name(&self) -> &'static str {
         "baseline"
     }
-
-    fn reset(&mut self) {}
 
     fn clone_box(&self) -> Box<dyn Prefetcher> {
         Box::new(*self)

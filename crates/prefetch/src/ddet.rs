@@ -285,17 +285,6 @@ impl Prefetcher for DDetection {
         out.push(("strides_promoted", self.strides_promoted));
     }
 
-    fn reset(&mut self) {
-        self.miss_list.clear();
-        self.freq.clear();
-        self.common.clear();
-        self.streams.clear();
-        self.stream_lookups = 0;
-        self.stream_hits = 0;
-        self.streams_installed = 0;
-        self.strides_promoted = 0;
-    }
-
     fn clone_box(&self) -> Box<dyn Prefetcher> {
         Box::new(self.clone())
     }
@@ -435,18 +424,6 @@ mod tests {
                 assert_eq!(candidate, trigger + 1, "at access {k}");
             }
         }
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut d = ddet();
-        for k in 0..8 {
-            read(&mut d, 0x100000 + k * 64, ReadOutcome::Miss);
-        }
-        d.reset();
-        assert_eq!(d.common_strides(), 0);
-        assert_eq!(d.active_streams(), 0);
-        assert!(read(&mut d, 0x200000, ReadOutcome::Miss).is_empty());
     }
 
     /// Candidates never leave the page of the triggering access (seeded

@@ -254,13 +254,6 @@ impl Prefetcher for IDetection {
         out.push(("rpt_allocs", self.allocs));
     }
 
-    fn reset(&mut self) {
-        self.table.iter_mut().for_each(|e| *e = None);
-        self.lookups = 0;
-        self.hits = 0;
-        self.allocs = 0;
-    }
-
     fn clone_box(&self) -> Box<dyn Prefetcher> {
         Box::new(self.clone())
     }
@@ -467,14 +460,6 @@ mod tests {
         assert!(results.contains(&(0x80080 / 32)));
         assert_eq!(i.state_of(pc_a), Some(RptState::Steady));
         assert_eq!(i.state_of(pc_b), Some(RptState::Steady));
-    }
-
-    #[test]
-    fn reset_clears_all_entries() {
-        let mut i = idet(1);
-        read(&mut i, 0x1000, ReadOutcome::Miss);
-        i.reset();
-        assert_eq!(i.state_of(PC), None);
     }
 
     /// Whatever the access pattern, candidates never leave the page of

@@ -94,25 +94,9 @@ impl<K: PartialEq, V> LruTable<K, V> {
         self.entries.is_empty()
     }
 
-    /// Maximum number of entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Iterates entries from most to least recently used.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> + '_ {
         self.entries.iter().map(|(k, v)| (k, v))
-    }
-
-    /// Iterates entries mutably, most recently used first, without
-    /// reordering.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&K, &mut V)> + '_ {
-        self.entries.iter_mut().map(|(k, v)| (&*k, v))
-    }
-
-    /// Clears the table.
-    pub fn clear(&mut self) {
-        self.entries.clear();
     }
 }
 
@@ -164,13 +148,11 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_clear() {
+    fn remove_returns_the_value_once() {
         let mut t = LruTable::new(2);
         t.insert(1, 'x');
         assert_eq!(t.remove(&1), Some('x'));
         assert_eq!(t.remove(&1), None);
-        t.insert(2, 'y');
-        t.clear();
         assert!(t.is_empty());
     }
 

@@ -102,11 +102,6 @@ impl Prefetcher for SequentialPrefetcher {
         out.push(("seq_restarts", self.restarts));
     }
 
-    fn reset(&mut self) {
-        self.continuations = 0;
-        self.restarts = 0;
-    }
-
     fn clone_box(&self) -> Box<dyn Prefetcher> {
         Box::new(self.clone())
     }

@@ -112,10 +112,6 @@ impl Prefetcher for SimpleStride {
         "Simple"
     }
 
-    fn reset(&mut self) {
-        self.table.iter_mut().for_each(|e| *e = None);
-    }
-
     fn clone_box(&self) -> Box<dyn Prefetcher> {
         Box::new(self.clone())
     }
@@ -182,14 +178,6 @@ mod tests {
         read(&mut fsm, 0x200000);
         assert!(!read(&mut simple, 0x200040).is_empty());
         assert!(read(&mut fsm, 0x200040).is_empty());
-    }
-
-    #[test]
-    fn reset_forgets_entries() {
-        let mut s = SimpleStride::new(Geometry::paper(), 1, 64);
-        read(&mut s, 0x1000);
-        s.reset();
-        assert!(read(&mut s, 0x1040).is_empty()); // allocation, not stride
     }
 
     #[test]

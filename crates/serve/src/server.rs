@@ -1,5 +1,5 @@
 //! The experiment service: a bounded worker pool around the
-//! [`Runner`](pfsim_bench::Runner), fronted by the HTTP API and backed
+//! [`Runner`], fronted by the HTTP API and backed
 //! by the manifest-hash result cache.
 //!
 //! Concurrency model: one accept loop (non-blocking, polling the drain

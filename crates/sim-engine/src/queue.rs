@@ -34,7 +34,7 @@ const NIL: u32 = u32::MAX;
 ///
 /// # Implementation
 ///
-/// A calendar queue: a wheel of [`BUCKETS`] one-cycle buckets covers the
+/// A calendar queue: a wheel of `BUCKETS` (1024) one-cycle buckets covers the
 /// near future `[cursor, cursor + BUCKETS)`, so `schedule` and `pop` are
 /// O(1) for the common case instead of O(log n) heap operations. Two
 /// small binary heaps (ordered by `(time, seq)`) catch the uncommon

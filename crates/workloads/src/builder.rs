@@ -3,7 +3,7 @@
 use pfsim_mem::{Addr, ArrayLayout, Geometry, Pc};
 
 use crate::packed::{PackedLane, PackedTrace};
-use crate::{Op, TraceWorkload};
+use crate::Op;
 
 /// Accumulates per-processor operation streams plus the shared data layout.
 ///
@@ -15,7 +15,7 @@ use crate::{Op, TraceWorkload};
 /// # Examples
 ///
 /// ```
-/// use pfsim_workloads::{TraceBuilder, Workload};
+/// use pfsim_workloads::TraceBuilder;
 ///
 /// let mut b = TraceBuilder::new("example", 2);
 /// let a = b.alloc("A", 100, 8);
@@ -24,9 +24,9 @@ use crate::{Op, TraceWorkload};
 ///     b.read(0, b.element(a, 8, i), pc_load);
 /// }
 /// b.barrier_all();
-/// let wl = b.finish();
-/// assert_eq!(wl.num_cpus(), 2);
-/// assert_eq!(wl.total_ops(), 12); // 10 reads + 2 barrier ops
+/// let trace = b.finish();
+/// assert_eq!(trace.num_cpus(), 2);
+/// assert_eq!(trace.total_ops(), 12); // 10 reads + 2 barrier ops
 /// ```
 #[derive(Debug, Clone)]
 pub struct TraceBuilder {
@@ -94,7 +94,7 @@ impl TraceBuilder {
     /// consecutive computes coalesce to keep traces compact (and to keep
     /// `total_ops` an honest issue count).
     pub fn compute(&mut self, cpu: usize, cycles: u32) {
-        self.lanes[cpu].push(Op::Compute { cycles });
+        self.lanes[cpu].compute(cycles);
     }
 
     /// Emits a lock acquire on `cpu`.
@@ -117,28 +117,18 @@ impl TraceBuilder {
         id
     }
 
-    /// Finalizes the builder into the packed shared-trace encoding.
-    ///
-    /// This is the zero-copy path: wrap the result in an `Arc` and replay
-    /// it through any number of [`TraceCursor`](crate::TraceCursor)s.
-    pub fn finish_packed(self) -> PackedTrace {
+    /// Finalizes the builder into its packed trace: wrap the result in an
+    /// `Arc` and replay it through any number of
+    /// [`TraceCursor`](crate::TraceCursor)s.
+    pub fn finish(self) -> PackedTrace {
         PackedTrace::from_lanes(self.name, self.lanes)
-    }
-
-    /// Finalizes the builder into a fully materialized workload.
-    ///
-    /// Decodes the packed streams the builder accumulates, so it yields
-    /// exactly the op sequence [`finish_packed`](Self::finish_packed)
-    /// replays — the differential-determinism tests rely on that.
-    pub fn finish(self) -> TraceWorkload {
-        self.finish_packed().materialize()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Workload;
+    use crate::{TraceCursor, Workload};
 
     #[test]
     fn pc_sites_are_distinct_and_stable() {
@@ -158,9 +148,9 @@ mod tests {
         let pc = b.pc_site();
         b.read(0, Addr::new(0x1000), pc);
         b.compute(0, 1);
-        let wl = b.finish();
-        assert_eq!(wl.trace(0).len(), 3);
-        assert_eq!(wl.trace(0)[0], Op::Compute { cycles: 5 });
+        let trace = b.finish();
+        assert_eq!(trace.ops(0), 3);
+        assert_eq!(trace.iter_cpu(0).next(), Some(Op::Compute { cycles: 5 }));
     }
 
     #[test]
@@ -169,7 +159,7 @@ mod tests {
         let id0 = b.barrier_all();
         let id1 = b.barrier_all();
         assert_ne!(id0, id1);
-        let mut wl = b.finish();
+        let mut wl = TraceCursor::new(b.finish());
         for cpu in 0..4 {
             assert_eq!(wl.next(cpu), Some(Op::Barrier { id: id0 }));
             assert_eq!(wl.next(cpu), Some(Op::Barrier { id: id1 }));

@@ -13,7 +13,7 @@
 
 use pfsim_mem::SplitMix64;
 
-use crate::{PackedTrace, TraceBuilder, TraceWorkload};
+use crate::{PackedTrace, TraceBuilder};
 
 /// Size of one linked node record in bytes (one cache block).
 pub const NODE_BYTES: u64 = 32;
@@ -81,22 +81,6 @@ impl ChaseParams {
     }
 }
 
-/// Builds the CHASE workload.
-///
-/// # Panics
-///
-/// Panics if any parameter is zero.
-pub fn build(params: ChaseParams) -> TraceWorkload {
-    emit(params).finish()
-}
-
-/// Builds the same workload in the packed shared-trace encoding,
-/// ready to wrap in an `Arc` and replay across many runs (see
-/// [`build`]).
-pub fn build_packed(params: ChaseParams) -> PackedTrace {
-    emit(params).finish_packed()
-}
-
 /// A random permutation of `0..n` (Fisher–Yates over the seeded stream):
 /// interpreting `perm[i]` as the successor of `i` yields disjoint cycles,
 /// i.e. a pointer-chase order with no address-arithmetic structure.
@@ -109,7 +93,12 @@ fn permutation(rng: &mut SplitMix64, n: u64) -> Vec<u64> {
     perm
 }
 
-fn emit(params: ChaseParams) -> TraceBuilder {
+/// Builds the CHASE workload.
+///
+/// # Panics
+///
+/// Panics if any parameter is zero.
+pub fn build(params: ChaseParams) -> PackedTrace {
     let ChaseParams {
         list_nodes_per_cpu,
         tree_nodes,
@@ -180,7 +169,7 @@ fn emit(params: ChaseParams) -> TraceBuilder {
         }
         b.barrier_all();
     }
-    b
+    b.finish()
 }
 
 #[cfg(test)]
@@ -204,8 +193,7 @@ mod tests {
     fn chase_loads_have_no_dominant_stride() {
         let wl = build(tiny());
         let chases: Vec<u64> = wl
-            .trace(0)
-            .iter()
+            .iter_cpu(0)
             .filter_map(|op| match op {
                 Op::Read { addr, pc } if pc.as_u32() == 0x0010_0000 => Some(addr.as_u64()),
                 _ => None,
@@ -228,8 +216,7 @@ mod tests {
         let wl = build(tiny());
         let tree_root: Vec<usize> = (0..4)
             .filter(|&cpu| {
-                wl.trace(cpu)
-                    .iter()
+                wl.iter_cpu(cpu)
                     .any(|op| matches!(op, Op::Read { pc, .. } if pc.as_u32() == 0x0010_000c))
             })
             .collect();
@@ -240,13 +227,13 @@ mod tests {
     fn distinct_seeds_change_the_topology() {
         let a = build(tiny());
         let b = build(ChaseParams { seed: 2, ..tiny() });
-        assert_ne!(a.trace(0), b.trace(0));
+        assert!(!a.iter_cpu(0).eq(b.iter_cpu(0)));
     }
 
     #[test]
     fn deterministic() {
-        let a = build_packed(tiny());
-        let b = build_packed(tiny());
+        let a = build(tiny());
+        let b = build(tiny());
         assert_eq!(a, b);
     }
 }

@@ -12,7 +12,7 @@
 
 use pfsim_mem::SplitMix64;
 
-use crate::{PackedTrace, TraceBuilder, TraceWorkload};
+use crate::{PackedTrace, TraceBuilder};
 
 /// Problem-size parameters for Cholesky.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,18 +79,7 @@ impl CholeskyParams {
 /// # Panics
 ///
 /// Panics if any dimension parameter is zero or `min_height > max_height`.
-pub fn build(params: CholeskyParams) -> TraceWorkload {
-    emit(params).finish()
-}
-
-/// Builds the same workload in the packed shared-trace encoding,
-/// ready to wrap in an `Arc` and replay across many runs (see
-/// [`build`]).
-pub fn build_packed(params: CholeskyParams) -> PackedTrace {
-    emit(params).finish_packed()
-}
-
-fn emit(params: CholeskyParams) -> TraceBuilder {
+pub fn build(params: CholeskyParams) -> PackedTrace {
     let CholeskyParams {
         columns,
         min_height,
@@ -179,7 +168,7 @@ fn emit(params: CholeskyParams) -> TraceBuilder {
             b.barrier_all();
         }
     }
-    b
+    b.finish()
 }
 
 #[cfg(test)]
@@ -200,8 +189,7 @@ mod tests {
         // With fixed heights of 4, the scale loop of column 0 reads
         // elements 8 bytes apart.
         let reads: Vec<u64> = wl
-            .trace(0)
-            .iter()
+            .iter_cpu(0)
             .filter_map(|op| match op {
                 Op::Read { addr, .. } => Some(addr.as_u64()),
                 _ => None,
@@ -217,7 +205,7 @@ mod tests {
     fn every_cpu_participates() {
         let wl = build(CholeskyParams::default());
         for cpu in 0..16 {
-            assert!(wl.trace(cpu).len() > 100, "cpu {cpu} underused");
+            assert!(wl.ops(cpu) > 100, "cpu {cpu} underused");
         }
     }
 
@@ -234,17 +222,15 @@ mod tests {
             fanout: 2,
             cpus: 2,
         });
-        assert!(wl.trace(0).len() > 20);
-        assert!(wl.trace(1).len() > 20);
+        assert!(wl.ops(0) > 20);
+        assert!(wl.ops(1) > 20);
     }
 
     #[test]
     fn deterministic() {
         let a = build(CholeskyParams::default());
         let b = build(CholeskyParams::default());
-        for cpu in 0..16 {
-            assert_eq!(a.trace(cpu), b.trace(cpu));
-        }
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Random contended-trace generation for stress testing and fuzzing.
 //!
 //! The generator maps a compact *op matrix* — per CPU, a vector of
-//! `(kind, value)` byte/short pairs — onto a well-formed [`TraceWorkload`]:
+//! `(kind, value)` byte/short pairs — onto a well-formed [`TraceCursor`]:
 //! locks are balanced (a held lock is released before another acquire and
 //! at end of trace) and every lane ends with a common barrier so the run
 //! terminates synchronized. Keeping the randomness in the matrix rather
@@ -11,7 +11,7 @@
 //! Shared by the `coherence_stress` tier-1 tests and the `pfsim-fuzz`
 //! binary in `pfsim-check`.
 
-use crate::{Op, TraceWorkload};
+use crate::{Op, TraceCursor};
 use pfsim_mem::{Addr, Pc, SplitMix64};
 
 /// Number of CPU lanes every generated workload has (the paper's machine
@@ -27,7 +27,7 @@ pub const FINAL_BARRIER: u32 = 999;
 /// `ops_per_cpu` must have at most [`FUZZ_CPUS`] lanes; missing lanes are
 /// padded with empty traces (they still join the final barrier), which
 /// keeps shrunk matrices valid after whole-CPU removal.
-pub fn random_workload(ops_per_cpu: &[Vec<(u8, u16)>], blocks: u64, locks: u64) -> TraceWorkload {
+pub fn random_workload(ops_per_cpu: &[Vec<(u8, u16)>], blocks: u64, locks: u64) -> TraceCursor {
     assert!(ops_per_cpu.len() <= FUZZ_CPUS, "too many CPU lanes");
     assert!(blocks > 0 && locks > 0);
     let region_base = 16 * 4096u64; // page 16: home node 0
@@ -70,7 +70,7 @@ pub fn random_workload(ops_per_cpu: &[Vec<(u8, u16)>], blocks: u64, locks: u64) 
         trace.push(Op::Barrier { id: FINAL_BARRIER });
         traces.push(trace);
     }
-    TraceWorkload::new("stress", traces)
+    TraceCursor::from_ops("stress", &traces)
 }
 
 /// Draws a full-size op matrix: [`FUZZ_CPUS`] lanes of 20..120 entries.
@@ -105,8 +105,8 @@ mod tests {
         let wl = random_workload(&ops, 48, 4);
         for cpu in 0..FUZZ_CPUS {
             assert_eq!(
-                wl.trace(cpu).last(),
-                Some(&Op::Barrier { id: FINAL_BARRIER })
+                wl.trace().iter_cpu(cpu).last(),
+                Some(Op::Barrier { id: FINAL_BARRIER })
             );
         }
     }
@@ -118,8 +118,8 @@ mod tests {
         let wl = random_workload(&ops, 48, 4);
         for cpu in 0..FUZZ_CPUS {
             let mut held: Option<Addr> = None;
-            for op in wl.trace(cpu) {
-                match *op {
+            for op in wl.trace().iter_cpu(cpu) {
+                match op {
                     Op::Acquire { lock } => {
                         assert!(held.is_none(), "nested acquire on cpu {cpu}");
                         held = Some(lock);
@@ -137,9 +137,9 @@ mod tests {
     #[test]
     fn short_matrices_are_padded_to_all_lanes() {
         let wl = random_workload(&[vec![(2, 3)]], 8, 2);
-        assert_eq!(wl.trace(0).len(), 2); // write + barrier
+        assert_eq!(wl.trace().ops(0), 2); // write + barrier
         for cpu in 1..FUZZ_CPUS {
-            assert_eq!(wl.trace(cpu).len(), 1, "cpu {cpu} should only barrier");
+            assert_eq!(wl.trace().ops(cpu), 1, "cpu {cpu} should only barrier");
         }
     }
 }

@@ -28,9 +28,9 @@
 //! # Examples
 //!
 //! ```
-//! use pfsim_workloads::{lu, Workload};
+//! use pfsim_workloads::{lu, TraceCursor, Workload};
 //!
-//! let mut wl = lu::build(lu::LuParams { n: 32, ..Default::default() });
+//! let mut wl = TraceCursor::new(lu::build(lu::LuParams { n: 32, ..Default::default() }));
 //! assert_eq!(wl.num_cpus(), 16);
 //! let first = wl.next(0).expect("cpu 0 has work");
 //! println!("cpu 0 starts with {first:?}");
@@ -56,9 +56,9 @@ pub mod server;
 pub mod water;
 
 pub use builder::TraceBuilder;
-pub use op::{Op, TraceWorkload, Workload};
+pub use op::{Op, Workload};
 pub use packed::{OpIter, PackedTrace, TraceCursor};
-pub use stats::{packed_stats, trace_stats, TraceStats};
+pub use stats::{packed_stats, TraceStats};
 
 /// A problem-size selector usable across every application.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -114,24 +114,6 @@ macro_rules! preset {
     }};
 }
 
-/// Expands to the builder call for `$app` at `$size` with `$cpus`
-/// processors, invoking either `build` or `build_packed` per `$build`.
-macro_rules! dispatch {
-    ($app:expr, $size:expr, $cpus:expr, $build:ident) => {
-        match $app {
-            App::Mp3d => mp3d::$build(preset!(mp3d::Mp3dParams, $size, $cpus)),
-            App::Cholesky => cholesky::$build(preset!(cholesky::CholeskyParams, $size, $cpus)),
-            App::Water => water::$build(preset!(water::WaterParams, $size, $cpus)),
-            App::Lu => lu::$build(preset!(lu::LuParams, $size, $cpus)),
-            App::Ocean => ocean::$build(preset!(ocean::OceanParams, $size, $cpus)),
-            App::Pthor => pthor::$build(preset!(pthor::PthorParams, $size, $cpus, paper)),
-            App::Chase => chase::$build(preset!(chase::ChaseParams, $size, $cpus)),
-            App::Mstride => mstride::$build(preset!(mstride::MstrideParams, $size, $cpus)),
-            App::Server => server::$build(preset!(server::ServerParams, $size, $cpus)),
-        }
-    };
-}
-
 impl App {
     /// The paper's six applications in its presentation order.
     pub const ALL: [App; 6] = [
@@ -174,46 +156,21 @@ impl App {
         }
     }
 
-    /// Builds the workload at `size` for a machine with `cpus`
-    /// processors. With `cpus == 16` this is identical to the fixed
-    /// builders below; other counts re-partition the same algorithm.
-    pub fn build_for(self, size: ProblemSize, cpus: usize) -> TraceWorkload {
-        dispatch!(self, size, cpus, build)
-    }
-
-    /// Packed counterpart of [`build_for`](Self::build_for).
+    /// Builds the application's trace at `size` for a machine with `cpus`
+    /// processors (the paper's machine has 16; other counts re-partition
+    /// the same algorithm).
     pub fn build_packed_for(self, size: ProblemSize, cpus: usize) -> PackedTrace {
-        dispatch!(self, size, cpus, build_packed)
-    }
-
-    /// Builds the workload at the default (scaled-down) problem size.
-    pub fn build_default(self) -> TraceWorkload {
-        self.build_for(ProblemSize::Default, 16)
-    }
-
-    /// Builds the workload at (approximately) the paper's problem size.
-    pub fn build_paper(self) -> TraceWorkload {
-        self.build_for(ProblemSize::Paper, 16)
-    }
-
-    /// Builds the workload at an enlarged problem size (the §5.4 study).
-    pub fn build_large(self) -> TraceWorkload {
-        self.build_for(ProblemSize::Large, 16)
-    }
-
-    /// Packed counterpart of [`build_default`](Self::build_default).
-    pub fn build_default_packed(self) -> PackedTrace {
-        self.build_packed_for(ProblemSize::Default, 16)
-    }
-
-    /// Packed counterpart of [`build_paper`](Self::build_paper).
-    pub fn build_paper_packed(self) -> PackedTrace {
-        self.build_packed_for(ProblemSize::Paper, 16)
-    }
-
-    /// Packed counterpart of [`build_large`](Self::build_large).
-    pub fn build_large_packed(self) -> PackedTrace {
-        self.build_packed_for(ProblemSize::Large, 16)
+        match self {
+            App::Mp3d => mp3d::build(preset!(mp3d::Mp3dParams, size, cpus)),
+            App::Cholesky => cholesky::build(preset!(cholesky::CholeskyParams, size, cpus)),
+            App::Water => water::build(preset!(water::WaterParams, size, cpus)),
+            App::Lu => lu::build(preset!(lu::LuParams, size, cpus)),
+            App::Ocean => ocean::build(preset!(ocean::OceanParams, size, cpus)),
+            App::Pthor => pthor::build(preset!(pthor::PthorParams, size, cpus, paper)),
+            App::Chase => chase::build(preset!(chase::ChaseParams, size, cpus)),
+            App::Mstride => mstride::build(preset!(mstride::MstrideParams, size, cpus)),
+            App::Server => server::build(preset!(server::ServerParams, size, cpus)),
+        }
     }
 }
 
@@ -230,11 +187,11 @@ mod tests {
     #[test]
     fn all_apps_build_at_default_size() {
         for app in App::EVERY {
-            let mut wl = app.build_default();
-            assert_eq!(wl.num_cpus(), 16, "{app}");
-            let total: usize = (0..16).map(|c| wl.remaining(c)).sum();
+            let trace = app.build_packed_for(ProblemSize::Default, 16);
+            assert_eq!(trace.num_cpus(), 16, "{app}");
+            let total = trace.total_ops();
             assert!(total > 1000, "{app} produced only {total} ops");
-            assert!(wl.next(0).is_some(), "{app} cpu 0 empty");
+            assert!(trace.ops(0) > 0, "{app} cpu 0 empty");
         }
     }
 
@@ -252,27 +209,14 @@ mod tests {
         assert_eq!(names, ["CHASE", "MSTRIDE", "SERVER"]);
     }
 
-    /// The fixed 16-cpu builders and the parameterized `build_for` must
-    /// agree exactly — the paper-grid anchors depend on it.
-    #[test]
-    fn build_for_matches_fixed_builders_at_16_cpus() {
-        for app in App::EVERY {
-            assert_eq!(
-                app.build_packed_for(ProblemSize::Default, 16),
-                app.build_default_packed(),
-                "{app}"
-            );
-        }
-    }
-
     /// Re-partitioning onto a bigger machine gives every processor work.
     #[test]
     fn modern_apps_scale_to_64_cpus() {
         for app in App::MODERN {
-            let mut wl = app.build_for(ProblemSize::Default, 64);
-            assert_eq!(wl.num_cpus(), 64, "{app}");
+            let trace = app.build_packed_for(ProblemSize::Default, 64);
+            assert_eq!(trace.num_cpus(), 64, "{app}");
             for cpu in 0..64 {
-                assert!(wl.next(cpu).is_some(), "{app} cpu {cpu} empty");
+                assert!(trace.ops(cpu) > 0, "{app} cpu {cpu} empty");
             }
         }
     }

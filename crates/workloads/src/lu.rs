@@ -11,7 +11,7 @@
 //! measures 93% of LU's misses inside stride sequences with dominant
 //! stride 1 and an average sequence length of ~17 (Table 2).
 
-use crate::{PackedTrace, TraceBuilder, TraceWorkload};
+use crate::{PackedTrace, TraceBuilder};
 
 /// Problem-size parameters for LU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,18 +46,7 @@ impl LuParams {
 /// # Panics
 ///
 /// Panics if `n` or `cpus` is zero.
-pub fn build(params: LuParams) -> TraceWorkload {
-    emit(params).finish()
-}
-
-/// Builds the same workload in the packed shared-trace encoding,
-/// ready to wrap in an `Arc` and replay across many runs (see
-/// [`build`]).
-pub fn build_packed(params: LuParams) -> PackedTrace {
-    emit(params).finish_packed()
-}
-
-fn emit(params: LuParams) -> TraceBuilder {
+pub fn build(params: LuParams) -> PackedTrace {
     let LuParams { n, cpus } = params;
     assert!(n > 0 && cpus > 0, "LU needs a matrix and processors");
 
@@ -105,7 +94,7 @@ fn emit(params: LuParams) -> TraceBuilder {
         }
         b.barrier_all();
     }
-    b
+    b.finish()
 }
 
 #[cfg(test)]
@@ -120,8 +109,7 @@ mod tests {
         // The normalize loop of k=0 on cpu 0 reads A[1..16,0]: consecutive
         // 8-byte elements.
         let reads: Vec<u64> = wl
-            .trace(0)
-            .iter()
+            .iter_cpu(0)
             .filter_map(|op| match op {
                 Op::Read { addr, .. } => Some(addr.as_u64()),
                 _ => None,
@@ -138,7 +126,7 @@ mod tests {
         let wl = build(LuParams { n: 32, cpus: 16 });
         for cpu in 0..16 {
             assert!(
-                wl.trace(cpu).iter().any(|op| matches!(op, Op::Read { .. })),
+                wl.iter_cpu(cpu).any(|op| matches!(op, Op::Read { .. })),
                 "cpu {cpu} has no reads"
             );
         }
@@ -148,8 +136,7 @@ mod tests {
     fn barriers_keep_cpus_in_lockstep() {
         let wl = build(LuParams { n: 8, cpus: 4 });
         let barrier_count = |cpu: usize| {
-            wl.trace(cpu)
-                .iter()
+            wl.iter_cpu(cpu)
                 .filter(|op| matches!(op, Op::Barrier { .. }))
                 .count()
         };
@@ -172,8 +159,6 @@ mod tests {
     fn deterministic() {
         let a = build(LuParams { n: 12, cpus: 4 });
         let b = build(LuParams { n: 12, cpus: 4 });
-        for cpu in 0..4 {
-            assert_eq!(a.trace(cpu), b.trace(cpu));
-        }
+        assert_eq!(a, b);
     }
 }

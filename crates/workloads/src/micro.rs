@@ -1,10 +1,10 @@
 //! Micro-workloads with analytically known behaviour, used by the test
-//! suite and the mechanism benchmarks.
+//! suite and the mechanism benchmarks. Each returns a cursor ready to run.
 
 use pfsim_mem::Addr;
 use pfsim_mem::SplitMix64;
 
-use crate::{TraceBuilder, TraceWorkload};
+use crate::{TraceBuilder, TraceCursor};
 
 /// Each processor repeatedly walks its own private region with a constant
 /// byte stride — the cleanest possible stride-sequence source.
@@ -20,7 +20,7 @@ use crate::{TraceBuilder, TraceWorkload};
 /// assert_eq!(wl.num_cpus(), 4);
 /// assert_eq!(wl.total_ops(), 4 * 100);
 /// ```
-pub fn stride_stream(cpus: usize, stride_bytes: u64, len: u64, repeats: u32) -> TraceWorkload {
+pub fn stride_stream(cpus: usize, stride_bytes: u64, len: u64, repeats: u32) -> TraceCursor {
     let mut b = TraceBuilder::new(format!("stride-{stride_bytes}B"), cpus);
     let span = stride_bytes * len;
     let bases: Vec<Addr> = (0..cpus)
@@ -41,18 +41,18 @@ pub fn stride_stream(cpus: usize, stride_bytes: u64, len: u64, repeats: u32) -> 
             }
         }
     }
-    b.finish()
+    TraceCursor::new(b.finish())
 }
 
 /// Each processor walks its own region one 32-byte block at a time —
 /// sequential prefetching's best case.
-pub fn sequential_walk(cpus: usize, blocks: u64, repeats: u32) -> TraceWorkload {
+pub fn sequential_walk(cpus: usize, blocks: u64, repeats: u32) -> TraceCursor {
     stride_stream(cpus, 32, blocks, repeats)
 }
 
 /// Each processor reads uniformly random blocks of its own large region —
 /// no strides, no spatial locality; every prefetch is useless.
-pub fn random_access(cpus: usize, region_blocks: u64, accesses: u64) -> TraceWorkload {
+pub fn random_access(cpus: usize, region_blocks: u64, accesses: u64) -> TraceCursor {
     let mut b = TraceBuilder::new("random", cpus);
     let bases: Vec<Addr> = (0..cpus)
         .map(|_| b.alloc("region", region_blocks, 32))
@@ -65,14 +65,14 @@ pub fn random_access(cpus: usize, region_blocks: u64, accesses: u64) -> TraceWor
             b.read(cpu, Addr::new(bases[cpu].as_u64() + block * 32), pcs[cpu]);
         }
     }
-    b.finish()
+    TraceCursor::new(b.finish())
 }
 
 /// CPU 0 writes a region, everyone synchronizes at a barrier, then all
 /// other CPUs read the region sequentially — the canonical
 /// producer-consumer sharing pattern (coherence misses with high spatial
 /// locality at the consumers).
-pub fn producer_consumer(cpus: usize, blocks: u64) -> TraceWorkload {
+pub fn producer_consumer(cpus: usize, blocks: u64) -> TraceCursor {
     assert!(cpus >= 2, "producer-consumer needs at least two CPUs");
     let mut b = TraceBuilder::new("producer-consumer", cpus);
     let region = b.alloc("region", blocks, 32);
@@ -87,13 +87,13 @@ pub fn producer_consumer(cpus: usize, blocks: u64) -> TraceWorkload {
             b.read(cpu, Addr::new(region.as_u64() + k * 32), rpc);
         }
     }
-    b.finish()
+    TraceCursor::new(b.finish())
 }
 
 /// CPUs 0 and 1 alternately increment a lock-protected shared counter —
 /// exercises locks, upgrades and ownership migration. The remaining CPUs
 /// (if any) idle, so the workload can run on a full-size machine.
-pub fn lock_ping_pong(cpus: usize, rounds: u32) -> TraceWorkload {
+pub fn lock_ping_pong(cpus: usize, rounds: u32) -> TraceCursor {
     assert!(cpus >= 2, "ping-pong needs two active CPUs");
     let mut b = TraceBuilder::new("lock-ping-pong", cpus);
     let counter = b.alloc("counter", 1, 32);
@@ -109,13 +109,13 @@ pub fn lock_ping_pong(cpus: usize, rounds: u32) -> TraceWorkload {
             b.release(cpu, lock);
         }
     }
-    b.finish()
+    TraceCursor::new(b.finish())
 }
 
 /// Every CPU reads the same region after CPU 0 initializes it — wide
 /// read sharing (the directory's presence vector fills up), then CPU 0
 /// rewrites it, invalidating everyone.
-pub fn broadcast_then_invalidate(cpus: usize, blocks: u64) -> TraceWorkload {
+pub fn broadcast_then_invalidate(cpus: usize, blocks: u64) -> TraceCursor {
     let mut b = TraceBuilder::new("broadcast-invalidate", cpus);
     let region = b.alloc("region", blocks, 32);
     let wpc = b.pc_site();
@@ -140,12 +140,12 @@ pub fn broadcast_then_invalidate(cpus: usize, blocks: u64) -> TraceWorkload {
             b.read(cpu, Addr::new(region.as_u64() + k * 32), rpc2);
         }
     }
-    b.finish()
+    TraceCursor::new(b.finish())
 }
 
 /// A single CPU interleaving `streams` stride sequences from distinct load
 /// sites — stresses detection-table capacity and interference.
-pub fn interleaved_streams(streams: usize, stride_bytes: u64, len: u64) -> TraceWorkload {
+pub fn interleaved_streams(streams: usize, stride_bytes: u64, len: u64) -> TraceCursor {
     let mut b = TraceBuilder::new("interleaved-streams", 1);
     let span = (stride_bytes * len).max(1);
     let bases: Vec<Addr> = (0..streams).map(|_| b.alloc("stream", span, 1)).collect();
@@ -155,7 +155,7 @@ pub fn interleaved_streams(streams: usize, stride_bytes: u64, len: u64) -> Trace
             b.read(0, Addr::new(bases[s].as_u64() + k * stride_bytes), pcs[s]);
         }
     }
-    b.finish()
+    TraceCursor::new(b.finish())
 }
 
 #[cfg(test)]
@@ -182,7 +182,7 @@ mod tests {
         let wl = stride_stream(4, 32, 8, 1);
         let mut firsts = Vec::new();
         for cpu in 0..4 {
-            if let Op::Read { addr, .. } = wl.trace(cpu)[0] {
+            if let Some(Op::Read { addr, .. }) = wl.trace().iter_cpu(cpu).next() {
                 firsts.push(addr.as_u64() / 4096);
             }
         }
@@ -194,24 +194,24 @@ mod tests {
     fn random_access_is_deterministic() {
         let a = random_access(2, 64, 50);
         let b = random_access(2, 64, 50);
-        assert_eq!(a.trace(0), b.trace(0));
-        assert_eq!(a.trace(1), b.trace(1));
+        assert_eq!(a.trace(), b.trace());
     }
 
     #[test]
     fn producer_consumer_shape() {
         let wl = producer_consumer(3, 10);
         // CPU 0: 10 writes + 1 barrier; CPUs 1,2: 1 barrier + 10 reads.
-        assert_eq!(wl.trace(0).len(), 11);
-        assert_eq!(wl.trace(1).len(), 11);
-        assert!(matches!(wl.trace(0)[0], Op::Write { .. }));
-        assert!(matches!(wl.trace(1)[0], Op::Barrier { .. }));
+        let trace = wl.trace();
+        assert_eq!(trace.ops(0), 11);
+        assert_eq!(trace.ops(1), 11);
+        assert!(matches!(trace.iter_cpu(0).next(), Some(Op::Write { .. })));
+        assert!(matches!(trace.iter_cpu(1).next(), Some(Op::Barrier { .. })));
     }
 
     #[test]
     fn lock_ping_pong_brackets_critical_sections() {
         let wl = lock_ping_pong(2, 2);
-        let t = wl.trace(0);
+        let t: Vec<Op> = wl.trace().iter_cpu(0).collect();
         assert!(matches!(t[0], Op::Acquire { .. }));
         assert!(matches!(t[4], Op::Release { .. }));
     }
@@ -219,9 +219,9 @@ mod tests {
     #[test]
     fn interleaved_streams_alternate_pcs() {
         let wl = interleaved_streams(3, 32, 4);
-        let t = wl.trace(0);
-        let pcs: Vec<u32> = t
-            .iter()
+        let pcs: Vec<u32> = wl
+            .trace()
+            .iter_cpu(0)
             .filter_map(|op| match op {
                 Op::Read { pc, .. } => Some(pc.as_u32()),
                 _ => None,

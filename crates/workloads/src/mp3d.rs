@@ -15,7 +15,7 @@
 
 use pfsim_mem::SplitMix64;
 
-use crate::{PackedTrace, TraceBuilder, TraceWorkload};
+use crate::{PackedTrace, TraceBuilder};
 
 /// Size of one particle record in bytes.
 pub const PARTICLE_BYTES: u64 = 24;
@@ -80,18 +80,7 @@ impl Mp3dParams {
 /// # Panics
 ///
 /// Panics if there are fewer particles than processors.
-pub fn build(params: Mp3dParams) -> TraceWorkload {
-    emit(params).finish()
-}
-
-/// Builds the same workload in the packed shared-trace encoding,
-/// ready to wrap in an `Arc` and replay across many runs (see
-/// [`build`]).
-pub fn build_packed(params: Mp3dParams) -> PackedTrace {
-    emit(params).finish_packed()
-}
-
-fn emit(params: Mp3dParams) -> TraceBuilder {
+pub fn build(params: Mp3dParams) -> PackedTrace {
     let Mp3dParams {
         particles,
         cells,
@@ -190,7 +179,7 @@ fn emit(params: Mp3dParams) -> TraceBuilder {
         }
         b.barrier_all();
     }
-    b
+    b.finish()
 }
 
 #[cfg(test)]
@@ -215,8 +204,7 @@ mod tests {
             cpus: 4,
         });
         let reads: Vec<u64> = wl
-            .trace(1)
-            .iter()
+            .iter_cpu(1)
             .filter_map(|op| match op {
                 Op::Read { addr, pc } if pc.as_u32() == 0x0010_0000 => Some(addr.as_u64()),
                 _ => None,
@@ -238,8 +226,7 @@ mod tests {
             cpus: 1,
         });
         let cells: Vec<u64> = wl
-            .trace(0)
-            .iter()
+            .iter_cpu(0)
             .filter_map(|op| match op {
                 Op::Read { addr, pc } if pc.as_u32() == 0x0010_0008 => Some(addr.as_u64()),
                 _ => None,
@@ -275,7 +262,7 @@ mod tests {
         let own_lo = 0u64;
         let own_hi = 400 * PARTICLE_BYTES;
         let mut foreign = 0;
-        for op in wl.trace(0) {
+        for op in wl.iter_cpu(0) {
             if let Op::Read { addr, pc } = op {
                 if pc.as_u32() == 0x0010_0010 {
                     let off = addr.as_u64() - 4096; // particles region base
@@ -292,8 +279,6 @@ mod tests {
     fn deterministic() {
         let a = build(Mp3dParams::default());
         let b = build(Mp3dParams::default());
-        for cpu in 0..16 {
-            assert_eq!(a.trace(cpu), b.trace(cpu));
-        }
+        assert_eq!(a, b);
     }
 }

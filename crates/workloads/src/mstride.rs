@@ -12,7 +12,7 @@
 //! neighbouring processor's output row, so the kernel also carries
 //! coherence traffic, not just private strides.
 
-use crate::{PackedTrace, TraceBuilder, TraceWorkload};
+use crate::{PackedTrace, TraceBuilder};
 
 /// Element size in bytes (double precision).
 pub const ELEMENT_BYTES: u64 = 8;
@@ -76,18 +76,7 @@ impl MstrideParams {
 /// # Panics
 ///
 /// Panics if any dimension, stride or the processor count is zero.
-pub fn build(params: MstrideParams) -> TraceWorkload {
-    emit(params).finish()
-}
-
-/// Builds the same workload in the packed shared-trace encoding,
-/// ready to wrap in an `Arc` and replay across many runs (see
-/// [`build`]).
-pub fn build_packed(params: MstrideParams) -> PackedTrace {
-    emit(params).finish_packed()
-}
-
-fn emit(params: MstrideParams) -> TraceBuilder {
+pub fn build(params: MstrideParams) -> PackedTrace {
     let MstrideParams {
         rows,
         cols,
@@ -134,7 +123,7 @@ fn emit(params: MstrideParams) -> TraceBuilder {
         }
         b.barrier_all();
     }
-    b
+    b.finish()
 }
 
 #[cfg(test)]
@@ -158,8 +147,7 @@ mod tests {
         let p = tiny();
         let wl = build(p);
         let site = |pc: u32| -> Vec<u64> {
-            wl.trace(0)
-                .iter()
+            wl.iter_cpu(0)
                 .filter_map(|op| match op {
                     Op::Read { addr, pc: got } if got.as_u32() == pc => Some(addr.as_u64()),
                     Op::Write { addr, pc: got } if got.as_u32() == pc => Some(addr.as_u64()),
@@ -179,9 +167,7 @@ mod tests {
         let wl = build(tiny());
         for cpu in 0..4 {
             assert!(
-                wl.trace(cpu)
-                    .iter()
-                    .any(|op| matches!(op, Op::Write { .. })),
+                wl.iter_cpu(cpu).any(|op| matches!(op, Op::Write { .. })),
                 "cpu {cpu} owns no rows"
             );
         }
@@ -191,13 +177,12 @@ mod tests {
     fn halo_reads_touch_neighbour_output() {
         let wl = build(tiny());
         assert!(wl
-            .trace(0)
-            .iter()
+            .iter_cpu(0)
             .any(|op| matches!(op, Op::Read { pc, .. } if pc.as_u32() == 0x0010_0008)));
     }
 
     #[test]
     fn deterministic() {
-        assert_eq!(build_packed(tiny()), build_packed(tiny()));
+        assert_eq!(build(tiny()), build(tiny()));
     }
 }

@@ -17,7 +17,7 @@
 //! solver loops), which bounds the average sequence length the way the
 //! multi-level solver structure does in the original program.
 
-use crate::{PackedTrace, TraceBuilder, TraceWorkload};
+use crate::{PackedTrace, TraceBuilder};
 
 /// Default row pitch in doubles (65 blocks of 32 bytes), matching the
 /// paper's 128×128 layout.
@@ -84,18 +84,7 @@ impl OceanParams {
 ///
 /// Panics if `cpus` is not a perfect square or the grid does not divide
 /// evenly among processors.
-pub fn build(params: OceanParams) -> TraceWorkload {
-    emit(params).finish()
-}
-
-/// Builds the same workload in the packed shared-trace encoding,
-/// ready to wrap in an `Arc` and replay across many runs (see
-/// [`build`]).
-pub fn build_packed(params: OceanParams) -> PackedTrace {
-    emit(params).finish_packed()
-}
-
-fn emit(params: OceanParams) -> TraceBuilder {
+pub fn build(params: OceanParams) -> PackedTrace {
     let OceanParams {
         n,
         iterations,
@@ -233,7 +222,7 @@ fn emit(params: OceanParams) -> TraceBuilder {
         }
         b.barrier_all();
     }
-    b
+    b.finish()
 }
 
 #[cfg(test)]
@@ -260,7 +249,7 @@ mod tests {
         // apart.
         let mut prev = None;
         let mut seen = 0;
-        for op in wl.trace(1) {
+        for op in wl.iter_cpu(1) {
             if let Op::Read { addr, pc } = op {
                 if pc.as_u32() == 0x0010_000c {
                     // pc_left_a is the 4th site
@@ -289,7 +278,7 @@ mod tests {
         });
         // CPU 2 owns rows 8..16 and reads the row above (row 7).
         let mut prev = None;
-        for op in wl.trace(2) {
+        for op in wl.iter_cpu(2) {
             if let Op::Read { addr, pc } = op {
                 if pc.as_u32() == 0x0010_001c {
                     // pc_row_up is the 8th site
@@ -309,16 +298,14 @@ mod tests {
         let wl = build(OceanParams::default());
         // With a 4×4 processor grid, cpu 5 is interior: it must read in
         // all four directions and so has more reads than corner cpu 0.
-        assert!(wl.trace(5).len() > wl.trace(0).len());
+        assert!(wl.ops(5) > wl.ops(0));
     }
 
     #[test]
     fn deterministic() {
         let a = build(OceanParams::default());
         let b = build(OceanParams::default());
-        for cpu in 0..16 {
-            assert_eq!(a.trace(cpu), b.trace(cpu));
-        }
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The shared-memory operation vocabulary and the trace container.
+//! The shared-memory operation vocabulary and the workload interface the
+//! simulator consumes it through.
 
 use pfsim_mem::{Addr, Pc};
 
@@ -48,9 +49,9 @@ pub enum Op {
     },
 }
 
-// `Op` sits on the simulator's per-op consume path and (when
-// materialized) dominates trace memory, so it must stay at 16 bytes:
-// 4-byte discriminant + packed-to-4 `Addr` + `Pc`. If this fires, a
+// Every simulated op travels by value as an `Option<Op>` from
+// `Workload::next` to the simulator's CPU step, so `Op` must stay at 16
+// bytes: 4-byte discriminant + packed-to-4 `Addr` + `Pc`. If this fires, a
 // payload grew or `Addr` lost its `repr(packed(4))`.
 const _: () = assert!(std::mem::size_of::<Op>() <= 16);
 
@@ -60,7 +61,9 @@ const _: () = assert!(std::mem::size_of::<Op>() <= 16);
 /// the *timing* of consumption is the simulator's business, so the same
 /// workload produces the same reference streams under every architecture
 /// configuration — the property the paper's program-driven methodology
-/// guarantees and this reproduction preserves by construction.
+/// guarantees and this reproduction preserves by construction. The one
+/// implementation is [`TraceCursor`](crate::TraceCursor), which replays a
+/// packed trace.
 pub trait Workload {
     /// Number of processors the workload was built for.
     fn num_cpus(&self) -> usize;
@@ -75,130 +78,4 @@ pub trait Workload {
     /// Total operations across all processors (consumed or not), for
     /// throughput reporting.
     fn total_ops(&self) -> usize;
-}
-
-/// A fully materialized trace: one operation vector per processor.
-///
-/// All workload generators in this crate produce `TraceWorkload`s. The
-/// explicit representation keeps generators simple (straight-line algorithm
-/// code) and guarantees determinism and replayability.
-///
-/// # Examples
-///
-/// ```
-/// use pfsim_mem::{Addr, Pc};
-/// use pfsim_workloads::{Op, TraceWorkload, Workload};
-///
-/// let mut wl = TraceWorkload::new(
-///     "demo",
-///     vec![vec![Op::Compute { cycles: 3 }], vec![]],
-/// );
-/// assert_eq!(wl.num_cpus(), 2);
-/// assert_eq!(wl.next(0), Some(Op::Compute { cycles: 3 }));
-/// assert_eq!(wl.next(0), None);
-/// assert_eq!(wl.next(1), None);
-/// ```
-#[derive(Debug, Clone)]
-pub struct TraceWorkload {
-    name: String,
-    traces: Vec<Vec<Op>>,
-    cursors: Vec<usize>,
-}
-
-impl TraceWorkload {
-    /// Wraps per-CPU operation vectors as a workload.
-    pub fn new(name: impl Into<String>, traces: Vec<Vec<Op>>) -> Self {
-        let cursors = vec![0; traces.len()];
-        TraceWorkload {
-            name: name.into(),
-            traces,
-            cursors,
-        }
-    }
-
-    /// Operations not yet consumed by `cpu`.
-    pub fn remaining(&self, cpu: usize) -> usize {
-        self.traces[cpu].len() - self.cursors[cpu]
-    }
-
-    /// Total operations across all processors (consumed or not).
-    pub fn total_ops(&self) -> usize {
-        self.traces.iter().map(Vec::len).sum()
-    }
-
-    /// Read-only view of a processor's full trace (for analysis tools that
-    /// classify references without running the timing model).
-    pub fn trace(&self, cpu: usize) -> &[Op] {
-        &self.traces[cpu]
-    }
-
-    /// Rewinds all cursors so the workload can be replayed.
-    pub fn rewind(&mut self) {
-        self.cursors.iter_mut().for_each(|c| *c = 0);
-    }
-}
-
-impl Workload for TraceWorkload {
-    fn num_cpus(&self) -> usize {
-        self.traces.len()
-    }
-
-    fn next(&mut self, cpu: usize) -> Option<Op> {
-        let cursor = &mut self.cursors[cpu];
-        let op = self.traces[cpu].get(*cursor).copied();
-        if op.is_some() {
-            *cursor += 1;
-        }
-        op
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn total_ops(&self) -> usize {
-        self.traces.iter().map(Vec::len).sum()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn cursors_are_independent_per_cpu() {
-        let mut wl = TraceWorkload::new(
-            "t",
-            vec![
-                vec![Op::Compute { cycles: 1 }, Op::Compute { cycles: 2 }],
-                vec![Op::Compute { cycles: 9 }],
-            ],
-        );
-        assert_eq!(wl.next(1), Some(Op::Compute { cycles: 9 }));
-        assert_eq!(wl.next(0), Some(Op::Compute { cycles: 1 }));
-        assert_eq!(wl.next(1), None);
-        assert_eq!(wl.next(0), Some(Op::Compute { cycles: 2 }));
-        assert_eq!(wl.remaining(0), 0);
-    }
-
-    #[test]
-    fn rewind_replays_identically() {
-        let mut wl = TraceWorkload::new("t", vec![vec![Op::Compute { cycles: 1 }]]);
-        let a = wl.next(0);
-        wl.rewind();
-        let b = wl.next(0);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn total_ops_counts_everything() {
-        let wl = TraceWorkload::new(
-            "t",
-            vec![
-                vec![Op::Compute { cycles: 1 }; 3],
-                vec![Op::Compute { cycles: 1 }; 2],
-            ],
-        );
-        assert_eq!(wl.total_ops(), 5);
-    }
 }

@@ -1,15 +1,21 @@
-//! Packed per-lane byte-stream trace encoding shared zero-copy across runs.
+//! The packed trace: the one trace type, shared zero-copy across runs.
 //!
 //! The paper's program-driven methodology replays the *same* reference
-//! stream under every architecture configuration (§4). A materialized
-//! [`Vec<Op>`](crate::Op) honors that but costs 16 bytes per operation and
-//! one private copy per run. [`PackedTrace`] encodes each processor's
-//! stream as one variable-length byte stream plus a small table of the
-//! load/store sites that stream uses, so a shared read costs 4 bytes, a
-//! compute 2, and a whole six-application trace set fits under 4 amortized
-//! bytes per operation. The trace is immutable after construction; N
-//! concurrent runs each hold a [`TraceCursor`] over one `Arc<PackedTrace>`
-//! and decode independently with zero copies.
+//! stream under every architecture configuration (§4). [`PackedTrace`]
+//! holds that stream: each processor's ops as one variable-length byte
+//! stream plus a small table of the load/store sites the stream uses, so
+//! a shared read costs 4 bytes, a compute 2, and a whole six-application
+//! trace set fits under 4 amortized bytes per operation (a decoded [`Op`]
+//! is 16). The trace is immutable after construction; N concurrent runs
+//! each hold a [`TraceCursor`], the one [`Workload`], over one
+//! `Arc<PackedTrace>` and decode independently with zero copies. No other
+//! module knows the format.
+//!
+//! A trace comes from one of two constructors that differ only in
+//! computes: [`TraceBuilder`](crate::TraceBuilder), which every generator
+//! uses, drops zero-cycle computes and merges adjacent ones, while
+//! [`TraceCursor::from_ops`] encodes hand-written op lists exactly as
+//! written.
 //!
 //! # Format
 //!
@@ -40,7 +46,7 @@ use std::sync::Arc;
 
 use pfsim_mem::{Addr, Pc};
 
-use crate::{Op, TraceWorkload, Workload};
+use crate::{Op, Workload};
 
 /// The 3-bit op kinds of the lead byte. The memory kinds are 0..=3, with
 /// [`WIDE_BIT`] marking an 8-byte address and [`WRITE_BIT`] a store.
@@ -89,44 +95,52 @@ pub(crate) struct PackedLane {
 }
 
 impl PackedLane {
-    /// Appends `op`, coalescing into a preceding `Compute` when possible.
-    ///
-    /// Zero-cycle computes are dropped and back-to-back computes merge
-    /// into one op (saturating), so `total_ops` counts what a processor
-    /// actually issues rather than how chatty the generator was.
+    /// Appends `op` exactly as given: a zero-cycle compute stays, and a
+    /// compute never merges into its predecessor.
     pub(crate) fn push(&mut self, op: Op) {
+        self.tail_compute = None;
+        self.ops += 1;
         match op {
             Op::Read { addr, pc } => self.push_mem(kind::READ, addr, pc),
             Op::Write { addr, pc } => self.push_mem(kind::WRITE, addr, pc),
-            Op::Compute { cycles: 0 } => {}
-            Op::Compute { cycles } => self.push_compute(cycles),
+            Op::Compute { cycles } => self.put_compute(cycles),
             Op::Acquire { lock } => self.push_sync(sync::ACQUIRE, lock.as_u64()),
             Op::Release { lock } => self.push_sync(sync::RELEASE, lock.as_u64()),
             Op::Barrier { id } => self.push_sync(sync::BARRIER, u64::from(id)),
         }
     }
 
-    /// Appends a compute of `cycles > 0`, re-encoding a trailing compute
-    /// as the saturating sum (which may widen it from 1 to 4 bytes).
-    fn push_compute(&mut self, cycles: u32) {
-        let cycles = match self.tail_compute {
+    /// Appends `cycles` of computation the way the builder does: a
+    /// zero-cycle compute is dropped, and back-to-back computes merge into
+    /// one op (saturating, which may widen it from 1 to 4 bytes), so
+    /// `total_ops` counts what a processor actually issues rather than how
+    /// chatty the generator was.
+    pub(crate) fn compute(&mut self, cycles: u32) {
+        if cycles == 0 {
+            return;
+        }
+        let (at, cycles) = match self.tail_compute {
             Some((at, prev)) => {
                 self.bytes.truncate(at);
-                prev.saturating_add(cycles)
+                (at, prev.saturating_add(cycles))
             }
             None => {
                 self.ops += 1;
-                cycles
+                (self.bytes.len(), cycles)
             }
         };
-        let at = self.bytes.len();
+        self.put_compute(cycles);
+        self.tail_compute = Some((at, cycles));
+    }
+
+    /// Encodes a compute of `cycles` (the caller counts the op).
+    fn put_compute(&mut self, cycles: u32) {
         let (kind, len) = if cycles <= 0xff {
             (kind::COMPUTE8, 2)
         } else {
             (kind::COMPUTE32, 5)
         };
         self.put(u64::from(kind) | u64::from(cycles) << 8, len);
-        self.tail_compute = Some((at, cycles));
     }
 
     /// Appends a read or write; `base` is its narrow kind.
@@ -135,7 +149,7 @@ impl PackedLane {
         let slot = self.pc_slot(pc);
         let raw = addr.as_u64();
         let wide = raw > NARROW_MAX;
-        let lead = self.start_op(base | if wide { WIDE_BIT } else { 0 }, slot as u8);
+        let lead = lead(base | if wide { WIDE_BIT } else { 0 }, slot as u8);
         // The lead byte and any escaped PC, then the address.
         let (head, head_len) = if slot < PC_ESCAPE {
             (lead, 1)
@@ -164,16 +178,8 @@ impl PackedLane {
     }
 
     fn push_sync(&mut self, sub: u8, payload: u64) {
-        let lead = self.start_op(kind::SYNC, sub);
-        self.put(lead, 1);
+        self.put(lead(kind::SYNC, sub), 1);
         self.put(payload, 8);
-    }
-
-    /// Counts a non-compute op and returns its lead byte.
-    fn start_op(&mut self, kind: u8, slot: u8) -> u64 {
-        self.tail_compute = None;
-        self.ops += 1;
-        u64::from(kind | slot << KIND_BITS)
     }
 
     /// Appends the low `len` bytes of `word`.
@@ -190,6 +196,12 @@ impl PackedLane {
         self.bytes.extend_from_slice(&[0; PADDING]);
         self
     }
+}
+
+/// The lead byte of an op: `kind` in the low bits, `slot` above.
+#[inline]
+fn lead(kind: u8, slot: u8) -> u64 {
+    u64::from(kind | slot << KIND_BITS)
 }
 
 /// The 8 bytes at `at`, little-endian. Sealed lanes are padded so this is
@@ -260,8 +272,8 @@ fn corrupt(lead: u8, at: usize) -> ! {
 
 /// An immutable packed trace: one encoded byte stream per CPU.
 ///
-/// Built by [`TraceBuilder::finish_packed`](crate::TraceBuilder::finish_packed)
-/// and shared across runs behind an [`Arc`]. Decode back to [`Op`]s with
+/// Built by [`TraceBuilder::finish`](crate::TraceBuilder::finish) and
+/// shared across runs behind an [`Arc`]. Decode back to [`Op`]s with
 /// [`iter_cpu`](Self::iter_cpu) (analysis) or a [`TraceCursor`]
 /// (simulation).
 ///
@@ -275,7 +287,7 @@ fn corrupt(lead: u8, at: usize) -> ! {
 /// let pc = b.pc_site();
 /// b.read(0, b.element(a, 8, 3), pc);
 /// b.barrier_all();
-/// let trace = std::sync::Arc::new(b.finish_packed());
+/// let trace = std::sync::Arc::new(b.finish());
 /// assert_eq!(trace.total_ops(), 3); // one read + two barrier arrivals
 /// assert_eq!(trace.packed_bytes(), 4 + 2 * 9); // a narrow read, two syncs
 ///
@@ -333,8 +345,8 @@ impl PackedTrace {
     /// Borrowed decode iterator over `cpu`'s stream.
     ///
     /// This is the analysis-side view: trace-classification tools walk
-    /// ops straight out of the packed streams without materializing a
-    /// `Vec<Op>`.
+    /// ops straight out of the packed streams without running the timing
+    /// model.
     pub fn iter_cpu(&self, cpu: usize) -> OpIter<'_> {
         let lane = &self.lanes[cpu];
         OpIter {
@@ -343,17 +355,6 @@ impl PackedTrace {
             left: lane.ops,
             at: 0,
         }
-    }
-
-    /// Decodes the whole trace into a materialized [`TraceWorkload`].
-    ///
-    /// Exists for compatibility and for differential tests; experiment
-    /// code should replay through a [`TraceCursor`] instead.
-    pub fn materialize(&self) -> TraceWorkload {
-        let traces = (0..self.num_cpus())
-            .map(|cpu| self.iter_cpu(cpu).collect())
-            .collect();
-        TraceWorkload::new(self.name.clone(), traces)
     }
 }
 
@@ -404,10 +405,46 @@ pub struct TraceCursor {
 }
 
 impl TraceCursor {
-    /// Creates a cursor at the start of `trace`.
-    pub fn new(trace: Arc<PackedTrace>) -> Self {
+    /// Creates a cursor at the start of `trace` (an `Arc` to share, or an
+    /// owned trace to replay once).
+    pub fn new(trace: impl Into<Arc<PackedTrace>>) -> Self {
+        let trace = trace.into();
         let cursors = trace.lanes.iter().map(|l| (l.ops, 0)).collect();
         TraceCursor { trace, cursors }
+    }
+
+    /// A cursor over hand-written per-CPU op lists, which replay exactly
+    /// as written: every op is encoded as given, zero-cycle and adjacent
+    /// computes included. A [`TraceBuilder`](crate::TraceBuilder) drops
+    /// the former and merges the latter, but the simulator checks its
+    /// time slice between ops, so a merge could move a processor's yield
+    /// point and with it the timing of a hand-written trace.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pfsim_workloads::{Op, TraceCursor, Workload};
+    ///
+    /// let mut wl = TraceCursor::from_ops(
+    ///     "demo",
+    ///     &[vec![Op::Compute { cycles: 3 }, Op::Compute { cycles: 0 }], vec![]],
+    /// );
+    /// assert_eq!(wl.num_cpus(), 2);
+    /// assert_eq!(wl.next(0), Some(Op::Compute { cycles: 3 }));
+    /// assert_eq!(wl.next(0), Some(Op::Compute { cycles: 0 }));
+    /// assert_eq!(wl.next(0), None);
+    /// assert_eq!(wl.next(1), None);
+    /// ```
+    pub fn from_ops(name: impl Into<String>, lanes: &[Vec<Op>]) -> Self {
+        let lanes = lanes
+            .iter()
+            .map(|ops| {
+                let mut lane = PackedLane::default();
+                ops.iter().for_each(|&op| lane.push(op));
+                lane
+            })
+            .collect();
+        TraceCursor::new(PackedTrace::from_lanes(name.into(), lanes))
     }
 
     /// The shared trace this cursor replays.
@@ -522,11 +559,11 @@ mod tests {
     #[test]
     fn computes_coalesce_and_zero_cycles_drop() {
         let mut lane = PackedLane::default();
-        lane.push(Op::Compute { cycles: 2 });
-        lane.push(Op::Compute { cycles: 3 });
-        lane.push(Op::Compute { cycles: 0 });
+        lane.compute(2);
+        lane.compute(3);
+        lane.compute(0);
         lane.push(Op::Barrier { id: 0 });
-        lane.push(Op::Compute { cycles: 1 });
+        lane.compute(1);
         let trace = PackedTrace::from_lanes("t".into(), vec![lane]);
         let decoded: Vec<Op> = trace.iter_cpu(0).collect();
         assert_eq!(
@@ -542,13 +579,31 @@ mod tests {
     #[test]
     fn compute_coalescing_saturates() {
         let mut lane = PackedLane::default();
-        lane.push(Op::Compute {
-            cycles: u32::MAX - 1,
-        });
-        lane.push(Op::Compute { cycles: 10 });
+        lane.compute(u32::MAX - 1);
+        lane.compute(10);
         let trace = PackedTrace::from_lanes("t".into(), vec![lane]);
         let decoded: Vec<Op> = trace.iter_cpu(0).collect();
         assert_eq!(decoded, vec![Op::Compute { cycles: u32::MAX }]);
+    }
+
+    /// Hand-written lanes replay exactly as written: zero-cycle computes,
+    /// runs of adjacent computes and every op kind decode back unchanged,
+    /// through the cursor and through `iter_cpu`.
+    #[test]
+    fn from_ops_replays_every_op_exactly() {
+        let computes = [0, 0, 7, 255, 256, u32::MAX, 0].map(|cycles| Op::Compute { cycles });
+        let mut lane0 = computes.to_vec();
+        lane0.extend(sample_ops());
+        lane0.extend(computes);
+        let lanes = [lane0, Vec::new(), vec![Op::Compute { cycles: 0 }]];
+        let mut cursor = TraceCursor::from_ops("exact", &lanes);
+        assert_eq!(cursor.name(), "exact");
+        assert_eq!(cursor.total_ops(), lanes.iter().map(Vec::len).sum());
+        for (cpu, want) in lanes.iter().enumerate() {
+            assert!(cursor.trace().iter_cpu(cpu).eq(want.iter().copied()));
+            let replayed: Vec<Op> = std::iter::from_fn(|| cursor.next(cpu)).collect();
+            assert_eq!(&replayed, want, "cpu {cpu}");
+        }
     }
 
     #[test]
@@ -572,6 +627,7 @@ mod tests {
         };
         let cases = [
             (read(NARROW_MAX, 0x40), 4),
+            (Op::Compute { cycles: 0 }, 2),
             (read(NARROW_MAX + 1, 0x40), 9),
             (Op::Compute { cycles: 255 }, 2),
             (Op::Compute { cycles: 256 }, 5),
@@ -601,18 +657,10 @@ mod tests {
         trace.iter_cpu(0).for_each(drop);
     }
 
-    #[test]
-    fn materialize_matches_iterator() {
-        let ops = sample_ops();
-        let trace = pack(&ops);
-        let wl = trace.materialize();
-        assert_eq!(wl.trace(0), &ops[..]);
-        assert_eq!(wl.total_ops(), trace.total_ops());
-    }
-
-    /// The documented push contract as a reference model: zero-cycle
-    /// computes vanish and back-to-back computes merge, saturating.
-    fn push_expected(lane: &mut Vec<Op>, op: Op) {
+    /// The builder's compute policy as a reference model: zero-cycle
+    /// computes vanish and back-to-back computes merge, saturating. (An
+    /// exact push's model is `Vec::push`.)
+    fn merge_expected(lane: &mut Vec<Op>, op: Op) {
         if let Op::Compute { cycles } = op {
             if cycles == 0 {
                 return;
@@ -652,7 +700,7 @@ mod tests {
     }
 
     /// One lane's ops: every encoding edge, shuffled among random filler.
-    /// Multi-op chunks stay contiguous so their computes coalesce.
+    /// Multi-op chunks stay contiguous so their computes are adjacent.
     fn edge_lane(rng: &mut SplitMix64) -> Vec<Op> {
         // 40 distinct sites: the last 9 overflow the 31-entry PC table.
         let mut chunks: Vec<Vec<Op>> = (0..40)
@@ -695,9 +743,12 @@ mod tests {
         chunks.concat()
     }
 
-    /// Seeded random lanes across every encoding edge decode to the pushed
-    /// sequence through `iter_cpu`, `materialize`, and a cursor cloned at
-    /// a random op (the checkpoint-fork path), clone and original alike.
+    /// Seeded random lanes across every encoding edge decode to their
+    /// reference sequence through `iter_cpu` and a cursor cloned at a
+    /// random op (the checkpoint-fork path), clone and original alike. A
+    /// lane is built either by exact pushes (`from_ops`), whose reference
+    /// is the pushed sequence, or with the builder's compute policy, whose
+    /// reference merges and drops computes.
     #[test]
     fn random_lanes_round_trip_across_every_encoding_edge() {
         let mut rng = SplitMix64::seed_from_u64(0x4b17_e5ed);
@@ -706,13 +757,21 @@ mod tests {
             let mut lanes = vec![PackedLane::default(); cpus];
             let mut expected: Vec<Vec<Op>> = vec![Vec::new(); cpus];
             for (lane, want) in lanes.iter_mut().zip(&mut expected) {
+                let exact = rng.random_bool();
                 for op in edge_lane(&mut rng) {
-                    lane.push(op);
-                    push_expected(want, op);
+                    match op {
+                        Op::Compute { cycles } if !exact => {
+                            lane.compute(cycles);
+                            merge_expected(want, op);
+                        }
+                        _ => {
+                            lane.push(op);
+                            want.push(op);
+                        }
+                    }
                 }
             }
             let trace = Arc::new(PackedTrace::from_lanes("edges".into(), lanes));
-            let wl = trace.materialize();
             for (cpu, want) in expected.iter().enumerate() {
                 assert_eq!(trace.lanes[cpu].pcs.len(), PC_ESCAPE, "table full");
                 assert_eq!(trace.ops(cpu), want.len());
@@ -720,7 +779,6 @@ mod tests {
                     trace.iter_cpu(cpu).eq(want.iter().copied()),
                     "iter_cpu({cpu})"
                 );
-                assert_eq!(wl.trace(cpu), &want[..], "materialize, cpu {cpu}");
             }
 
             let mut cursor = TraceCursor::new(Arc::clone(&trace));

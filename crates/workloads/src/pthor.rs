@@ -12,7 +12,7 @@
 
 use pfsim_mem::SplitMix64;
 
-use crate::{PackedTrace, TraceBuilder, TraceWorkload};
+use crate::{PackedTrace, TraceBuilder};
 
 /// Size of one circuit-element record in bytes (one cache block).
 pub const ELEMENT_BYTES: u64 = 32;
@@ -60,18 +60,7 @@ impl PthorParams {
 /// # Panics
 ///
 /// Panics if any parameter is zero.
-pub fn build(params: PthorParams) -> TraceWorkload {
-    emit(params).finish()
-}
-
-/// Builds the same workload in the packed shared-trace encoding,
-/// ready to wrap in an `Arc` and replay across many runs (see
-/// [`build`]).
-pub fn build_packed(params: PthorParams) -> PackedTrace {
-    emit(params).finish_packed()
-}
-
-fn emit(params: PthorParams) -> TraceBuilder {
+pub fn build(params: PthorParams) -> PackedTrace {
     let PthorParams {
         elements,
         tasks_per_cpu,
@@ -146,7 +135,7 @@ fn emit(params: PthorParams) -> TraceBuilder {
             cursors[p] = succ.wrapping_add(rng.random_range(0..7));
         }
     }
-    b
+    b.finish()
 }
 
 #[cfg(test)]
@@ -163,8 +152,7 @@ mod tests {
             cpus: 2,
         });
         let reads: Vec<u64> = wl
-            .trace(0)
-            .iter()
+            .iter_cpu(0)
             .filter_map(|op| match op {
                 Op::Read { addr, pc } if pc.as_u32() == 0x0010_0000 => Some(addr.as_u64()),
                 _ => None,
@@ -186,7 +174,7 @@ mod tests {
             fanout: 2,
             cpus: 2,
         });
-        let t = wl.trace(0);
+        let t: Vec<Op> = wl.iter_cpu(0).collect();
         let acq = t
             .iter()
             .position(|op| matches!(op, Op::Acquire { .. }))
@@ -204,8 +192,7 @@ mod tests {
             cpus: 4,
         });
         let locks: std::collections::BTreeSet<u64> = wl
-            .trace(0)
-            .iter()
+            .iter_cpu(0)
             .filter_map(|op| match op {
                 Op::Acquire { lock } => Some(lock.as_u64()),
                 _ => None,
@@ -218,8 +205,6 @@ mod tests {
     fn deterministic() {
         let a = build(PthorParams::default());
         let b = build(PthorParams::default());
-        for cpu in 0..16 {
-            assert_eq!(a.trace(cpu), b.trace(cpu));
-        }
+        assert_eq!(a, b);
     }
 }

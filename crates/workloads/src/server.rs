@@ -13,7 +13,7 @@
 
 use pfsim_mem::SplitMix64;
 
-use crate::{PackedTrace, TraceBuilder, TraceWorkload};
+use crate::{PackedTrace, TraceBuilder};
 
 /// Size of one heap record in bytes (one cache block).
 pub const RECORD_BYTES: u64 = 32;
@@ -85,18 +85,7 @@ impl ServerParams {
 /// # Panics
 ///
 /// Panics if any parameter is zero.
-pub fn build(params: ServerParams) -> TraceWorkload {
-    emit(params).finish()
-}
-
-/// Builds the same workload in the packed shared-trace encoding,
-/// ready to wrap in an `Arc` and replay across many runs (see
-/// [`build`]).
-pub fn build_packed(params: ServerParams) -> PackedTrace {
-    emit(params).finish_packed()
-}
-
-fn emit(params: ServerParams) -> TraceBuilder {
+pub fn build(params: ServerParams) -> PackedTrace {
     let ServerParams {
         heap_blocks,
         requests_per_cpu,
@@ -166,7 +155,7 @@ fn emit(params: ServerParams) -> TraceBuilder {
             b.compute(p, 12); // request epilogue
         }
     }
-    b
+    b.finish()
 }
 
 #[cfg(test)]
@@ -192,8 +181,7 @@ mod tests {
     fn heap_lookups_span_many_pages() {
         let wl = build(tiny());
         let pages: std::collections::BTreeSet<u64> = wl
-            .trace(0)
-            .iter()
+            .iter_cpu(0)
             .filter_map(|op| match op {
                 Op::Read { addr, pc } if pc.as_u32() == 0x0010_0000 => Some(addr.as_u64() / 4096),
                 _ => None,
@@ -206,8 +194,7 @@ mod tests {
     fn scans_are_sequential() {
         let wl = build(tiny());
         let scans: Vec<u64> = wl
-            .trace(0)
-            .iter()
+            .iter_cpu(0)
             .filter_map(|op| match op {
                 Op::Read { addr, pc } if pc.as_u32() == 0x0010_0008 => Some(addr.as_u64()),
                 _ => None,
@@ -222,7 +209,7 @@ mod tests {
     #[test]
     fn session_updates_are_lock_protected() {
         let wl = build(tiny());
-        let t = wl.trace(0);
+        let t: Vec<Op> = wl.iter_cpu(0).collect();
         let acq = t
             .iter()
             .position(|op| matches!(op, Op::Acquire { .. }))
@@ -235,15 +222,12 @@ mod tests {
     fn no_barriers() {
         let wl = build(tiny());
         for cpu in 0..4 {
-            assert!(!wl
-                .trace(cpu)
-                .iter()
-                .any(|op| matches!(op, Op::Barrier { .. })));
+            assert!(!wl.iter_cpu(cpu).any(|op| matches!(op, Op::Barrier { .. })));
         }
     }
 
     #[test]
     fn deterministic() {
-        assert_eq!(build_packed(tiny()), build_packed(tiny()));
+        assert_eq!(build(tiny()), build(tiny()));
     }
 }

@@ -4,16 +4,16 @@
 
 use pfsim_mem::{FxHashMap, FxHashSet, Geometry};
 
-use crate::{Op, PackedTrace, TraceWorkload, Workload as _};
+use crate::{Op, PackedTrace};
 
 /// Operation mix and sharing profile of one workload.
 ///
 /// # Examples
 ///
 /// ```
-/// use pfsim_workloads::{micro, trace_stats};
+/// use pfsim_workloads::{micro, packed_stats};
 ///
-/// let stats = trace_stats(&micro::producer_consumer(16, 64));
+/// let stats = packed_stats(micro::producer_consumer(16, 64).trace());
 /// assert_eq!(stats.writes, 64);
 /// assert_eq!(stats.reads, 15 * 64);
 /// // Every block is written by one cpu and read by 15: fully shared.
@@ -58,20 +58,6 @@ impl TraceStats {
     }
 }
 
-/// Computes the static statistics of a materialized `workload`.
-pub fn trace_stats(workload: &TraceWorkload) -> TraceStats {
-    stats_over(workload.num_cpus(), |cpu| {
-        workload.trace(cpu).iter().copied()
-    })
-}
-
-/// Computes the static statistics of a packed trace without
-/// materializing it: ops are decoded on the fly through the borrowed
-/// [`iter_cpu`](PackedTrace::iter_cpu) view.
-pub fn packed_stats(trace: &PackedTrace) -> TraceStats {
-    stats_over(trace.num_cpus(), |cpu| trace.iter_cpu(cpu))
-}
-
 /// Per-block sharing record: exact for any processor count (an earlier
 /// bitmask encoding aliased cpus ≥ 32 and miscounted sharing on wide
 /// meshes).
@@ -85,18 +71,17 @@ struct BlockTouch {
     written: bool,
 }
 
-/// Shared accumulator over per-CPU op streams (32-byte blocks).
-fn stats_over<I>(num_cpus: usize, lane: impl Fn(usize) -> I) -> TraceStats
-where
-    I: Iterator<Item = Op>,
-{
+/// Computes the static statistics of a packed trace (32-byte blocks),
+/// decoding its ops through the borrowed
+/// [`iter_cpu`](PackedTrace::iter_cpu) view.
+pub fn packed_stats(trace: &PackedTrace) -> TraceStats {
     let g = Geometry::paper();
     let mut stats = TraceStats::default();
     let mut touched: FxHashMap<u64, BlockTouch> = FxHashMap::default();
     let mut pcs: FxHashSet<u32> = FxHashSet::default();
 
-    for cpu in 0..num_cpus {
-        let cpu = cpu as u32;
+    for lane in 0..trace.num_cpus() {
+        let cpu = lane as u32;
         let mut touch = |block: u64, write: bool| {
             let e = touched.entry(block).or_insert(BlockTouch {
                 first: cpu,
@@ -106,7 +91,7 @@ where
             e.multi |= e.first != cpu;
             e.written |= write;
         };
-        for op in lane(cpu as usize) {
+        for op in trace.iter_cpu(lane) {
             match op {
                 Op::Read { addr, pc } => {
                     stats.reads += 1;
@@ -147,20 +132,8 @@ mod tests {
     use crate::micro;
 
     #[test]
-    fn packed_stats_match_materialized_stats() {
-        for app in crate::App::ALL {
-            let packed = app.build_default_packed();
-            assert_eq!(
-                packed_stats(&packed),
-                trace_stats(&packed.materialize()),
-                "{app}"
-            );
-        }
-    }
-
-    #[test]
     fn private_walks_share_nothing() {
-        let s = trace_stats(&micro::sequential_walk(4, 32, 1));
+        let s = packed_stats(micro::sequential_walk(4, 32, 1).trace());
         assert_eq!(s.reads, 4 * 32);
         assert_eq!(s.footprint_blocks, 4 * 32);
         assert_eq!(s.shared_blocks, 0);
@@ -170,7 +143,7 @@ mod tests {
 
     #[test]
     fn producer_consumer_is_fully_communicated() {
-        let s = trace_stats(&micro::producer_consumer(4, 16));
+        let s = packed_stats(micro::producer_consumer(4, 16).trace());
         assert_eq!(s.footprint_blocks, 16);
         assert_eq!(s.shared_blocks, 16);
         assert_eq!(s.communicated_blocks, 16);
@@ -179,7 +152,7 @@ mod tests {
 
     #[test]
     fn lock_ping_pong_counts_sync_ops() {
-        let s = trace_stats(&micro::lock_ping_pong(4, 10));
+        let s = packed_stats(micro::lock_ping_pong(4, 10).trace());
         assert_eq!(s.acquires, 20);
         assert!(s.shared_blocks >= 1);
     }
@@ -197,7 +170,7 @@ mod tests {
         // Second block stays private to cpu 63.
         let lone = b.element(arr, 32, 1);
         b.read(63, lone, pc);
-        let s = trace_stats(&b.finish());
+        let s = packed_stats(&b.finish());
         assert_eq!(s.footprint_blocks, 2);
         assert_eq!(s.shared_blocks, 1);
         assert_eq!(s.communicated_blocks, 1);
@@ -206,7 +179,7 @@ mod tests {
     #[test]
     fn apps_have_meaningful_sharing() {
         for app in crate::App::ALL {
-            let s = trace_stats(&app.build_default());
+            let s = packed_stats(&app.build_packed_for(crate::ProblemSize::Default, 16));
             assert!(s.reads > 0 && s.writes > 0, "{app}");
             assert!(
                 s.communicated_blocks > 0,

@@ -16,7 +16,7 @@
 
 use pfsim_mem::SplitMix64;
 
-use crate::{PackedTrace, TraceBuilder, TraceWorkload};
+use crate::{PackedTrace, TraceBuilder};
 
 /// Size of one molecule record in bytes: 21 cache blocks.
 pub const MOLECULE_BYTES: u64 = 672;
@@ -75,18 +75,7 @@ impl WaterParams {
 /// # Panics
 ///
 /// Panics if there are fewer molecules than processors.
-pub fn build(params: WaterParams) -> TraceWorkload {
-    emit(params).finish()
-}
-
-/// Builds the same workload in the packed shared-trace encoding,
-/// ready to wrap in an `Arc` and replay across many runs (see
-/// [`build`]).
-pub fn build_packed(params: WaterParams) -> PackedTrace {
-    emit(params).finish_packed()
-}
-
-fn emit(params: WaterParams) -> TraceBuilder {
+pub fn build(params: WaterParams) -> PackedTrace {
     let WaterParams {
         molecules,
         steps,
@@ -223,7 +212,7 @@ fn emit(params: WaterParams) -> TraceBuilder {
         }
         b.barrier_all();
     }
-    b
+    b.finish()
 }
 
 #[cfg(test)]
@@ -249,7 +238,7 @@ mod tests {
         let mut strides = std::collections::BTreeMap::new();
         for cpu in 0..4 {
             let mut prev: Option<u64> = None;
-            for op in wl.trace(cpu) {
+            for op in wl.iter_cpu(cpu) {
                 if let Op::Read { addr, pc } = op {
                     if pc.as_u32() == 0x0010_0000 {
                         // pc_pos_a is the first allocated site
@@ -275,7 +264,7 @@ mod tests {
             mean_run: 4,
             cpus: 2,
         });
-        let t = wl.trace(0);
+        let t: Vec<Op> = wl.iter_cpu(0).collect();
         let acq = t
             .iter()
             .position(|op| matches!(op, Op::Acquire { .. }))
@@ -294,9 +283,7 @@ mod tests {
     fn deterministic() {
         let a = build(WaterParams::default());
         let b = build(WaterParams::default());
-        for cpu in 0..16 {
-            assert_eq!(a.trace(cpu), b.trace(cpu));
-        }
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -308,8 +295,7 @@ mod tests {
             cpus: 2,
         });
         let barriers = wl
-            .trace(0)
-            .iter()
+            .iter_cpu(0)
             .filter(|op| matches!(op, Op::Barrier { .. }))
             .count();
         assert_eq!(barriers, 9);

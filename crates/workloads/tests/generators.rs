@@ -3,7 +3,7 @@
 //! determinism — the invariants the big-mesh experiment grid leans on.
 
 use pfsim_mem::{Addr, Pc};
-use pfsim_workloads::{chase, mstride, server, App, Op, ProblemSize, TraceBuilder};
+use pfsim_workloads::{chase, mstride, server, App, Op, PackedTrace, ProblemSize, TraceBuilder};
 
 const PAGE: u64 = 4096;
 
@@ -41,8 +41,8 @@ fn tiny_server() -> server::ServerParams {
     }
 }
 
-fn addr_of(op: &Op) -> Option<u64> {
-    match *op {
+fn addr_of(op: Op) -> Option<u64> {
+    match op {
         Op::Read { addr, .. } | Op::Write { addr, .. } => Some(addr.as_u64()),
         Op::Acquire { lock } | Op::Release { lock } => Some(lock.as_u64()),
         Op::Compute { .. } | Op::Barrier { .. } => None,
@@ -64,7 +64,7 @@ fn footprint(region_bytes: &[u64]) -> u64 {
 /// processor count.
 #[test]
 fn refs_stay_in_bounds_for_64_cpus() {
-    let cases: [(&str, pfsim_workloads::TraceWorkload, u64); 3] = [
+    let cases: [(&str, PackedTrace, u64); 3] = [
         ("CHASE", chase::build(tiny_chase()), {
             let p = tiny_chase();
             footprint(&[
@@ -93,7 +93,7 @@ fn refs_stay_in_bounds_for_64_cpus() {
     ];
     for (name, wl, ceiling) in &cases {
         for cpu in 0..64 {
-            for op in wl.trace(cpu) {
+            for op in wl.iter_cpu(cpu) {
                 if let Some(a) = addr_of(op) {
                     assert!(
                         (PAGE..*ceiling).contains(&a),
@@ -112,85 +112,13 @@ fn refs_stay_in_bounds_for_64_cpus() {
 fn record_accesses_never_straddle_blocks() {
     let wl = chase::build(tiny_chase());
     for cpu in 0..64 {
-        for op in wl.trace(cpu) {
+        for op in wl.iter_cpu(cpu) {
             if let Some(a) = addr_of(op) {
                 assert_eq!(a % 8, 0, "cpu {cpu}: {a:#x} not field-aligned");
                 assert!(a % chase::NODE_BYTES < chase::NODE_BYTES);
             }
         }
     }
-}
-
-/// The packed encoding is lossless: materializing a packed trace gives
-/// back exactly the ops the direct builder produces, for every family.
-#[test]
-fn packed_round_trip_preserves_every_op() {
-    let pairs = [
-        (
-            chase::build(tiny_chase()),
-            chase::build_packed(tiny_chase()),
-        ),
-        (
-            mstride::build(tiny_mstride()),
-            mstride::build_packed(tiny_mstride()),
-        ),
-        (
-            server::build(tiny_server()),
-            server::build_packed(tiny_server()),
-        ),
-    ];
-    for (direct, packed) in &pairs {
-        assert_eq!(packed.num_cpus(), 64);
-        let via_packed = packed.materialize();
-        for cpu in 0..64 {
-            assert_eq!(
-                direct.trace(cpu),
-                via_packed.trace(cpu),
-                "{} cpu {cpu}",
-                packed.name()
-            );
-            let from_iter: Vec<Op> = packed.iter_cpu(cpu).collect();
-            assert_eq!(direct.trace(cpu), &from_iter[..]);
-        }
-    }
-}
-
-/// Addresses above 4 GiB survive the packed encoding's wide-address
-/// escape: a trace alternating low and >32-bit addresses round-trips
-/// exactly.
-#[test]
-fn wide_addresses_round_trip_through_packing() {
-    let mut b = TraceBuilder::new("wide", 2);
-    // 8 GiB of 32-byte records: the tail sits far above the 4 GiB line.
-    let big = b.alloc("BigHeap", 1 << 28, 32);
-    let pc = b.pc_site();
-    for i in 0..64u64 {
-        let idx = if i % 2 == 0 { i } else { (1 << 28) - 1 - i };
-        b.read(0, b.element(big, 32, idx), pc);
-        b.write(1, b.element(big, 32, idx / 2 + (1 << 27)), pc);
-    }
-    let direct = b.finish();
-
-    let mut b2 = TraceBuilder::new("wide", 2);
-    let big2 = b2.alloc("BigHeap", 1 << 28, 32);
-    let pc2 = b2.pc_site();
-    for i in 0..64u64 {
-        let idx = if i % 2 == 0 { i } else { (1 << 28) - 1 - i };
-        b2.read(0, b2.element(big2, 32, idx), pc2);
-        b2.write(1, b2.element(big2, 32, idx / 2 + (1 << 27)), pc2);
-    }
-    let packed = b2.finish_packed();
-
-    let crosses_4g = direct
-        .trace(1)
-        .iter()
-        .filter_map(addr_of)
-        .any(|a| a > u64::from(u32::MAX));
-    assert!(crosses_4g, "test must actually exercise the wide escape");
-
-    let round = packed.materialize();
-    assert_eq!(direct.trace(0), round.trace(0));
-    assert_eq!(direct.trace(1), round.trace(1));
 }
 
 /// Wide addresses also survive hand-built traces with every op kind in
@@ -210,7 +138,7 @@ fn wide_escape_survives_mixed_op_kinds() {
     b.release(0, hi);
     b.barrier_all();
     b.read(0, hi, pc);
-    let packed = b.finish_packed();
+    let packed = b.finish();
 
     let ops: Vec<Op> = packed.iter_cpu(0).collect();
     assert_eq!(
@@ -262,20 +190,20 @@ fn identical_seeds_are_byte_identical_across_threads() {
 /// families (and the unseeded MSTRIDE ignores it by construction).
 #[test]
 fn seed_selects_the_topology() {
-    let a = chase::build_packed(chase::ChaseParams {
+    let a = chase::build(chase::ChaseParams {
         seed: 1,
         ..tiny_chase()
     });
-    let b = chase::build_packed(chase::ChaseParams {
+    let b = chase::build(chase::ChaseParams {
         seed: 2,
         ..tiny_chase()
     });
     assert_ne!(a, b);
-    let a = server::build_packed(server::ServerParams {
+    let a = server::build(server::ServerParams {
         seed: 1,
         ..tiny_server()
     });
-    let b = server::build_packed(server::ServerParams {
+    let b = server::build(server::ServerParams {
         seed: 2,
         ..tiny_server()
     });

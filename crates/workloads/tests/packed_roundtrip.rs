@@ -1,7 +1,7 @@
 //! Property test for the packed shared-trace encoding: seeded random op
 //! streams — including wide (>32-bit) addresses that take the wide
 //! kinds, lock ops, and barriers — must survive the round trip through
-//! `TraceBuilder::finish_packed` and back out of a `TraceCursor`.
+//! `TraceBuilder::finish` and back out of a `TraceCursor`.
 //!
 //! The expected sequence is computed with the builder's documented
 //! compute-coalescing model (zero-cycle computes dropped, back-to-back
@@ -12,8 +12,8 @@ use std::sync::Arc;
 use pfsim_mem::{Addr, Pc, SplitMix64};
 use pfsim_workloads::{Op, TraceBuilder, TraceCursor, Workload};
 
-/// Mirrors `PackedLane::push`: the reference model every decoded lane is
-/// compared against.
+/// Mirrors what `TraceBuilder` emits: the reference model every decoded
+/// lane is compared against.
 fn push_expected(lane: &mut Vec<Op>, op: Op) {
     if let Op::Compute { cycles } = op {
         if cycles == 0 {
@@ -91,15 +91,15 @@ fn build_case(rng: &mut SplitMix64) -> (TraceBuilder, Vec<Vec<Op>>) {
 }
 
 /// Seeded random streams round-trip exactly: `iter_cpu`, a `TraceCursor`
-/// drained in random interleaving, a rewound replay, and the
-/// materialized workload all yield the reference sequence.
+/// drained in random interleaving, and a rewound replay all yield the
+/// reference sequence.
 #[test]
 fn random_streams_round_trip() {
     let mut rng = SplitMix64::seed_from_u64(0x9ac4ed);
     for _case in 0..16 {
         let (builder, expected) = build_case(&mut rng);
         let cpus = expected.len();
-        let trace = Arc::new(builder.finish_packed());
+        let trace = Arc::new(builder.finish());
 
         let expected_total: usize = expected.iter().map(Vec::len).sum();
         assert_eq!(trace.total_ops(), expected_total);
@@ -131,13 +131,6 @@ fn random_streams_round_trip() {
             let replay: Vec<Op> = std::iter::from_fn(|| cursor.next(cpu)).collect();
             assert_eq!(&replay, want, "rewound replay diverged on cpu {cpu}");
         }
-
-        // The materialized workload is the same decode.
-        let mut wl = trace.materialize();
-        for (cpu, want) in expected.iter().enumerate() {
-            let materialized: Vec<Op> = std::iter::from_fn(|| wl.next(cpu)).collect();
-            assert_eq!(&materialized, want, "materialize diverged on cpu {cpu}");
-        }
     }
 }
 
@@ -152,7 +145,7 @@ fn wide_addresses_take_the_escape_and_survive() {
     b.write(0, wide, pc);
     b.acquire(0, wide);
     b.release(0, wide);
-    let trace = Arc::new(b.finish_packed());
+    let trace = Arc::new(b.finish());
     let got: Vec<Op> = trace.iter_cpu(0).collect();
     assert_eq!(
         got,
@@ -182,7 +175,7 @@ fn compute_coalescing_is_exact() {
     b.read(0, a, pc);
     b.compute(0, u32::MAX);
     b.compute(0, 5); // saturates
-    let trace = b.finish_packed();
+    let trace = b.finish();
     let got: Vec<Op> = trace.iter_cpu(0).collect();
     assert_eq!(
         got,

@@ -11,13 +11,13 @@ use prefetch_repro::pfsim::RecordMisses;
 use prefetch_repro::pfsim::{System, SystemConfig};
 use prefetch_repro::pfsim_analysis::characterize;
 use prefetch_repro::pfsim_prefetch::Scheme;
-use prefetch_repro::pfsim_workloads::{TraceBuilder, TraceWorkload};
+use prefetch_repro::pfsim_workloads::{TraceBuilder, TraceCursor};
 
 /// CPU 0 produces 64-byte records into a ring buffer; CPUs 1..4 consume
 /// interleaved records (consumer c takes records c-1, c-1+3, ...). Each
 /// consumer therefore sees a stride-6-block sequence; the producer writes
 /// sequentially.
-fn pipeline(records: u64) -> TraceWorkload {
+fn pipeline(records: u64) -> TraceCursor {
     const RECORD: u64 = 64; // 2 blocks
     let consumers = 3u64;
     let mut b = TraceBuilder::new("ring-pipeline", 16);
@@ -48,7 +48,7 @@ fn pipeline(records: u64) -> TraceWorkload {
             i += consumers;
         }
     }
-    b.finish()
+    TraceCursor::new(b.finish())
 }
 
 fn main() {

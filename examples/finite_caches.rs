@@ -7,16 +7,16 @@
 
 use prefetch_repro::pfsim::{System, SystemConfig};
 use prefetch_repro::pfsim_prefetch::Scheme;
-use prefetch_repro::pfsim_workloads::mp3d;
+use prefetch_repro::pfsim_workloads::{mp3d, TraceCursor};
 
-fn workload() -> prefetch_repro::pfsim_workloads::TraceWorkload {
-    mp3d::build(mp3d::Mp3dParams {
+fn workload() -> TraceCursor {
+    TraceCursor::new(mp3d::build(mp3d::Mp3dParams {
         particles: 4000,
         cells: 2048,
         steps: 6,
         collision_pct: 50,
         cpus: 16,
-    })
+    }))
 }
 
 fn main() {

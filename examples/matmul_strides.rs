@@ -10,12 +10,12 @@
 
 use prefetch_repro::pfsim::{System, SystemConfig};
 use prefetch_repro::pfsim_prefetch::Scheme;
-use prefetch_repro::pfsim_workloads::{TraceBuilder, TraceWorkload};
+use prefetch_repro::pfsim_workloads::{TraceBuilder, TraceCursor};
 
 /// Builds the Figure-2 triple loop on one processor (the other 15 idle):
 /// `for i { for j { for k { C[i,j] += A[i,k] * B[k,j] } } }`, all three
 /// matrices row-major N×N doubles.
-fn matmul(n: u64) -> TraceWorkload {
+fn matmul(n: u64) -> TraceCursor {
     let mut b = TraceBuilder::new(format!("matmul-{n}"), 16);
     let a = b.alloc("A", n * n, 8);
     let bm = b.alloc("B", n * n, 8);
@@ -36,7 +36,7 @@ fn matmul(n: u64) -> TraceWorkload {
             b.write(0, at(&b, c, i, j), pc_c_w);
         }
     }
-    b.finish()
+    TraceCursor::new(b.finish())
 }
 
 fn main() {

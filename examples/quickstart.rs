@@ -3,9 +3,11 @@
 //!
 //! Run with: `cargo run --example quickstart --release`
 
+use std::sync::Arc;
+
 use prefetch_repro::pfsim::{System, SystemConfig};
 use prefetch_repro::pfsim_prefetch::Scheme;
-use prefetch_repro::pfsim_workloads::{lu, Workload};
+use prefetch_repro::pfsim_workloads::{lu, TraceCursor};
 
 fn main() {
     // The fixed architectural parameters of Table 1.
@@ -31,18 +33,15 @@ fn main() {
     );
     println!();
 
-    // A small LU factorization, first on the baseline...
-    let workload = lu::build(lu::LuParams { n: 64, cpus: 16 });
-    println!(
-        "workload: {} ({} ops)",
-        workload.name(),
-        workload.total_ops()
-    );
-    let base = System::new(cfg.clone(), workload).run();
+    // A small LU factorization, built once and replayed by a cursor per
+    // run: first on the baseline...
+    let trace = Arc::new(lu::build(lu::LuParams { n: 64, cpus: 16 }));
+    println!("workload: {} ({} ops)", trace.name(), trace.total_ops());
+    let base = System::new(cfg.clone(), TraceCursor::new(Arc::clone(&trace))).run();
 
     // ...then with degree-1 sequential prefetching.
-    let workload = lu::build(lu::LuParams { n: 64, cpus: 16 });
-    let seq = System::new(cfg.with_scheme(Scheme::Sequential { degree: 1 }), workload).run();
+    let seq_cfg = cfg.with_scheme(Scheme::Sequential { degree: 1 });
+    let seq = System::new(seq_cfg, TraceCursor::new(trace)).run();
 
     println!();
     println!("                     baseline    Seq(d=1)");

@@ -7,12 +7,12 @@
 use prefetch_repro::pfsim::{System, SystemConfig};
 use prefetch_repro::pfsim_analysis::{compare, RunMetrics};
 use prefetch_repro::pfsim_prefetch::Scheme;
-use prefetch_repro::pfsim_workloads::App;
+use prefetch_repro::pfsim_workloads::{App, ProblemSize, TraceCursor};
 
 fn metrics(app: App, scheme: Scheme) -> RunMetrics {
     System::new(
         SystemConfig::paper_baseline().with_scheme(scheme),
-        app.build_default(),
+        TraceCursor::new(app.build_packed_for(ProblemSize::Default, 16)),
     )
     .run()
     .run_metrics()

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # The full local CI gate: formatting, clippy (which carries the code
-# invariants: see DESIGN.md §11), release build, test suites, the
-# benchmark crate, and one pfsim-benchmark pass per workload. Run from
-# anywhere inside the repo.
+# invariants: see DESIGN.md §11), docs, release build, test suites, the
+# benchmark crate, every paper table against results/, and one
+# pfsim-benchmark pass per workload. Run from anywhere inside the repo.
 #
 # Usage: scripts/ci.sh [--no-perf]
 #
@@ -41,6 +41,11 @@ if ! cargo clippy --version >/dev/null 2>&1; then
 fi
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> cargo doc (warnings are errors)"
+# Broken or private intra-doc links fail here, including links to items a
+# change deletes.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "==> cargo build --release"
 cargo build --release --workspace --offline
 
@@ -52,7 +57,7 @@ echo "==> benchmark crate (builds benchmark/, including its CheckSink; runs its 
 # it. Its traced pipeline implements CheckSink against the simulator API.
 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> packed-trace replay determinism"
+echo "==> packed-trace replay (cross-thread decode, bytes/op budget)"
 cargo test -q -p pfsim-bench --release --offline --test packed_replay
 
 echo "==> consistency litmus suite (all schemes x baseline/small-cache)"
@@ -81,11 +86,28 @@ echo "==> big-mesh determinism gate (8x8 anchors, checkpoint)"
 # pclock-neutral.
 PFSIM_CHECK=1 cargo test -q -p pfsim-bench --release --offline --test bigmesh
 
-echo "==> workload characterization (Table 2 methodology on the modern families)"
-# Characterizes CHASE/MSTRIDE/SERVER at 4x4, 8x8, and paper scale; the
-# binary re-reads and validates the manifest it just wrote, so this
-# stage doubles as a manifest-discipline check for the big-mesh grid.
-./target/release/workload_char
+echo "==> paper tables: every experiment binary reproduces its results/ file"
+# Each table, figure and ablation binary at the default size must print
+# its tracked output byte for byte (results/<bin>_default.txt, else
+# results/<bin>.txt). workload_char also re-reads and validates the
+# manifest it writes, which checks manifest discipline on the big-mesh
+# grid. Manifests go to a temp directory, not results/, and a binary's
+# progress lines on stderr are shown only if it fails.
+tables_dir=$(mktemp -d)
+for bin in table2 table3 table4 figure6 \
+    ablation_adaptive ablation_block ablation_consistency \
+    ablation_degree ablation_detection ablation_slc \
+    workload_char workload_table; do
+    want=results/${bin}_default.txt
+    [[ -f "$want" ]] || want=results/$bin.txt
+    PFSIM_RESULTS_DIR="$tables_dir" "./target/release/$bin" \
+        >"$tables_dir/$bin.txt" 2>"$tables_dir/$bin.err" \
+        || { cat "$tables_dir/$bin.err" >&2; exit 1; }
+    cmp "$tables_dir/$bin.txt" "$want" \
+        || { echo "error: $bin output differs from $want" >&2
+             diff "$want" "$tables_dir/$bin.txt" >&2 || true; exit 1; }
+done
+rm -rf "$tables_dir"
 
 # The Figure-6 grid as a wire spec (6 apps x baseline, I-det, D-det and
 # Seq at degree 1 on the paper's machine) and its pinned pclock total.

@@ -5,10 +5,10 @@
 use prefetch_repro::pfsim::{RecordMisses, System, SystemConfig};
 use prefetch_repro::pfsim_analysis::{characterize, MissEvent};
 use prefetch_repro::pfsim_prefetch::Scheme;
-use prefetch_repro::pfsim_workloads::{cholesky, lu, mp3d, ocean, pthor, water, TraceWorkload};
+use prefetch_repro::pfsim_workloads::{cholesky, lu, mp3d, ocean, pthor, water, TraceCursor};
 
 /// A named workload factory.
-type AppFactory = (&'static str, Box<dyn Fn() -> TraceWorkload>);
+type AppFactory = (&'static str, Box<dyn Fn() -> TraceCursor>);
 
 /// Small-but-representative versions of all six applications.
 fn small_apps() -> Vec<AppFactory> {
@@ -16,64 +16,64 @@ fn small_apps() -> Vec<AppFactory> {
         (
             "MP3D",
             Box::new(|| {
-                mp3d::build(mp3d::Mp3dParams {
+                TraceCursor::new(mp3d::build(mp3d::Mp3dParams {
                     particles: 800,
                     cells: 512,
                     steps: 3,
                     collision_pct: 50,
                     cpus: 16,
-                })
+                }))
             }),
         ),
         (
             "Cholesky",
             Box::new(|| {
-                cholesky::build(cholesky::CholeskyParams {
+                TraceCursor::new(cholesky::build(cholesky::CholeskyParams {
                     columns: 160,
                     min_height: 12,
                     max_height: 44,
                     supernode: 4,
                     fanout: 6,
                     cpus: 16,
-                })
+                }))
             }),
         ),
         (
             "Water",
             Box::new(|| {
-                water::build(water::WaterParams {
+                TraceCursor::new(water::build(water::WaterParams {
                     molecules: 96,
                     steps: 1,
                     mean_run: 8,
                     cpus: 16,
-                })
+                }))
             }),
         ),
         (
             "LU",
-            Box::new(|| lu::build(lu::LuParams { n: 48, cpus: 16 })),
+            Box::new(|| TraceCursor::new(lu::build(lu::LuParams { n: 48, cpus: 16 }))),
         ),
         (
             "Ocean",
             Box::new(|| {
-                ocean::build(ocean::OceanParams {
+                TraceCursor::new(ocean::build(ocean::OceanParams {
                     n: 32,
                     iterations: 4,
                     band: 8,
                     row_doubles: ocean::ROW_DOUBLES,
                     cpus: 16,
-                })
+                }))
             }),
         ),
         (
             "PTHOR",
             Box::new(|| {
-                pthor::build(pthor::PthorParams {
+                TraceCursor::new(pthor::build(pthor::PthorParams {
                     elements: 512,
                     tasks_per_cpu: 400,
                     fanout: 3,
                     cpus: 16,
-                })
+                }))
             }),
         ),
     ]

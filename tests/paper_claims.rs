@@ -17,13 +17,20 @@
 use prefetch_repro::pfsim::{RecordMisses, SimResult, System, SystemConfig};
 use prefetch_repro::pfsim_analysis::{characterize, MissEvent};
 use prefetch_repro::pfsim_prefetch::Scheme;
-use prefetch_repro::pfsim_workloads::{micro, mp3d, ocean, pthor, App, TraceWorkload};
+use prefetch_repro::pfsim_workloads::{
+    micro, mp3d, ocean, pthor, App, PackedTrace, ProblemSize, TraceCursor,
+};
 
-fn run(wl: TraceWorkload, scheme: Scheme) -> SimResult {
-    System::new(SystemConfig::paper_baseline().with_scheme(scheme), wl).run()
+fn run(wl: PackedTrace, scheme: Scheme) -> SimResult {
+    let cfg = SystemConfig::paper_baseline().with_scheme(scheme);
+    System::new(cfg, TraceCursor::new(wl)).run()
 }
 
-fn mp3d_small() -> TraceWorkload {
+fn default_size(app: App) -> TraceCursor {
+    TraceCursor::new(app.build_packed_for(ProblemSize::Default, 16))
+}
+
+fn mp3d_small() -> PackedTrace {
     mp3d::build(mp3d::Mp3dParams {
         particles: 1600,
         cells: 1024,
@@ -33,14 +40,14 @@ fn mp3d_small() -> TraceWorkload {
     })
 }
 
-fn ocean_small() -> TraceWorkload {
+fn ocean_small() -> PackedTrace {
     // Ocean's stride advantage needs subgrids tall enough for the
     // column-boundary sequences to be detected, so use the full default
     // size (still subsecond).
     ocean::build(ocean::OceanParams::default())
 }
 
-fn pthor_small() -> TraceWorkload {
+fn pthor_small() -> PackedTrace {
     pthor::build(pthor::PthorParams {
         elements: 1024,
         tasks_per_cpu: 800,
@@ -57,7 +64,7 @@ fn table2_characteristics_stay_in_band() {
     let characterize_app = |app: App| {
         let mut sys = System::new(
             SystemConfig::paper_baseline().with_recording(RecordMisses::Cpu(5)),
-            app.build_default(),
+            default_size(app),
         );
         let r = sys.run();
         let misses: Vec<MissEvent> = r.miss_traces[5]
@@ -147,7 +154,7 @@ fn table3_ocean_flips_to_stride_one() {
         SystemConfig::paper_baseline()
             .with_finite_slc(16 * 1024)
             .with_recording(RecordMisses::Cpu(5)),
-        App::Ocean.build_default(),
+        default_size(App::Ocean),
     );
     let r = sys.run();
     let misses: Vec<MissEvent> = r.miss_traces[5]
@@ -217,7 +224,7 @@ fn idetection_is_more_selective_on_low_locality_apps() {
     // cases are MP3D and Ocean; on PTHOR both schemes issue so few useful
     // prefetches that only the traffic difference is robust.
     for (name, wl) in [
-        ("MP3D", mp3d_small as fn() -> TraceWorkload),
+        ("MP3D", mp3d_small as fn() -> PackedTrace),
         ("Ocean", ocean_small),
     ] {
         let idet = run(wl(), Scheme::IDetection { degree: 1 });
@@ -231,11 +238,7 @@ fn idetection_is_more_selective_on_low_locality_apps() {
     }
     // Sequential prefetching's indiscriminate issue shows up as extra
     // traffic on every low-locality application, PTHOR included.
-    for wl in [
-        mp3d_small as fn() -> TraceWorkload,
-        ocean_small,
-        pthor_small,
-    ] {
+    for wl in [mp3d_small as fn() -> PackedTrace, ocean_small, pthor_small] {
         let idet = run(wl(), Scheme::IDetection { degree: 1 });
         let seq = run(wl(), Scheme::Sequential { degree: 1 });
         assert!(

@@ -82,8 +82,8 @@ impl Size {
 )]
 static TRACE_CACHE: OnceLock<Mutex<TraceCache>> = OnceLock::new();
 
-/// The packed bytes the process-wide trace cache may hold: over four times
-/// the whole Large trace set (224 MB), so no benchmark grid evicts, while
+/// The packed bytes the process-wide trace cache may hold: over ten times
+/// the whole Large trace set (77 MB), so no benchmark grid evicts, while
 /// a long-running `pfsim-serve` asked for ever more `(app, size, cpus)`
 /// keys stays bounded.
 pub const TRACE_CACHE_BYTES: usize = 1 << 30;
@@ -258,14 +258,15 @@ mod tests {
             Arc::new(b.finish())
         };
         let [a, b, c] = [Size::Default, Size::Paper, Size::Large].map(|size| (App::Lu, size, 16));
+        let bytes = trace(25).packed_bytes();
         let mut cache = TraceCache::default();
         for key in [a, b, c] {
-            cache.request(key).set(trace(25)).unwrap(); // 100 bytes each
+            cache.request(key).set(trace(25)).unwrap();
         }
         cache.request(a); // b is now the least recently requested
-        cache.evict_to(300, c);
-        assert_eq!(cache.entries.len(), 3, "300 bytes fit a 300-byte cap");
-        cache.evict_to(250, c);
+        cache.evict_to(3 * bytes, c);
+        assert_eq!(cache.entries.len(), 3, "three traces fit a three-trace cap");
+        cache.evict_to(3 * bytes - 1, c);
         assert!(!cache.entries.contains_key(&b), "b goes first");
         cache.evict_to(0, c);
         let left: Vec<_> = cache.entries.keys().collect();

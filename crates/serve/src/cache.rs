@@ -6,8 +6,9 @@
 //! resolved configuration (`Debug` form — the same fingerprint idiom the
 //! warmup checkpoint store uses), the application, the problem size, the
 //! warmup prefix, and the producing build's `git describe`. The file
-//! stores the material alongside the value and a lookup verifies it, so
-//! a hash collision degrades to a cache miss, never a wrong result.
+//! stores the material and an FNV-1a sum of the value's rendering
+//! alongside the value, and a lookup verifies both: a hash collision or a
+//! value changed on disk degrades to a cache miss, never a wrong result.
 //!
 //! Worker threads each hold a reference; the cache itself takes no locks
 //! — a lost race on `put` rewrites the same bytes, and `get` either sees
@@ -38,14 +39,19 @@ impl Cache {
     }
 
     /// Looks `material` up in `kind`, returning the stored value only if
-    /// the stored key material matches exactly.
+    /// the stored key material matches exactly and the value still has
+    /// the sum it was stored with (an entry without one is a miss too).
     pub fn get(&self, kind: &str, material: &str) -> Option<Json> {
         let text = std::fs::read_to_string(self.entry_path(kind, material)).ok()?;
         let doc = Json::parse(&text).ok()?;
         if doc.get("key")?.as_str()? != material {
             return None; // hash collision: treat as a miss
         }
-        doc.get("value").cloned()
+        let value = doc.get("value")?;
+        if doc.get("sum")?.as_str()? != value_sum(value) {
+            return None; // corrupted on disk: treat as a miss
+        }
+        Some(value.clone())
     }
 
     /// Stores `value` under `material` in `kind` (best-effort: cache
@@ -57,7 +63,11 @@ impl Cache {
                 return;
             }
         }
-        let doc = Json::obj(vec![("key", Json::str(material)), ("value", value)]);
+        let doc = Json::obj(vec![
+            ("key", Json::str(material)),
+            ("sum", Json::str(value_sum(&value))),
+            ("value", value),
+        ]);
         // Write-then-rename so concurrent readers never see a torn file.
         let tmp = path.with_extension("tmp");
         if std::fs::write(&tmp, doc.render()).is_ok() {
@@ -66,8 +76,16 @@ impl Cache {
     }
 }
 
-/// 64-bit FNV-1a: tiny, dependency-free, and stable across runs. Only
-/// used to name cache files — collisions are caught by the stored key.
+/// The checksum an entry stores for `value`: the FNV-1a hash of its
+/// rendering, in hex. Rendering is canonical and a parse of it renders
+/// back byte for byte, so the sum survives the round trip through disk.
+fn value_sum(value: &Json) -> String {
+    format!("{:016x}", fnv1a(&value.render()))
+}
+
+/// 64-bit FNV-1a: tiny, dependency-free, and stable across runs. Names
+/// cache files (collisions are caught by the stored key) and sums their
+/// values.
 fn fnv1a(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in s.bytes() {
@@ -80,6 +98,11 @@ fn fnv1a(s: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pfsim_bench::manifest::{cell_json, trace_json};
+    use pfsim_bench::spec::wire::WireVariant;
+    use pfsim_bench::{ExperimentSpec, Runner};
+    use pfsim_prefetch::Scheme;
+    use pfsim_workloads::App;
 
     fn temp_cache(name: &str) -> Cache {
         let dir = std::env::temp_dir().join(format!("pfsim-serve-cache-{name}"));
@@ -106,10 +129,81 @@ mod tests {
         let path = c.entry_path("cells", "honest");
         let forged = Json::obj(vec![
             ("key", Json::str("something else")),
+            ("sum", Json::str(value_sum(&Json::uint(2)))),
             ("value", Json::uint(2)),
         ]);
         std::fs::write(&path, forged.render()).unwrap();
         assert!(c.get("cells", "honest").is_none());
+    }
+
+    /// A real cell entry as `run_job` stores it: the document and trace
+    /// record of one simulated MP3D baseline cell.
+    fn real_cell_value() -> Json {
+        let dir =
+            std::env::temp_dir().join(format!("pfsim-serve-cache-cell-{}", std::process::id()));
+        let spec = ExperimentSpec::new("cache-cell")
+            .apps([App::Mp3d])
+            .variant("baseline", WireVariant::of_scheme(Scheme::None).config())
+            .serial()
+            .quiet();
+        let run = Runner::with_out_dir(&dir).execute(spec);
+        let _ = std::fs::remove_dir_all(&dir);
+        Json::obj(vec![
+            ("cell", cell_json(&run.cells[0])),
+            ("trace", trace_json(&run.traces[0])),
+        ])
+    }
+
+    /// The offset of the first fractional digit of the first float in
+    /// `text`.
+    fn first_float_digit(text: &str) -> usize {
+        let b = text.as_bytes();
+        (1..b.len() - 1)
+            .find(|&i| b[i] == b'.' && b[i - 1].is_ascii_digit() && b[i + 1].is_ascii_digit())
+            .expect("the document holds a float")
+            + 1
+    }
+
+    /// One changed digit in a stored cell entry, whether in `exec_cycles`,
+    /// in a float or anywhere else in a sample across the file, is a miss
+    /// (or, where the digit was past a float's precision, the identical
+    /// value), never a replayed wrong result. So is an entry stored
+    /// without a sum.
+    #[test]
+    fn a_one_digit_corruption_is_a_miss() {
+        let c = temp_cache("corrupt");
+        let value = real_cell_value();
+        c.put("cells", "cell", value.clone());
+        assert_eq!(c.get("cells", "cell").as_ref(), Some(&value));
+        let path = c.entry_path("cells", "cell");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let cycles_at = text.find("\"exec_cycles\": ").unwrap() + "\"exec_cycles\": ".len();
+        let float_at = first_float_digit(&text);
+        let sample = text
+            .bytes()
+            .enumerate()
+            .filter(|&(_, b)| b.is_ascii_digit())
+            .map(|(at, _)| at)
+            .step_by(37);
+        for at in [cycles_at, float_at].into_iter().chain(sample) {
+            let mut bytes = text.clone().into_bytes();
+            bytes[at] = if bytes[at] == b'9' {
+                b'0'
+            } else {
+                bytes[at] + 1
+            };
+            std::fs::write(&path, &bytes).unwrap();
+            match c.get("cells", "cell") {
+                None => {}
+                Some(got) => {
+                    assert!(at != cycles_at && at != float_at, "digit at {at} replayed");
+                    assert_eq!(got, value, "digit at {at} replayed a changed value");
+                }
+            }
+        }
+        let unsummed = Json::obj(vec![("key", Json::str("cell")), ("value", value)]);
+        std::fs::write(&path, unsummed.render()).unwrap();
+        assert!(c.get("cells", "cell").is_none());
     }
 
     #[test]

@@ -25,7 +25,8 @@ pub enum JobState {
     Running,
     /// All cells produced; the manifest is written and validated.
     Done,
-    /// The run aborted (assembly or validation error).
+    /// The run aborted (a cell panicked, or assembly or validation
+    /// failed).
     Failed,
     /// Cancelled by the client before completion.
     Cancelled,

@@ -18,8 +18,10 @@
 //! byte-identical manifest even though manifests embed wall-clock
 //! fields.
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::net::{TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -208,6 +210,11 @@ impl Server {
     /// the external flag, or `POST /shutdown`) *and* every accepted job
     /// has reached a terminal state.
     pub fn run(self) {
+        self.run_with(run_job);
+    }
+
+    /// [`run`](Self::run), with each dequeued job handed to `body`.
+    fn run_with(self, body: JobBody) {
         let Server {
             listener, shared, ..
         } = self;
@@ -220,7 +227,7 @@ impl Server {
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("pfsim-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&sh))
+                    .spawn(move || worker_loop(&sh, body))
                     .expect("spawn worker"),
             );
         }
@@ -285,7 +292,11 @@ fn request_drain(shared: &Shared) {
 // Worker pool
 // ---------------------------------------------------------------------
 
-fn worker_loop(shared: &Shared) {
+/// What a worker does with a job it dequeued: [`run_job`], or a stand-in
+/// in tests.
+type JobBody = fn(&Shared, u64);
+
+fn worker_loop(shared: &Shared, body: JobBody) {
     loop {
         let id = {
             let mut st = shared.state.lock().unwrap();
@@ -308,11 +319,29 @@ fn worker_loop(shared: &Shared) {
                 st = guard;
             }
         };
-        run_job(shared, id);
+        // A panic in a cell (a protocol trap, a corrupt trace, an oracle
+        // assert) fails its job alone. Uncaught, it would end this worker
+        // with the job left `Running` and `running` never decremented, so
+        // a drain could never finish.
+        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| body(shared, id))) {
+            let error = format!("job panicked: {}", panic_message(payload.as_ref()));
+            finish(shared, id, JobState::Failed, Some(error));
+        }
         let mut st = shared.state.lock().unwrap();
         st.running -= 1;
         drop(st);
         shared.wake.notify_all();
+    }
+}
+
+/// The message a panic was raised with.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    if let Some(text) = payload.downcast_ref::<&str>() {
+        text
+    } else if let Some(text) = payload.downcast_ref::<String>() {
+        text
+    } else {
+        "a non-text payload"
     }
 }
 
@@ -891,6 +920,9 @@ fn server_status_json(shared: &Shared) -> Json {
 
 #[cfg(test)]
 mod tests {
+    use super::*;
+    use crate::Client;
+
     /// The service registry gives each metric name one kind and one
     /// registering call site (the registry panics otherwise).
     #[test]
@@ -898,5 +930,70 @@ mod tests {
         let snap = super::Metrics::new().snapshot();
         assert_eq!(snap.counters.len(), 10);
         assert_eq!(snap.histograms.len(), 3);
+    }
+
+    /// A job whose body panics ends `Failed` with the panic's message and
+    /// counts in `serve_jobs_failed`. Its worker lives on to finish the
+    /// next job, and a drain then completes.
+    #[test]
+    fn a_panicking_job_fails_alone_and_the_server_still_drains() {
+        let dir = std::env::temp_dir().join(format!("pfsim-serve-panic-{}", std::process::id()));
+        let mut cfg = ServeConfig::new(&dir);
+        cfg.workers = 1;
+        cfg.quiet = true;
+        let server = Server::bind(cfg).expect("bind ephemeral port");
+        let client = Client::new("127.0.0.1", server.port());
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let serving = std::thread::spawn(move || {
+            server.run_with(|shared, id| {
+                if id == 1 {
+                    panic!("injected cell panic");
+                }
+                finish(shared, id, JobState::Done, None);
+            });
+            done_tx.send(()).expect("the test is waiting");
+        });
+
+        let spec = WireSpec::baseline_grid("panics", pfsim_bench::Size::Default, &[App::Mp3d], &[])
+            .to_json()
+            .render();
+        let (panicking, healthy) = (client.submit(&spec).unwrap(), client.submit(&spec).unwrap());
+        // Polled with a deadline: a worker killed by the panic would
+        // leave both jobs unfinished forever.
+        let settle = |job: &str| {
+            let deadline = Instant::now() + Duration::from_secs(30);
+            loop {
+                let status = client.job_status(job).unwrap();
+                let state = status.get("state").and_then(Json::as_str);
+                if !matches!(state, Some("queued" | "running")) {
+                    return status;
+                }
+                assert!(Instant::now() < deadline, "{job} never finished");
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        };
+        let failed = settle(&panicking);
+        assert_eq!(failed.get("state").and_then(Json::as_str), Some("failed"));
+        let error = failed
+            .get("error")
+            .and_then(Json::as_str)
+            .unwrap_or_default();
+        assert!(error.contains("injected cell panic"), "{error}");
+        let done = settle(&healthy);
+        assert_eq!(done.get("state").and_then(Json::as_str), Some("done"));
+        let status = client.server_status().unwrap();
+        let failures = status
+            .get("metrics")
+            .and_then(|m| m.get("counters"))
+            .and_then(|c| c.get("serve_jobs_failed"))
+            .and_then(Json::as_u64);
+        assert_eq!(failures, Some(1));
+
+        client.shutdown().expect("shutdown accepted");
+        done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the drain completes");
+        serving.join().expect("the server exits cleanly");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -3,13 +3,16 @@
 //! The paper's program-driven methodology replays the *same* reference
 //! stream under every architecture configuration (§4). [`PackedTrace`]
 //! holds that stream: each processor's ops as one variable-length byte
-//! stream plus a small table of the load/store sites the stream uses, so
-//! a shared read costs 4 bytes, a compute 2, and a whole six-application
-//! trace set fits under 4 amortized bytes per operation (a decoded [`Op`]
-//! is 16). The trace is immutable after construction; N concurrent runs
-//! each hold a [`TraceCursor`], the one [`Workload`], over one
-//! `Arc<PackedTrace>` and decode independently with zero copies. No other
-//! module knows the format.
+//! stream plus a small table of the load/store sites the stream uses.
+//! Like I-detection's reference prediction table (§3.1), the encoding
+//! predicts each read's or write's address from its site's last address
+//! and last stride, so a predicted access costs 1 byte, any other narrow
+//! one 4 and a short compute 1. The six applications' trace sets average
+//! 2.06 bytes per operation at the default size and 1.24 at the large
+//! one (a decoded [`Op`] is 16). The trace is immutable after
+//! construction; N concurrent runs each hold a [`TraceCursor`], the one
+//! [`Workload`], over one `Arc<PackedTrace>` and decode independently with
+//! zero copies. No other module knows the format.
 //!
 //! A trace comes from one of two constructors that differ only in
 //! computes: [`TraceBuilder`](crate::TraceBuilder), which every generator
@@ -24,19 +27,35 @@
 //!
 //! | kind | bytes after the lead byte |
 //! |------|---------------------------|
+//! | `READ_NEXT`, `WRITE_NEXT` | none: the address is the slot's prediction |
 //! | `READ`, `WRITE` | a 3-byte address below 2^24 |
-//! | `READ_WIDE`, `WRITE_WIDE` | an 8-byte address |
-//! | `COMPUTE8` | a 1-byte cycle count below 256 |
-//! | `COMPUTE32` | a 4-byte cycle count |
+//! | `WIDE` | the op's narrow kind (`READ` or `WRITE`), then an 8-byte address |
+//! | `COMPUTE` | none: slots 0–30 are the cycle count; slot 31, a 4-byte count |
 //! | `SYNC` | an 8-byte lock address or barrier id |
+//!
+//! Kind 7 is never written: decoding it traps as a corrupt trace.
 //!
 //! A read's or write's slot indexes its lane's PC table, which holds the
 //! first 31 distinct PCs the lane uses (the applications use at most 16
-//! sites). Slot 31 escapes: a raw 4-byte PC precedes the address. A sync
-//! op's slot says whether it is an acquire, a release or a barrier. Wide
-//! addresses keep the format general over the 64-bit
-//! [`Addr`](pfsim_mem::Addr) space, although every generator's
-//! allocations stay far below 2^24.
+//! sites). Slot 31 escapes: a raw 4-byte PC precedes the address (after
+//! a wide op's narrow kind). A sync op's slot says whether it is an
+//! acquire, a release or a barrier. Wide addresses keep the format
+//! general over the 64-bit [`Addr`](pfsim_mem::Addr) space, although
+//! every generator's allocations stay far below 2^24.
+//!
+//! # Address prediction
+//!
+//! Each PC-table slot remembers the last address its reads and writes
+//! touched and the stride from the one before, both zero at the start of
+//! the lane, in wrapping 64-bit arithmetic. A read or write whose address
+//! equals its slot's last address plus last stride takes the `_NEXT`
+//! form. Every read or write with a table slot updates the slot,
+//! whatever form it took. An escaped PC is never predicted, so a `_NEXT`
+//! op in slot 31 is corrupt. The encoder and every decoder run the same
+//! predictor over the same ops. A decoder's state lives in its
+//! [`OpIter`] or in its CPU's part of a [`TraceCursor`], never in the
+//! shared trace, so cloning a cursor (a checkpoint fork) carries it and
+//! [`TraceCursor::rewind`] resets it.
 //!
 //! Each lane ends in 8 bytes of padding, so decode reads an op with one
 //! fixed 8-byte load through safe slicing; only wide and sync ops need a
@@ -49,14 +68,14 @@ use pfsim_mem::{Addr, Pc};
 use crate::{Op, Workload};
 
 /// The 3-bit op kinds of the lead byte. The memory kinds are 0..=3, with
-/// [`WIDE_BIT`] marking an 8-byte address and [`WRITE_BIT`] a store.
+/// [`NEXT_BIT`] marking a predicted address and [`WRITE_BIT`] a store.
 mod kind {
     pub const READ: u8 = 0;
-    pub const READ_WIDE: u8 = 1;
+    pub const READ_NEXT: u8 = 1;
     pub const WRITE: u8 = 2;
-    pub const WRITE_WIDE: u8 = 3;
-    pub const COMPUTE8: u8 = 4;
-    pub const COMPUTE32: u8 = 5;
+    pub const WRITE_NEXT: u8 = 3;
+    pub const WIDE: u8 = 4;
+    pub const COMPUTE: u8 = 5;
     pub const SYNC: u8 = 6;
 }
 
@@ -69,22 +88,59 @@ mod sync {
 
 const KIND_BITS: u32 = 3;
 const KIND_MASK: u8 = (1 << KIND_BITS) - 1;
-const WIDE_BIT: u8 = 1;
+const NEXT_BIT: u8 = 1;
 const WRITE_BIT: u8 = 2;
-/// The slot that says a raw PC follows; also the PC table's capacity.
-const PC_ESCAPE: usize = 31;
+/// The slot that says a wider field follows: a raw PC for a read or
+/// write, a 4-byte count for a compute. Also the PC table's capacity, and
+/// one past the longest compute the lead byte holds.
+const ESCAPE: usize = 31;
 /// The largest address a narrow read or write carries.
 const NARROW_MAX: u64 = (1 << 24) - 1;
 /// Zero bytes after each lane's last op, so every 8-byte load that starts
 /// inside an op stays in bounds.
 const PADDING: usize = 8;
 
+/// One PC-table slot's predictor entry.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Stride {
+    /// The address the slot's last read or write touched.
+    last: u64,
+    /// `last` minus the address before it, wrapping.
+    stride: u64,
+}
+
+/// The address predictor of one lane's PC-table slots (see the module
+/// docs); the encoder and each decoder hold one apiece.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Predictor([Stride; ESCAPE]);
+
+impl Predictor {
+    /// Records that `slot` touched `addr`; returns whether `addr` was the
+    /// predicted address.
+    #[inline]
+    fn observe(&mut self, slot: usize, addr: u64) -> bool {
+        let entry = &mut self.0[slot];
+        let stride = addr.wrapping_sub(entry.last);
+        let hit = stride == entry.stride;
+        *entry = Stride { last: addr, stride };
+        hit
+    }
+
+    /// The address `slot` predicts, recorded as touched (a `_NEXT` op).
+    #[inline]
+    fn next(&mut self, slot: usize) -> u64 {
+        let entry = &mut self.0[slot];
+        entry.last = entry.last.wrapping_add(entry.stride);
+        entry.last
+    }
+}
+
 /// One processor's packed stream.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct PackedLane {
     /// The encoded ops; a sealed lane ends in [`PADDING`] zero bytes.
     bytes: Vec<u8>,
-    /// The lane's PC table: the first [`PC_ESCAPE`] distinct PCs of its
+    /// The lane's PC table: the first [`ESCAPE`] distinct PCs of its
     /// reads and writes, in first-use order.
     pcs: Vec<u32>,
     /// Ops encoded.
@@ -92,6 +148,8 @@ pub(crate) struct PackedLane {
     /// Byte offset and cycle count of a trailing compute, which the next
     /// compute merges into (building only; a sealed lane has none).
     tail_compute: Option<(usize, u32)>,
+    /// The encoder's predictor, as of the last op pushed.
+    pred: Predictor,
 }
 
 impl PackedLane {
@@ -112,7 +170,7 @@ impl PackedLane {
 
     /// Appends `cycles` of computation the way the builder does: a
     /// zero-cycle compute is dropped, and back-to-back computes merge into
-    /// one op (saturating, which may widen it from 1 to 4 bytes), so
+    /// one op (saturating, which may widen it from 1 to 5 bytes), so
     /// `total_ops` counts what a processor actually issues rather than how
     /// chatty the generator was.
     pub(crate) fn compute(&mut self, cycles: u32) {
@@ -135,27 +193,35 @@ impl PackedLane {
 
     /// Encodes a compute of `cycles` (the caller counts the op).
     fn put_compute(&mut self, cycles: u32) {
-        let (kind, len) = if cycles <= 0xff {
-            (kind::COMPUTE8, 2)
+        let (slot, len) = if cycles < ESCAPE as u32 {
+            (cycles as u8, 1)
         } else {
-            (kind::COMPUTE32, 5)
+            (ESCAPE as u8, 5)
         };
-        self.put(u64::from(kind) | u64::from(cycles) << 8, len);
+        self.put(lead(kind::COMPUTE, slot) | u64::from(cycles) << 8, len);
     }
 
     /// Appends a read or write; `base` is its narrow kind.
     fn push_mem(&mut self, base: u8, addr: Addr, pc: Pc) {
         let pc = pc.as_u32();
-        let slot = self.pc_slot(pc);
         let raw = addr.as_u64();
+        let slot = self.pc_slot(pc);
+        if slot < ESCAPE && self.pred.observe(slot, raw) {
+            self.put(lead(base | NEXT_BIT, slot as u8), 1);
+            return;
+        }
+        // The lead byte, a wide op's narrow kind and any escaped PC, then
+        // the address.
         let wide = raw > NARROW_MAX;
-        let lead = lead(base | if wide { WIDE_BIT } else { 0 }, slot as u8);
-        // The lead byte and any escaped PC, then the address.
-        let (head, head_len) = if slot < PC_ESCAPE {
-            (lead, 1)
+        let (mut head, mut head_len) = if wide {
+            (lead(kind::WIDE, slot as u8) | u64::from(base) << 8, 2)
         } else {
-            (lead | u64::from(pc) << 8, 5)
+            (lead(base, slot as u8), 1)
         };
+        if slot == ESCAPE {
+            head |= u64::from(pc) << (8 * head_len);
+            head_len += 4;
+        }
         if wide {
             self.put(head, head_len);
             self.put(raw, 8);
@@ -165,15 +231,15 @@ impl PackedLane {
     }
 
     /// `pc`'s slot in the PC table, adding it while the table has room;
-    /// [`PC_ESCAPE`] once the table is full.
+    /// [`ESCAPE`] once the table is full.
     fn pc_slot(&mut self, pc: u32) -> usize {
         match self.pcs.iter().position(|&p| p == pc) {
             Some(slot) => slot,
-            None if self.pcs.len() < PC_ESCAPE => {
+            None if self.pcs.len() < ESCAPE => {
                 self.pcs.push(pc);
                 self.pcs.len() - 1
             }
-            None => PC_ESCAPE,
+            None => ESCAPE,
         }
     }
 
@@ -211,45 +277,94 @@ fn load(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().expect("sized by the range"))
 }
 
-/// Decodes the op at byte offset `at` of a sealed lane; returns it plus
-/// the offset of the following op. Callers guarantee an op starts at `at`.
+/// A read (`write` false) or write of `addr` by `pc`.
 #[inline]
-fn decode(bytes: &[u8], pcs: &[u32], at: usize) -> (Op, usize) {
+fn mem_op(write: bool, addr: u64, pc: u32) -> Op {
+    let (addr, pc) = (Addr::new(addr), Pc::new(pc));
+    if write {
+        Op::Write { addr, pc }
+    } else {
+        Op::Read { addr, pc }
+    }
+}
+
+/// Where the decode of one sealed lane stands: the byte offset of the next
+/// op, and the predictor the ops before it left behind.
+#[derive(Debug, Clone, Default)]
+struct LaneCursor {
+    at: usize,
+    pred: Predictor,
+}
+
+impl LaneCursor {
+    /// Decodes `lane`'s next op, if any.
+    #[inline]
+    fn next(&mut self, lane: &PackedLane) -> Option<Op> {
+        if self.at >= lane.bytes.len() - PADDING {
+            return None;
+        }
+        let (op, next) = decode(&lane.bytes, &lane.pcs, &mut self.pred, self.at);
+        self.at = next;
+        Some(op)
+    }
+}
+
+/// Decodes the op at byte offset `at` of a sealed lane, given the
+/// predictor its earlier ops left behind; returns it plus the offset of
+/// the following op. Callers guarantee an op starts at `at`.
+#[inline]
+fn decode(bytes: &[u8], pcs: &[u32], pred: &mut Predictor, at: usize) -> (Op, usize) {
     let word = load(bytes, at);
     let lead = word as u8;
-    let slot = lead >> KIND_BITS;
+    let slot = usize::from(lead >> KIND_BITS);
     match lead & KIND_MASK {
-        mem @ (kind::READ | kind::READ_WIDE | kind::WRITE | kind::WRITE_WIDE) => {
-            // The PC, the bytes from the address on, and the address's offset.
-            let (pc, rest, addr_at) = if usize::from(slot) < PC_ESCAPE {
-                (pcs[usize::from(slot)], word >> 8, at + 1)
-            } else {
-                ((word >> 8) as u32, word >> 40, at + 5)
-            };
-            let (addr, next) = if mem & WIDE_BIT == 0 {
-                (rest & NARROW_MAX, addr_at + 3)
-            } else {
-                (load(bytes, addr_at), addr_at + 8)
-            };
-            let (addr, pc) = (Addr::new(addr), Pc::new(pc));
-            let op = if mem & WRITE_BIT == 0 {
-                Op::Read { addr, pc }
-            } else {
-                Op::Write { addr, pc }
-            };
-            (op, next)
+        mem @ (kind::READ_NEXT | kind::WRITE_NEXT) => {
+            if slot >= ESCAPE {
+                corrupt(lead, at);
+            }
+            let addr = pred.next(slot);
+            (mem_op(mem & WRITE_BIT != 0, addr, pcs[slot]), at + 1)
         }
-        kind::COMPUTE8 => {
-            let cycles = u32::from((word >> 8) as u8);
-            (Op::Compute { cycles }, at + 2)
+        mem @ (kind::READ | kind::WRITE) => {
+            let (pc, addr, next) = if slot < ESCAPE {
+                let addr = (word >> 8) & NARROW_MAX;
+                pred.observe(slot, addr);
+                (pcs[slot], addr, at + 4)
+            } else {
+                ((word >> 8) as u32, (word >> 40) & NARROW_MAX, at + 8)
+            };
+            (mem_op(mem & WRITE_BIT != 0, addr, pc), next)
         }
-        kind::COMPUTE32 => {
+        kind::WIDE => {
+            let write = match (word >> 8) as u8 {
+                kind::READ => false,
+                kind::WRITE => true,
+                _ => corrupt(lead, at),
+            };
+            let (pc, addr_at) = if slot < ESCAPE {
+                (pcs[slot], at + 2)
+            } else {
+                ((word >> 16) as u32, at + 6)
+            };
+            let addr = load(bytes, addr_at);
+            if slot < ESCAPE {
+                pred.observe(slot, addr);
+            }
+            (mem_op(write, addr, pc), addr_at + 8)
+        }
+        kind::COMPUTE if slot < ESCAPE => (
+            Op::Compute {
+                cycles: slot as u32,
+            },
+            at + 1,
+        ),
+        kind::COMPUTE => {
             let cycles = (word >> 8) as u32;
             (Op::Compute { cycles }, at + 5)
         }
         kind::SYNC => {
             let payload = load(bytes, at + 1);
-            let op = match slot {
+            let op = match slot as u8 {
                 sync::ACQUIRE => Op::Acquire {
                     lock: Addr::new(payload),
                 },
@@ -285,11 +400,15 @@ fn corrupt(lead: u8, at: usize) -> ! {
 /// let mut b = TraceBuilder::new("demo", 2);
 /// let a = b.alloc("A", 64, 8);
 /// let pc = b.pc_site();
-/// b.read(0, b.element(a, 8, 3), pc);
+/// for i in 0..4 {
+///     b.read(0, b.element(a, 8, i), pc);
+/// }
 /// b.barrier_all();
 /// let trace = std::sync::Arc::new(b.finish());
-/// assert_eq!(trace.total_ops(), 3); // one read + two barrier arrivals
-/// assert_eq!(trace.packed_bytes(), 4 + 2 * 9); // a narrow read, two syncs
+/// assert_eq!(trace.total_ops(), 6); // four reads + two barrier arrivals
+/// // Two 4-byte reads teach the site its 8-byte stride, the next two are
+/// // predicted (1 byte each), and a barrier arrival takes 9 bytes.
+/// assert_eq!(trace.packed_bytes(), 4 + 4 + 1 + 1 + 2 * 9);
 ///
 /// let mut cursor = TraceCursor::new(trace);
 /// assert!(cursor.next(0).is_some());
@@ -327,7 +446,8 @@ impl PackedTrace {
     }
 
     /// Bytes of the encoded op streams. Each lane's fixed overhead, its PC
-    /// table (at most 31 words) and 8 bytes of padding, is not counted.
+    /// table (at most 31 words), its encoder's predictor and 8 bytes of
+    /// padding, is not counted.
     pub fn packed_bytes(&self) -> usize {
         self.lanes.iter().map(|l| l.bytes.len() - PADDING).sum()
     }
@@ -350,10 +470,9 @@ impl PackedTrace {
     pub fn iter_cpu(&self, cpu: usize) -> OpIter<'_> {
         let lane = &self.lanes[cpu];
         OpIter {
-            bytes: &lane.bytes,
-            pcs: &lane.pcs,
+            lane,
+            cursor: LaneCursor::default(),
             left: lane.ops,
-            at: 0,
         }
     }
 }
@@ -361,12 +480,10 @@ impl PackedTrace {
 /// Borrowed iterator decoding one processor's packed stream into [`Op`]s.
 #[derive(Debug, Clone)]
 pub struct OpIter<'a> {
-    bytes: &'a [u8],
-    pcs: &'a [u32],
+    lane: &'a PackedLane,
+    cursor: LaneCursor,
     /// Ops not yet decoded.
     left: usize,
-    /// Byte offset of the next op.
-    at: usize,
 }
 
 impl Iterator for OpIter<'_> {
@@ -374,12 +491,8 @@ impl Iterator for OpIter<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<Op> {
-        if self.left == 0 {
-            return None;
-        }
-        let (op, next) = decode(self.bytes, self.pcs, self.at);
+        let op = self.cursor.next(self.lane)?;
         self.left -= 1;
-        self.at = next;
         Some(op)
     }
 
@@ -396,12 +509,12 @@ impl ExactSizeIterator for OpIter<'_> {}
 /// `Arc<PackedTrace>`, so `System<TraceCursor>` keeps static dispatch
 /// while N parallel runs share one immutable trace. Cloning a cursor (or
 /// creating more from the same `Arc`) costs only the per-CPU cursor
-/// state.
+/// state: a position and the address predictor (about 500 bytes).
 #[derive(Debug, Clone)]
 pub struct TraceCursor {
     trace: Arc<PackedTrace>,
-    /// Per-CPU `(ops left, byte offset of the next op)`.
-    cursors: Vec<(usize, usize)>,
+    /// One decode position per CPU.
+    cursors: Vec<LaneCursor>,
 }
 
 impl TraceCursor {
@@ -409,7 +522,7 @@ impl TraceCursor {
     /// owned trace to replay once).
     pub fn new(trace: impl Into<Arc<PackedTrace>>) -> Self {
         let trace = trace.into();
-        let cursors = trace.lanes.iter().map(|l| (l.ops, 0)).collect();
+        let cursors = vec![LaneCursor::default(); trace.lanes.len()];
         TraceCursor { trace, cursors }
     }
 
@@ -457,11 +570,10 @@ impl TraceCursor {
         self.trace.total_ops()
     }
 
-    /// Rewinds all cursors so the workload can be replayed.
+    /// Rewinds all cursors, address predictors included, so the workload
+    /// can be replayed.
     pub fn rewind(&mut self) {
-        for (cursor, lane) in self.cursors.iter_mut().zip(&self.trace.lanes) {
-            *cursor = (lane.ops, 0);
-        }
+        self.cursors.fill(LaneCursor::default());
     }
 }
 
@@ -472,14 +584,7 @@ impl Workload for TraceCursor {
 
     #[inline]
     fn next(&mut self, cpu: usize) -> Option<Op> {
-        let (left, at) = self.cursors[cpu];
-        if left == 0 {
-            return None;
-        }
-        let lane = &self.trace.lanes[cpu];
-        let (op, next) = decode(&lane.bytes, &lane.pcs, at);
-        self.cursors[cpu] = (left - 1, next);
-        Some(op)
+        self.cursors[cpu].next(&self.trace.lanes[cpu])
     }
 
     fn name(&self) -> &str {
@@ -497,16 +602,11 @@ mod tests {
     use pfsim_mem::SplitMix64;
 
     fn sample_ops() -> Vec<Op> {
+        let mem = |write: bool, addr: u64, pc: u32| mem_op(write, addr, pc);
         vec![
-            Op::Read {
-                addr: Addr::new(0x1000),
-                pc: Pc::new(0x40),
-            },
+            mem(false, 0x1000, 0x40),
             Op::Compute { cycles: 7 },
-            Op::Write {
-                addr: Addr::new(0x1_2345_6789), // needs the wide escape
-                pc: Pc::new(0x44),
-            },
+            mem(true, 0x1_2345_6789, 0x44), // needs the wide form
             Op::Acquire {
                 lock: Addr::new(0x2000),
             },
@@ -514,16 +614,23 @@ mod tests {
                 lock: Addr::new(0x2000),
             },
             Op::Barrier { id: 3 },
-            Op::Read {
-                addr: Addr::new(u64::MAX),
-                pc: Pc::new(0x48),
-            },
+            mem(false, u64::MAX, 0x48),
             Op::Acquire {
                 lock: Addr::new(u64::MAX - 1),
             },
             Op::Release {
                 lock: Addr::new(u64::MAX - 1),
             },
+            // A stride run from a cold slot: the second access is already
+            // predicted (stride 0x800 from the initial zero), so a decoder
+            // that kept stale state would misplace it.
+            mem(false, 0x800, 0x4c),
+            mem(true, 0x1000, 0x4c),
+            mem(false, 0x1800, 0x4c),
+            // 0x40's run resumes: one more miss teaches it stride 8.
+            mem(false, 0x1008, 0x40),
+            mem(false, 0x1010, 0x40),
+            Op::Compute { cycles: 300 },
         ]
     }
 
@@ -535,10 +642,24 @@ mod tests {
         PackedTrace::from_lanes("t".into(), vec![lane])
     }
 
+    /// How many of `lane`'s ops took a 1-byte `_NEXT` form.
+    fn predicted_ops(lane: &PackedLane) -> usize {
+        let mut cursor = LaneCursor::default();
+        let mut predicted = 0;
+        let mut at = 0;
+        while cursor.next(lane).is_some() {
+            let kind = lane.bytes[at] & KIND_MASK;
+            predicted += usize::from(kind == kind::READ_NEXT || kind == kind::WRITE_NEXT);
+            at = cursor.at;
+        }
+        predicted
+    }
+
     #[test]
     fn roundtrip_preserves_every_variant() {
         let ops = sample_ops();
         let trace = pack(&ops);
+        assert_eq!(predicted_ops(&trace.lanes[0]), 3);
         let decoded: Vec<Op> = trace.iter_cpu(0).collect();
         assert_eq!(decoded, ops);
     }
@@ -591,7 +712,8 @@ mod tests {
     /// through the cursor and through `iter_cpu`.
     #[test]
     fn from_ops_replays_every_op_exactly() {
-        let computes = [0, 0, 7, 255, 256, u32::MAX, 0].map(|cycles| Op::Compute { cycles });
+        let computes =
+            [0, 0, 7, 30, 31, 255, 256, u32::MAX, 0].map(|cycles| Op::Compute { cycles });
         let mut lane0 = computes.to_vec();
         lane0.extend(sample_ops());
         lane0.extend(computes);
@@ -606,6 +728,8 @@ mod tests {
         }
     }
 
+    /// A cold slot predicts address 0, so a first read elsewhere misses
+    /// and carries its 3-byte address.
     #[test]
     fn narrow_read_costs_four_bytes() {
         let mut lane = PackedLane::default();
@@ -618,43 +742,105 @@ mod tests {
         assert_eq!(trace.bytes_per_op(), 4.0);
     }
 
-    /// Every row of the format table, plus the PC-table escape.
+    /// Every row of the format table, the predictor's misses and hits,
+    /// and the PC-table escape.
     #[test]
     fn each_op_costs_its_documented_bytes() {
-        let read = |addr, pc| Op::Read {
-            addr: Addr::new(addr),
-            pc: Pc::new(pc),
-        };
-        let cases = [
-            (read(NARROW_MAX, 0x40), 4),
-            (Op::Compute { cycles: 0 }, 2),
-            (read(NARROW_MAX + 1, 0x40), 9),
-            (Op::Compute { cycles: 255 }, 2),
-            (Op::Compute { cycles: 256 }, 5),
-            (Op::Acquire { lock: Addr::new(0) }, 9),
-            (Op::Barrier { id: 0 }, 9),
+        let read = |addr, pc| mem_op(false, addr, pc);
+        let write = |addr, pc| mem_op(true, addr, pc);
+        let compute = |cycles| Op::Compute { cycles };
+        let cases: [(&[Op], usize); 13] = [
+            (&[read(NARROW_MAX, 0x40)], 4),
+            (&[write(NARROW_MAX, 0x40)], 4),
+            (&[read(NARROW_MAX + 1, 0x40)], 10),
+            (&[write(u64::MAX, 0x40)], 10),
+            // A cold slot predicts address 0: `READ_NEXT`, `WRITE_NEXT`.
+            (&[read(0, 0x40)], 1),
+            (&[write(0, 0x40)], 1),
+            // Two misses teach a stride; every access on it then costs 1
+            // byte, read or write, narrow or wide.
+            (
+                &[
+                    read(0x1000, 0x40),
+                    read(0x1008, 0x40),
+                    write(0x1010, 0x40),
+                    read(0x1018, 0x40),
+                ],
+                4 + 4 + 1 + 1,
+            ),
+            (
+                &[
+                    read(NARROW_MAX - 7, 0x40),
+                    read(NARROW_MAX + 1, 0x40),
+                    read(NARROW_MAX + 9, 0x40),
+                ],
+                4 + 10 + 1,
+            ),
+            (&[compute(0)], 1),
+            (&[compute(30)], 1),
+            (&[compute(31)], 5),
+            (&[Op::Acquire { lock: Addr::new(0) }], 9),
+            (&[Op::Barrier { id: 0 }], 9),
         ];
-        for (op, bytes) in cases {
-            assert_eq!(pack(&[op]).packed_bytes(), bytes, "{op:?}");
+        for (ops, bytes) in cases {
+            let trace = pack(ops);
+            assert_eq!(trace.packed_bytes(), bytes, "{ops:?}");
+            assert!(trace.iter_cpu(0).eq(ops.iter().copied()), "{ops:?}");
         }
         // The 32nd distinct PC finds the table full: its 4 raw bytes ride
-        // along, and it decodes back intact.
-        let ops: Vec<Op> = (0..32).map(|k| read(0x1000, 0x40 + 4 * k)).collect();
+        // along every time, and it is never predicted, not even at stride
+        // 0 (a table slot's third such read costs 1 byte).
+        let mut ops: Vec<Op> = (0..32).map(|k| read(0x1000, 0x40 + 4 * k)).collect();
+        let escaped = 0x40 + 4 * 31;
+        ops.extend([read(0x1000, escaped), write(0x1000, escaped)]);
+        ops.push(read(NARROW_MAX + 1, escaped));
         let trace = pack(&ops);
-        assert_eq!(trace.packed_bytes(), 32 * 4 + 4);
+        assert_eq!(trace.packed_bytes(), 31 * 4 + 3 * 8 + 14);
+        assert_eq!(predicted_ops(&trace.lanes[0]), 0);
         assert!(trace.iter_cpu(0).eq(ops));
     }
 
-    #[test]
-    #[should_panic(expected = "corrupt packed trace")]
-    fn an_unknown_kind_traps() {
+    /// Decodes a one-op lane of raw `bytes` with a one-entry PC table.
+    fn decode_raw(bytes: Vec<u8>) {
         let lane = PackedLane {
-            bytes: vec![KIND_MASK, 0],
+            bytes,
+            pcs: vec![0x40],
             ops: 1,
             ..PackedLane::default()
         };
         let trace = PackedTrace::from_lanes("t".into(), vec![lane]);
         trace.iter_cpu(0).for_each(drop);
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt packed trace")]
+    fn an_unknown_kind_traps() {
+        decode_raw(vec![KIND_MASK, 0]);
+    }
+
+    /// An escaped PC is never predicted, and a `_NEXT` op has no room for
+    /// the raw PC.
+    #[test]
+    #[should_panic(expected = "corrupt packed trace")]
+    fn a_predicted_op_in_the_escape_slot_traps() {
+        decode_raw(vec![lead(kind::READ_NEXT, ESCAPE as u8) as u8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt packed trace")]
+    fn a_wide_op_that_is_neither_read_nor_write_traps() {
+        decode_raw(vec![
+            lead(kind::WIDE, 0) as u8,
+            kind::READ_NEXT,
+            0,
+            0,
+            0,
+            0,
+            0,
+            0,
+            0,
+            0,
+        ]);
     }
 
     /// The builder's compute policy as a reference model: zero-cycle
@@ -689,7 +875,7 @@ mod tests {
             0 => Op::Read { addr, pc },
             1 => Op::Write { addr, pc },
             2 => Op::Compute {
-                cycles: [0, 1, 255, 256, rng.next_u64() as u32][rng.random_range(0usize..5)],
+                cycles: [0, 1, 30, 31, 255, rng.next_u64() as u32][rng.random_range(0usize..6)],
             },
             3 => Op::Acquire { lock: addr },
             4 => Op::Release { lock: addr },
@@ -697,6 +883,71 @@ mod tests {
                 id: rng.next_u64() as u32,
             },
         }
+    }
+
+    /// `len` reads and writes by `pc` from `base` at `stride`, wrapping.
+    fn run(rng: &mut SplitMix64, pc: Pc, base: u64, stride: u64, len: u64) -> Vec<Op> {
+        (0..len)
+            .map(|i| {
+                mem_op(
+                    rng.random_bool(),
+                    base.wrapping_add(stride.wrapping_mul(i)),
+                    pc.as_u32(),
+                )
+            })
+            .collect()
+    }
+
+    /// The predictor's edges, each a chunk of stride runs: strides
+    /// positive, zero, negative and random; runs that cross 2^24 either
+    /// way or wrap past `u64::MAX`; a run that breaks and resumes; a run
+    /// that jumps between narrow and wide addresses at one stride; and
+    /// runs of several PCs interleaved op by op.
+    fn prediction_chunks(rng: &mut SplitMix64) -> Vec<Vec<Op>> {
+        let neg = |s: u64| 0u64.wrapping_sub(s);
+        let narrow = |rng: &mut SplitMix64| rng.random_range(0x1000..NARROW_MAX / 2);
+        let mut chunks = Vec::new();
+        let specs = [
+            (narrow(rng), 8),
+            (narrow(rng), 0),
+            (narrow(rng), neg(32)),
+            (narrow(rng), rng.next_u64()),
+            (NARROW_MAX - 2 * 64, 64),
+            (NARROW_MAX + 3 * 8, neg(8)),
+            (u64::MAX - 40, 16),
+            (16, neg(16)),
+        ];
+        for (base, stride) in specs {
+            let pc = site(rng.random_range(0u32..40));
+            let len = rng.random_range(2u64..9);
+            chunks.push(run(rng, pc, base, stride, len));
+        }
+        // Break and resume: one off-stride access, then the run goes on.
+        let (pc, base) = (site(rng.random_range(0u32..40)), narrow(rng));
+        let mut broken = run(rng, pc, base, 24, 4);
+        broken.push(mem_op(false, narrow(rng), pc.as_u32()));
+        broken.extend(run(rng, pc, base + 4 * 24, 24, 5));
+        chunks.push(broken);
+        // One PC's stride run switching between narrow and wide halves.
+        let pc = site(rng.random_range(0u32..40));
+        let mut switching = Vec::new();
+        for half in [0, 1 << 40, 0, u64::MAX - 0xffff] {
+            switching.extend(run(rng, pc, 0x8000 + half, 4, 3));
+        }
+        chunks.push(switching);
+        // Interleaved PCs, op by op, at different strides.
+        let runs: Vec<Vec<Op>> = (0..3)
+            .map(|k| {
+                let (pc, base) = (site(rng.random_range(0u32..40)), narrow(rng));
+                run(rng, pc, base, 8 << k, 6)
+            })
+            .collect();
+        chunks.push(
+            (0..6)
+                .flat_map(|i| runs.iter().map(move |r| r[i]))
+                .collect(),
+        );
+        chunks
     }
 
     /// One lane's ops: every encoding edge, shuffled among random filler.
@@ -719,9 +970,10 @@ mod tests {
             chunks.push(vec![Op::Release { lock: addr }]);
         }
         chunks.push(vec![Op::Barrier { id: u32::MAX }]);
-        chunks.push(vec![Op::Compute { cycles: 255 }]);
-        chunks.push(vec![Op::Compute { cycles: 256 }]);
-        // Saturation, and a 1-byte compute widened to 4 bytes by a merge
+        for cycles in [0, 30, 31, 255, 256] {
+            chunks.push(vec![Op::Compute { cycles }]);
+        }
+        // Saturation, and a 1-byte compute widened to 5 bytes by a merge
         // across a dropped zero.
         chunks.push(vec![
             Op::Compute {
@@ -730,10 +982,11 @@ mod tests {
             Op::Compute { cycles: 10 },
         ]);
         chunks.push(vec![
-            Op::Compute { cycles: 200 },
+            Op::Compute { cycles: 20 },
             Op::Compute { cycles: 0 },
-            Op::Compute { cycles: 100 },
+            Op::Compute { cycles: 11 },
         ]);
+        chunks.extend(prediction_chunks(rng));
         for _ in 0..rng.random_range(0usize..200) {
             chunks.push(vec![random_op(rng)]);
         }
@@ -743,12 +996,13 @@ mod tests {
         chunks.concat()
     }
 
-    /// Seeded random lanes across every encoding edge decode to their
-    /// reference sequence through `iter_cpu` and a cursor cloned at a
-    /// random op (the checkpoint-fork path), clone and original alike. A
-    /// lane is built either by exact pushes (`from_ops`), whose reference
-    /// is the pushed sequence, or with the builder's compute policy, whose
-    /// reference merges and drops computes.
+    /// Seeded random lanes across every encoding and prediction edge
+    /// decode to their reference sequence through `iter_cpu`, a cursor, a
+    /// clone of it taken at a random op (the checkpoint-fork path) and the
+    /// cursor rewound. A lane is built either by exact pushes
+    /// (`from_ops`), whose reference is the pushed sequence, or with the
+    /// builder's compute policy, whose reference merges and drops
+    /// computes.
     #[test]
     fn random_lanes_round_trip_across_every_encoding_edge() {
         let mut rng = SplitMix64::seed_from_u64(0x4b17_e5ed);
@@ -773,7 +1027,9 @@ mod tests {
             }
             let trace = Arc::new(PackedTrace::from_lanes("edges".into(), lanes));
             for (cpu, want) in expected.iter().enumerate() {
-                assert_eq!(trace.lanes[cpu].pcs.len(), PC_ESCAPE, "table full");
+                let lane = &trace.lanes[cpu];
+                assert_eq!(lane.pcs.len(), ESCAPE, "table full");
+                assert!(predicted_ops(lane) >= 20, "runs predicted");
                 assert_eq!(trace.ops(cpu), want.len());
                 assert!(
                     trace.iter_cpu(cpu).eq(want.iter().copied()),
@@ -798,6 +1054,11 @@ mod tests {
                     let tail: Vec<Op> = std::iter::from_fn(|| c.next(cpu)).collect();
                     assert_eq!(tail, want[forks_at[cpu]..], "cursor tail, cpu {cpu}");
                 }
+            }
+            fork.rewind();
+            for (cpu, want) in expected.iter().enumerate() {
+                let replay: Vec<Op> = std::iter::from_fn(|| fork.next(cpu)).collect();
+                assert_eq!(&replay, want, "rewound replay, cpu {cpu}");
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Property test for the packed shared-trace encoding: seeded random op
 //! streams — including wide (>32-bit) addresses that take the wide
-//! kinds, lock ops, and barriers — must survive the round trip through
+//! form, lock ops, and barriers — must survive the round trip through
 //! `TraceBuilder::finish` and back out of a `TraceCursor`.
 //!
 //! The expected sequence is computed with the builder's documented
@@ -134,8 +134,9 @@ fn random_streams_round_trip() {
     }
 }
 
-/// Directed check of the wide kinds: a >32-bit address on every
-/// address-carrying op kind survives packing bit-exactly.
+/// Directed check of the wide forms: a >32-bit address on every
+/// address-carrying op kind survives packing bit-exactly, and a predicted
+/// wide address costs no more than a predicted narrow one.
 #[test]
 fn wide_addresses_take_the_escape_and_survive() {
     let wide = Addr::new(0x0123_4567_89ab_cdc0);
@@ -143,6 +144,7 @@ fn wide_addresses_take_the_escape_and_survive() {
     let mut b = TraceBuilder::new("wide", 1);
     b.read(0, wide, pc);
     b.write(0, wide, pc);
+    b.read(0, wide, pc);
     b.acquire(0, wide);
     b.release(0, wide);
     let trace = Arc::new(b.finish());
@@ -152,13 +154,17 @@ fn wide_addresses_take_the_escape_and_survive() {
         vec![
             Op::Read { addr: wide, pc },
             Op::Write { addr: wide, pc },
+            Op::Read { addr: wide, pc },
             Op::Acquire { lock: wide },
             Op::Release { lock: wide },
         ]
     );
-    // Each wide op is a lead byte plus an 8-byte address (the shared PC
-    // sits in the lane's table): 4 x 9 = 36 bytes.
-    assert_eq!(trace.packed_bytes(), 36);
+    // The first two accesses miss the site's prediction (0, then twice
+    // the address), so each is a lead byte, its read/write byte and an
+    // 8-byte address (the shared PC sits in the lane's table). They teach
+    // the site stride 0, so the third is a 1-byte predicted read. Each
+    // sync op is a lead byte plus 8: 2 x 10 + 1 + 2 x 9 = 39 bytes.
+    assert_eq!(trace.packed_bytes(), 39);
 }
 
 /// Directed check of compute coalescing: zero-cycle computes vanish and

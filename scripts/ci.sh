@@ -168,9 +168,10 @@ if [[ "$run_perf" == 1 ]]; then
     # passes gate the fig6-default (14059066) and fig6-large (151368054)
     # totals, the 8x8 families (3363151) and the finite-SLC grid
     # (17725835). fig6-large's peak RSS, which its packed traces dominate,
-    # must also stay at or under 350 MB: it measures about 300 MB, and
-    # measured 519 MB when a memory op took 9 bytes instead of 4.
-    fig6_large_rss_mb=350
+    # must also stay at or under 200 MB: it measures about 100 MB, and
+    # measured 300 MB before a read or write at the address its PC's
+    # stride predicts took 1 byte instead of 4.
+    fig6_large_rss_mb=200
     for workload in fig6-default fig6-large families-8x8 fig6-finite16k; do
         out=$(cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
             --workload "$workload" --seed 1 --seconds 1 --trace 0) \

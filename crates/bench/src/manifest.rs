@@ -231,6 +231,7 @@ record! {
             invals_received,
             writebacks,
             spurious_slc_wakeups,
+            parked_slc_wakeups,
         }: &NodeStats,
     ), NODE_KEYS {
         "reads": Json::uint(reads),
@@ -256,6 +257,7 @@ record! {
         "invals_received": Json::uint(invals_received),
         "writebacks": Json::uint(writebacks),
         "spurious_slc_wakeups": Json::uint(spurious_slc_wakeups),
+        "parked_slc_wakeups": Json::uint(parked_slc_wakeups),
     }
 }
 

@@ -90,6 +90,11 @@ pub struct NodeStats {
     /// scheduling-efficiency diagnostic: each one is a wasted trip through
     /// the event loop.
     pub spurious_slc_wakeups: u64,
+    /// `SlcWork` events that served no job and only re-armed service for
+    /// an FLWB head the processor issued ahead of the event loop: the
+    /// wakeup at the head's issue time does the work. A scheduling
+    /// diagnostic like `spurious_slc_wakeups`.
+    pub parked_slc_wakeups: u64,
 }
 
 impl NodeStats {
@@ -164,6 +169,12 @@ impl SimResult {
     /// Total `SlcWork` events that found nothing to do, across all nodes.
     pub fn spurious_slc_wakeups(&self) -> u64 {
         self.total(|n| n.spurious_slc_wakeups)
+    }
+
+    /// Total `SlcWork` events that only re-armed service for a
+    /// future-issued FLWB head, across all nodes.
+    pub fn parked_slc_wakeups(&self) -> u64 {
+        self.total(|n| n.parked_slc_wakeups)
     }
 
     /// Total read stall cycles across all nodes.

@@ -106,6 +106,8 @@ enum Drained {
     One,
     /// No entry can be served in this event.
     Idle,
+    /// The head is issued at a future time: service is re-armed for then.
+    Parked,
     /// The head exists but is issued at a future time, and its wakeup
     /// would pop as the very next event: the caller may fast-forward to
     /// this time instead of scheduling.
@@ -426,6 +428,7 @@ impl<W: Workload> Core<'_, W> {
     fn slc_work(&mut self, n: u16, now: Cycle) {
         let ni = n as usize;
         let mut now = now;
+        let mut served = false;
         loop {
             self.nodes[ni].slc_scheduled_at = None;
 
@@ -436,6 +439,12 @@ impl<W: Workload> Core<'_, W> {
                 match self.slc_drain_one(n, now) {
                     Drained::One => {}
                     Drained::Idle => return,
+                    Drained::Parked => {
+                        if !served {
+                            self.nodes[ni].stats.parked_slc_wakeups += 1;
+                        }
+                        return;
+                    }
                     // A future-issued head whose wakeup would pop as the
                     // very next event: skip ahead and retry in this event.
                     Drained::ParkedUntil(at) => {
@@ -445,6 +454,7 @@ impl<W: Workload> Core<'_, W> {
                 }
             }
 
+            served = true;
             match self.reschedule_or_fuse(n) {
                 // Guaranteed-next: serve the following job in this event.
                 Some(at) => now = at,
@@ -482,7 +492,8 @@ impl<W: Workload> Core<'_, W> {
 
     /// Drains one FLWB entry at `now` if one is ready. Returns
     /// [`Drained::Idle`] when service is finished for this event (empty
-    /// buffer, a parked future-issued head, or a blocked drain), or
+    /// buffer or a blocked drain), [`Drained::Parked`] when it re-armed
+    /// service for a future-issued head, or
     /// [`Drained::ParkedUntil`] when the head is future-issued but its
     /// wakeup would be guaranteed-next (the caller fast-forwards).
     fn slc_drain_one(&mut self, n: u16, now: Cycle) -> Drained {
@@ -504,7 +515,7 @@ impl<W: Workload> Core<'_, W> {
             let node = &mut self.nodes[ni];
             node.slc_scheduled_at = Some(at);
             self.fx.schedule(at, Ev::SlcWork(n));
-            return Drained::Idle;
+            return Drained::Parked;
         }
 
         match head {

@@ -2,12 +2,8 @@
 
 use pfsim_mem::{Addr, BlockAddr, Geometry};
 
-use crate::{LruTable, Prefetcher, ReadAccess};
-
-/// Entries in each of the four tables: the paper gives the miss list, the
-/// frequency table, the list of common strides and the stream list 16
-/// entries each, all with LRU replacement.
-const TABLE_ENTRIES: usize = 16;
+use crate::lru::{FlatLru, ENTRIES};
+use crate::{Prefetcher, ReadAccess};
 
 /// Times a stride must recur before it becomes "common". The paper's 3
 /// means four misses belonging to the same stride sequence are required
@@ -40,7 +36,7 @@ impl Default for DDetectionConfig {
 }
 
 /// An active stride stream being prefetched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Stream {
     /// Byte address the stream is expected to reference next.
     next: Addr,
@@ -96,16 +92,13 @@ pub struct DDetection {
     geometry: Geometry,
     config: DDetectionConfig,
     /// Recent miss addresses, most recent first.
-    miss_list: LruTable<Addr, ()>,
+    miss_list: FlatLru<Addr, ()>,
     /// Candidate strides and how often they have recurred.
-    freq: LruTable<i64, u32>,
+    freq: FlatLru<i64, u32>,
     /// Strides promoted past the threshold.
-    common: LruTable<i64, ()>,
+    common: FlatLru<i64, ()>,
     /// Active streams keyed by the block they expect next.
-    streams: LruTable<BlockAddr, Stream>,
-    /// Scratch buffer reused across misses for the strides to bump
-    /// (avoids a per-miss allocation in the hottest path).
-    bump_scratch: Vec<i64>,
+    streams: FlatLru<BlockAddr, Stream>,
     /// Stream-list probes (one per miss or stream continuation).
     stream_lookups: u64,
     /// Probes that found a matching active stream.
@@ -122,11 +115,10 @@ impl DDetection {
         DDetection {
             geometry,
             config,
-            miss_list: LruTable::new(TABLE_ENTRIES),
-            freq: LruTable::new(TABLE_ENTRIES),
-            common: LruTable::new(TABLE_ENTRIES),
-            streams: LruTable::new(TABLE_ENTRIES),
-            bump_scratch: Vec::new(),
+            miss_list: FlatLru::default(),
+            freq: FlatLru::default(),
+            common: FlatLru::default(),
+            streams: FlatLru::default(),
             stream_lookups: 0,
             stream_hits: 0,
             streams_installed: 0,
@@ -162,7 +154,7 @@ impl DDetection {
     fn advance_stream(&mut self, addr: Addr, late: bool, out: &mut Vec<BlockAddr>) -> bool {
         let block = self.geometry.block_of(addr);
         self.stream_lookups += 1;
-        let Some(stream) = self.streams.remove(&block) else {
+        let Some(stream) = self.streams.remove(block) else {
             return false;
         };
         self.stream_hits += 1;
@@ -199,37 +191,29 @@ impl DDetection {
 
         // Match against the miss list: compute every pairwise stride.
         let mut detected: Option<i64> = None;
-        let mut to_bump = std::mem::take(&mut self.bump_scratch);
-        to_bump.clear();
-        for (prev, ()) in self.miss_list.iter() {
-            let stride = addr.stride_from(*prev);
+        let mut to_bump = [0i64; ENTRIES];
+        let mut bumps = 0;
+        for prev in self.miss_list.keys() {
+            let stride = addr.stride_from(prev);
             if stride == 0 {
                 continue;
             }
-            if self.common.contains(&stride) {
+            if self.common.contains(stride) {
                 // Most recent matching miss wins (the list iterates most
                 // recent first).
-                if detected.is_none() {
-                    detected = Some(stride);
-                }
+                detected.get_or_insert(stride);
             } else {
-                to_bump.push(stride);
+                to_bump[bumps] = stride;
+                bumps += 1;
             }
         }
 
-        for &stride in &to_bump {
-            let promoted = match self.freq.get_mut(&stride) {
-                Some(count) => {
-                    *count += 1;
-                    *count >= STRIDE_THRESHOLD
-                }
-                None => {
-                    self.freq.insert(stride, 1);
-                    false
-                }
-            };
-            if promoted {
-                self.freq.remove(&stride);
+        for &stride in &to_bump[..bumps] {
+            // A new stride enters at 0 and counts this miss.
+            let count = self.freq.entry(stride);
+            *count += 1;
+            if *count >= STRIDE_THRESHOLD {
+                self.freq.remove(stride);
                 self.common.insert(stride, ());
                 self.strides_promoted += 1;
             }
@@ -258,7 +242,6 @@ impl DDetection {
         }
 
         self.miss_list.insert(addr, ());
-        self.bump_scratch = to_bump;
     }
 }
 
@@ -547,11 +530,11 @@ mod lru_tests {
         }
         assert_eq!(d.miss_list.len(), 16);
         assert!(
-            !d.miss_list.contains(&Addr::new(addrs[0])),
+            !d.miss_list.contains(Addr::new(addrs[0])),
             "oldest miss survived 16 newer ones"
         );
         for &a in &addrs[1..] {
-            assert!(d.miss_list.contains(&Addr::new(a)), "{a:#x} evicted early");
+            assert!(d.miss_list.contains(Addr::new(a)), "{a:#x} evicted early");
         }
     }
 
@@ -565,7 +548,7 @@ mod lru_tests {
         for k in 0..8 {
             miss(&mut d, 0x100000 + k * stride);
         }
-        assert!(d.common.contains(&(stride as i64)), "stride never trained");
+        assert!(d.common.contains(stride as i64), "stride never trained");
 
         // Quick re-detection while the stride is resident: a brand-new
         // sequence prefetches at its second miss.
@@ -578,7 +561,7 @@ mod lru_tests {
             d.common.insert(1000 + 7 * i, ());
         }
         assert!(
-            !d.common.contains(&(stride as i64)),
+            !d.common.contains(stride as i64),
             "trained stride survived 16 newer common entries"
         );
 
@@ -600,7 +583,7 @@ mod lru_tests {
             }
         }
         assert!(redetected, "stride never retrained after eviction");
-        assert!(d.common.contains(&(stride as i64)));
+        assert!(d.common.contains(stride as i64));
     }
 
     /// 17 installed streams overflow the 16-entry stream list: the oldest
@@ -628,7 +611,7 @@ mod lru_tests {
         assert_eq!(d.streams.len(), 16, "stream list exceeded its capacity");
         // The first stream expected base+2S next; that entry is gone.
         let dead = g.block_of(Addr::new(bases[0] + 2 * stride));
-        assert!(!d.streams.contains(&dead), "oldest stream survived");
+        assert!(!d.streams.contains(dead), "oldest stream survived");
         // And a tagged hit there no longer advances any stream.
         let mut out = Vec::new();
         d.on_read(
@@ -643,7 +626,7 @@ mod lru_tests {
         // The newest stream is alive.
         assert!(d
             .streams
-            .contains(&g.block_of(Addr::new(bases[16] + 2 * stride))));
+            .contains(g.block_of(Addr::new(bases[16] + 2 * stride))));
     }
 
     /// Under random miss hammering no table ever exceeds its configured
@@ -770,6 +753,260 @@ mod adaptive_tests {
         for k in 6..12 {
             let out = feed(&mut d, base + k * stride, ReadOutcome::InFlightPrefetch);
             assert_eq!(out.len(), 1, "at k={k}");
+        }
+    }
+}
+
+#[cfg(test)]
+mod differential_tests {
+    //! D-detection against a reference that keeps today's tables as
+    //! vectors in recency order ([`LruTable`], promoted with a rotate).
+
+    use super::*;
+    use crate::lru::LruTable;
+    use crate::ReadOutcome;
+    use pfsim_mem::{Pc, SplitMix64};
+
+    /// The scheme as it was written over [`LruTable`]s.
+    struct Reference {
+        geometry: Geometry,
+        config: DDetectionConfig,
+        miss_list: LruTable<Addr, ()>,
+        freq: LruTable<i64, u32>,
+        common: LruTable<i64, ()>,
+        streams: LruTable<BlockAddr, Stream>,
+        counters: [u64; 4],
+    }
+
+    impl Reference {
+        fn new(geometry: Geometry, config: DDetectionConfig) -> Self {
+            Reference {
+                geometry,
+                config,
+                miss_list: LruTable::new(ENTRIES),
+                freq: LruTable::new(ENTRIES),
+                common: LruTable::new(ENTRIES),
+                streams: LruTable::new(ENTRIES),
+                counters: [0; 4],
+            }
+        }
+
+        fn advance_stream(&mut self, addr: Addr, late: bool, out: &mut Vec<BlockAddr>) -> bool {
+            let block = self.geometry.block_of(addr);
+            self.counters[0] += 1;
+            let Some(stream) = self.streams.remove(&block) else {
+                return false;
+            };
+            self.counters[1] += 1;
+            let old_depth = stream.depth;
+            let depth = if self.config.adaptive_depth && late {
+                (old_depth + 1).min(self.config.max_depth)
+            } else {
+                old_depth
+            };
+            if let Some(raw) = stream.next.as_u64().checked_add_signed(stream.stride) {
+                let next = Addr::new(raw);
+                self.streams.insert(
+                    self.geometry.block_of(next),
+                    Stream {
+                        next,
+                        stride: stream.stride,
+                        depth,
+                    },
+                );
+            }
+            crate::emit::push_strided_range(
+                self.geometry,
+                addr,
+                stream.stride,
+                old_depth,
+                depth,
+                out,
+            );
+            true
+        }
+
+        fn on_miss(&mut self, addr: Addr, out: &mut Vec<BlockAddr>) {
+            let advanced = self.advance_stream(addr, true, out);
+            let mut detected = None;
+            let mut to_bump = Vec::new();
+            for (prev, ()) in self.miss_list.iter() {
+                let stride = addr.stride_from(*prev);
+                if stride == 0 {
+                    continue;
+                }
+                if self.common.contains(&stride) {
+                    if detected.is_none() {
+                        detected = Some(stride);
+                    }
+                } else {
+                    to_bump.push(stride);
+                }
+            }
+            for stride in to_bump {
+                let promoted = match self.freq.get_mut(&stride) {
+                    Some(count) => {
+                        *count += 1;
+                        *count >= STRIDE_THRESHOLD
+                    }
+                    None => {
+                        self.freq.insert(stride, 1);
+                        false
+                    }
+                };
+                if promoted {
+                    self.freq.remove(&stride);
+                    self.common.insert(stride, ());
+                    self.counters[3] += 1;
+                }
+            }
+            if let Some(stride) = detected {
+                self.common.insert(stride, ());
+                if !advanced {
+                    if let Some(raw) = addr.as_u64().checked_add_signed(stride) {
+                        let next = Addr::new(raw);
+                        self.streams.insert(
+                            self.geometry.block_of(next),
+                            Stream {
+                                next,
+                                stride,
+                                depth: self.config.degree,
+                            },
+                        );
+                        self.counters[2] += 1;
+                        crate::emit::push_strided_range(
+                            self.geometry,
+                            addr,
+                            stride,
+                            1,
+                            self.config.degree,
+                            out,
+                        );
+                    }
+                }
+            }
+            self.miss_list.insert(addr, ());
+        }
+
+        fn on_read(&mut self, access: &ReadAccess, out: &mut Vec<BlockAddr>) {
+            if access.outcome == ReadOutcome::Miss {
+                self.on_miss(access.addr, out);
+            } else if access.outcome.continues_stream() {
+                let late = access.outcome == ReadOutcome::InFlightPrefetch;
+                self.advance_stream(access.addr, late, out);
+            }
+        }
+    }
+
+    /// The tables of `r` in recency order, and its counters.
+    type State = (
+        Vec<Addr>,
+        Vec<(i64, u32)>,
+        Vec<i64>,
+        Vec<(BlockAddr, Stream)>,
+        [u64; 4],
+    );
+
+    fn reference_state(r: &Reference) -> State {
+        (
+            r.miss_list.iter().map(|(&a, ())| a).collect(),
+            r.freq.iter().map(|(&s, &c)| (s, c)).collect(),
+            r.common.iter().map(|(&s, ())| s).collect(),
+            r.streams.iter().map(|(&b, &s)| (b, s)).collect(),
+            r.counters,
+        )
+    }
+
+    fn state(d: &DDetection) -> State {
+        (
+            d.miss_list.keys().collect(),
+            d.freq.by_recency(),
+            d.common.by_recency().into_iter().map(|(s, ())| s).collect(),
+            d.streams.by_recency(),
+            [
+                d.stream_lookups,
+                d.stream_hits,
+                d.streams_installed,
+                d.strides_promoted,
+            ],
+        )
+    }
+
+    /// A read stream that keeps every table churning: interleaved stride
+    /// runs (some repeating an address, so the miss list promotes), random
+    /// misses, and hits on prefetched blocks, in flight or arrived.
+    fn random_access(rng: &mut SplitMix64, runs: &mut [(u64, u64)]) -> ReadAccess {
+        let addr = if rng.random_range(0u8..4) == 0 {
+            rng.random_range(0u64..1 << 22)
+        } else {
+            let run = &mut runs[rng.random_range(0..runs.len())];
+            if rng.random_range(0u8..16) == 0 {
+                *run = (
+                    rng.random_range(0u64..1 << 22),
+                    rng.random_range(0u64..6) * 32,
+                );
+            }
+            run.0 = run.0.wrapping_add(run.1);
+            run.0
+        };
+        let outcome = [
+            ReadOutcome::Miss,
+            ReadOutcome::Miss,
+            ReadOutcome::Miss,
+            ReadOutcome::HitPrefetched,
+            ReadOutcome::InFlightPrefetch,
+            ReadOutcome::Hit,
+        ][rng.random_range(0usize..6)];
+        ReadAccess {
+            pc: Pc::new(0),
+            addr: Addr::new(addr),
+            outcome,
+        }
+    }
+
+    /// Over seeded random miss and hit streams, the flat tables emit
+    /// the reference's candidates and hold its table contents, in the same
+    /// recency order, after every call.
+    #[test]
+    fn flat_tables_match_the_rotating_reference() {
+        let mut rng = SplitMix64::seed_from_u64(0xdde7_d1ff);
+        for case in 0..32 {
+            let config = DDetectionConfig {
+                degree: rng.random_range(1u32..4),
+                adaptive_depth: case % 2 == 1,
+                max_depth: 6,
+            };
+            let (g, mut d) = (
+                Geometry::paper(),
+                DDetection::new(Geometry::paper(), config),
+            );
+            let mut reference = Reference::new(g, config);
+            let mut runs: Vec<(u64, u64)> = (0..rng.random_range(1usize..6))
+                .map(|_| {
+                    (
+                        rng.random_range(0u64..1 << 22),
+                        rng.random_range(0u64..6) * 32,
+                    )
+                })
+                .collect();
+            let (mut out, mut want) = (Vec::new(), Vec::new());
+            for step in 0..1500 {
+                let access = random_access(&mut rng, &mut runs);
+                out.clear();
+                want.clear();
+                d.on_read(&access, &mut out);
+                reference.on_read(&access, &mut want);
+                assert_eq!(out, want, "case {case} step {step}: candidates");
+                assert_eq!(
+                    state(&d),
+                    reference_state(&reference),
+                    "case {case} step {step}"
+                );
+            }
+            assert!(
+                d.strides_promoted > 0 && d.stream_hits > 0,
+                "case {case} trained"
+            );
         }
     }
 }

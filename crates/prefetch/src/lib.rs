@@ -71,6 +71,5 @@ pub use adaptive::AdaptiveSequential;
 pub use api::{NoPrefetch, Prefetcher, ReadAccess, ReadOutcome, Scheme};
 pub use ddet::{DDetection, DDetectionConfig};
 pub use idet::{IDetection, IDetectionConfig, RptState};
-pub use lru::LruTable;
 pub use sequential::SequentialPrefetcher;
 pub use simple::SimpleStride;

@@ -7,12 +7,15 @@
 //! Like I-detection's reference prediction table (§3.1), the encoding
 //! predicts each read's or write's address from its site's last address
 //! and last stride, so a predicted access costs 1 byte, any other narrow
-//! one 4 and a short compute 1. The six applications' trace sets average
-//! 2.06 bytes per operation at the default size and 1.24 at the large
-//! one (a decoded [`Op`] is 16). The trace is immutable after
-//! construction; N concurrent runs each hold a [`TraceCursor`], the one
-//! [`Workload`], over one `Arc<PackedTrace>` and decode independently with
-//! zero copies. No other module knows the format.
+//! one 4 and a short compute 1; and once a loop's sites have learnt their
+//! strides, a 4-byte run record stands for every further repeat of its
+//! body. The six applications' trace sets average 1.56 bytes per operation
+//! at the default size and 0.38 at the large one, where LU, Cholesky and
+//! Ocean are nearly all runs (a decoded [`Op`] is 16). The trace is
+//! immutable after construction; N concurrent runs each hold a
+//! [`TraceCursor`], the one [`Workload`], over one `Arc<PackedTrace>` and
+//! decode independently with zero copies. No other module knows the
+//! format.
 //!
 //! A trace comes from one of two constructors that differ only in
 //! computes: [`TraceBuilder`](crate::TraceBuilder), which every generator
@@ -32,8 +35,7 @@
 //! | `WIDE` | the op's narrow kind (`READ` or `WRITE`), then an 8-byte address |
 //! | `COMPUTE` | none: slots 0–30 are the cycle count; slot 31, a 4-byte count |
 //! | `SYNC` | an 8-byte lock address or barrier id |
-//!
-//! Kind 7 is never written: decoding it traps as a corrupt trace.
+//! | `RUN` | a 3-byte repeat count R: the P ops just before it, P the slot, occur R more times |
 //!
 //! A read's or write's slot indexes its lane's PC table, which holds the
 //! first 31 distinct PCs the lane uses (the applications use at most 16
@@ -57,6 +59,27 @@
 //! shared trace, so cloning a cursor (a checkpoint fork) carries it and
 //! [`TraceCursor::rewind`] resets it.
 //!
+//! # Runs
+//!
+//! A run's period is 1 to 8 one-byte ops: `_NEXT` reads and writes and
+//! computes below 31 cycles. That is what a loop body becomes once its
+//! sites have learnt their strides, and keeping longer ops out makes a
+//! period exactly P bytes, so the encoder finds periods in one register of
+//! recent lead bytes and the decoder replays a period without parsing
+//! lengths. A one-byte op equal to the one a period back (the shortest
+//! such period) starts a run, and every op that goes on repeating the
+//! period folds into it: the encoder writes nothing until the run ends.
+//! It then writes a record for the whole repeats (when that saves bytes:
+//! a period of P ops repeated R times needs P·R above 4) followed by the
+//! ops of a broken last repeat. A
+//! trailing compute joins a run only once the next op arrives, since the
+//! next compute may still merge into it. Replaying a period decodes the
+//! same bytes under the predictor state those ops would meet anyway, so
+//! runs change no decoded op. The decoder keeps the run it replays in its
+//! cursor beside the predictor. A record traps as corrupt unless P is 1 to
+//! 8, R is at least 1, and the P ops before it are one byte each after the
+//! lane's start or the last longer op or record.
+//!
 //! Each lane ends in 8 bytes of padding, so decode reads an op with one
 //! fixed 8-byte load through safe slicing; only wide and sync ops need a
 //! second load.
@@ -77,6 +100,7 @@ mod kind {
     pub const WIDE: u8 = 4;
     pub const COMPUTE: u8 = 5;
     pub const SYNC: u8 = 6;
+    pub const RUN: u8 = 7;
 }
 
 /// A `SYNC` op's slot.
@@ -99,6 +123,12 @@ const NARROW_MAX: u64 = (1 << 24) - 1;
 /// Zero bytes after each lane's last op, so every 8-byte load that starts
 /// inside an op stays in bounds.
 const PADDING: usize = 8;
+/// The most one-byte ops in a run's period.
+const MAX_PERIOD: usize = 8;
+/// Bytes of a run record: the lead byte and a 3-byte repeat count.
+const RUN_BYTES: usize = 4;
+/// The largest repeat count a run record holds.
+const MAX_REPEATS: u32 = (1 << 24) - 1;
 
 /// One PC-table slot's predictor entry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -145,18 +175,36 @@ pub(crate) struct PackedLane {
     pcs: Vec<u32>,
     /// Ops encoded.
     ops: usize,
-    /// Byte offset and cycle count of a trailing compute, which the next
-    /// compute merges into (building only; a sealed lane has none).
-    tail_compute: Option<(usize, u32)>,
+    /// Cycles of a trailing compute not yet encoded, which the next
+    /// compute merges into (building only; sealing encodes it).
+    tail_compute: Option<u32>,
     /// The encoder's predictor, as of the last op pushed.
     pred: Predictor,
+    /// The lead bytes of the last one-byte ops, the newest in the low
+    /// byte: the candidate periods of a run.
+    recent: u64,
+    /// How many of `recent`'s bytes (at most [`MAX_PERIOD`]) are one-byte
+    /// ops after the last longer op or run record.
+    history: usize,
+    /// The run being matched (building only): its period and the ops
+    /// folded into it so far, none of them written yet.
+    run: Option<(usize, u32)>,
+    /// The PC-table slot each PC's [`hint_of`] last found (building only).
+    slot_hints: [u8; 32],
+}
+
+/// Where a PC's slot hint lives: program counters step by 4.
+#[inline]
+fn hint_of(pc: u32) -> usize {
+    (pc >> 2) as usize % 32
 }
 
 impl PackedLane {
     /// Appends `op` exactly as given: a zero-cycle compute stays, and a
     /// compute never merges into its predecessor.
+    #[inline(always)]
     pub(crate) fn push(&mut self, op: Op) {
-        self.tail_compute = None;
+        self.settle_compute();
         self.ops += 1;
         match op {
             Op::Read { addr, pc } => self.push_mem(kind::READ, addr, pc),
@@ -177,75 +225,181 @@ impl PackedLane {
         if cycles == 0 {
             return;
         }
-        let (at, cycles) = match self.tail_compute {
-            Some((at, prev)) => {
-                self.bytes.truncate(at);
-                (at, prev.saturating_add(cycles))
-            }
+        match &mut self.tail_compute {
+            Some(prev) => *prev = prev.saturating_add(cycles),
             None => {
                 self.ops += 1;
-                (self.bytes.len(), cycles)
+                self.tail_compute = Some(cycles);
             }
-        };
-        self.put_compute(cycles);
-        self.tail_compute = Some((at, cycles));
+        }
+    }
+
+    /// Encodes the trailing compute, if any, once no compute can merge
+    /// into it any more.
+    #[inline]
+    fn settle_compute(&mut self) {
+        if let Some(cycles) = self.tail_compute.take() {
+            self.put_compute(cycles);
+        }
     }
 
     /// Encodes a compute of `cycles` (the caller counts the op).
+    #[inline]
     fn put_compute(&mut self, cycles: u32) {
-        let (slot, len) = if cycles < ESCAPE as u32 {
-            (cycles as u8, 1)
+        if cycles < ESCAPE as u32 {
+            self.put_short(lead(kind::COMPUTE, cycles as u8));
         } else {
-            (ESCAPE as u8, 5)
-        };
-        self.put(lead(kind::COMPUTE, slot) | u64::from(cycles) << 8, len);
+            self.put_long_compute(cycles);
+        }
+    }
+
+    /// Encodes a compute of 31 cycles or more.
+    #[inline(never)]
+    fn put_long_compute(&mut self, cycles: u32) {
+        let word = u64::from(lead(kind::COMPUTE, ESCAPE as u8)) | u64::from(cycles) << 8;
+        self.put_long(word, 5);
     }
 
     /// Appends a read or write; `base` is its narrow kind.
+    #[inline]
     fn push_mem(&mut self, base: u8, addr: Addr, pc: Pc) {
         let pc = pc.as_u32();
         let raw = addr.as_u64();
         let slot = self.pc_slot(pc);
         if slot < ESCAPE && self.pred.observe(slot, raw) {
-            self.put(lead(base | NEXT_BIT, slot as u8), 1);
-            return;
+            self.put_short(lead(base | NEXT_BIT, slot as u8));
+        } else {
+            self.put_mem(base, slot, pc, raw);
         }
+    }
+
+    /// Appends a read or write of `raw` by `pc`, in `slot`, that its
+    /// slot's predictor missed.
+    #[inline(never)]
+    fn put_mem(&mut self, base: u8, slot: usize, pc: u32, raw: u64) {
         // The lead byte, a wide op's narrow kind and any escaped PC, then
         // the address.
         let wide = raw > NARROW_MAX;
         let (mut head, mut head_len) = if wide {
-            (lead(kind::WIDE, slot as u8) | u64::from(base) << 8, 2)
+            (
+                u64::from(lead(kind::WIDE, slot as u8)) | u64::from(base) << 8,
+                2,
+            )
         } else {
-            (lead(base, slot as u8), 1)
+            (u64::from(lead(base, slot as u8)), 1)
         };
         if slot == ESCAPE {
             head |= u64::from(pc) << (8 * head_len);
             head_len += 4;
         }
         if wide {
-            self.put(head, head_len);
+            self.put_long(head, head_len);
             self.put(raw, 8);
         } else {
-            self.put(head | raw << (8 * head_len), head_len + 3);
+            self.put_long(head | raw << (8 * head_len), head_len + 3);
         }
     }
 
     /// `pc`'s slot in the PC table, adding it while the table has room;
     /// [`ESCAPE`] once the table is full.
+    #[inline]
     fn pc_slot(&mut self, pc: u32) -> usize {
-        match self.pcs.iter().position(|&p| p == pc) {
+        let hint = usize::from(self.slot_hints[hint_of(pc)]);
+        if self.pcs.get(hint) == Some(&pc) {
+            return hint;
+        }
+        self.find_pc_slot(pc)
+    }
+
+    /// [`Self::pc_slot`] by a scan of the table, which refreshes the hint.
+    #[inline(never)]
+    fn find_pc_slot(&mut self, pc: u32) -> usize {
+        let slot = match self.pcs.iter().position(|&p| p == pc) {
             Some(slot) => slot,
             None if self.pcs.len() < ESCAPE => {
                 self.pcs.push(pc);
                 self.pcs.len() - 1
             }
-            None => ESCAPE,
-        }
+            None => return ESCAPE,
+        };
+        self.slot_hints[hint_of(pc)] = slot as u8;
+        slot
     }
 
     fn push_sync(&mut self, sub: u8, payload: u64) {
-        self.put(lead(kind::SYNC, sub), 1);
+        self.put_long(u64::from(lead(kind::SYNC, sub)), 1);
         self.put(payload, 8);
+    }
+
+    /// Appends a one-byte op with lead byte `byte`, or folds it into a
+    /// run: while the op equals the one a period back, nothing is written
+    /// and the run's count grows.
+    #[inline]
+    fn put_short(&mut self, byte: u8) {
+        match &mut self.run {
+            Some((period, folded))
+                if (self.recent >> (8 * (*period - 1))) as u8 == byte && *folded < MAX_REPEATS =>
+            {
+                *folded += 1;
+            }
+            Some(_) => {
+                self.end_run();
+                self.start_short(byte);
+            }
+            None => self.start_short(byte),
+        }
+        self.recent = self.recent << 8 | u64::from(byte);
+    }
+
+    /// Outside a run: starts one if the one-byte op with lead byte `byte`
+    /// repeats a recent one, or else writes it.
+    #[inline]
+    fn start_short(&mut self, byte: u8) {
+        match period_of(self.recent, self.history, byte) {
+            Some(period) => self.run = Some((period, 1)),
+            None => {
+                self.bytes.push(byte);
+                self.history = (self.history + 1).min(MAX_PERIOD);
+            }
+        }
+    }
+
+    /// Appends the first `len` bytes of an op longer than a byte, whose
+    /// lead byte is the low byte of `word`; no run spans it.
+    #[inline]
+    fn put_long(&mut self, word: u64, len: usize) {
+        if self.run.is_some() {
+            self.end_run();
+        }
+        self.history = 0;
+        self.put(word, len);
+    }
+
+    /// Writes out the run being matched: a run record for its whole
+    /// repeats when that saves bytes, then the ops that follow them, or
+    /// else every folded op as it is.
+    #[inline(never)]
+    fn end_run(&mut self) {
+        let Some((period, folded)) = self.run.take() else {
+            return;
+        };
+        let repeats = folded / period as u32;
+        let mut literal = folded as usize;
+        if period * repeats as usize > RUN_BYTES {
+            let record = u64::from(lead(kind::RUN, period as u8)) | u64::from(repeats) << 8;
+            self.put(record, RUN_BYTES);
+            literal %= period;
+            self.history = literal;
+        } else {
+            self.history = (self.history + literal).min(MAX_PERIOD);
+        }
+        // The ops left are the newest bytes of `recent`: fewer than a
+        // period after a record, and without one at most 4 bytes of whole
+        // repeats plus part of a period, so never more than 7.
+        debug_assert!(literal < MAX_PERIOD);
+        for k in (0..literal).rev() {
+            self.bytes.push((self.recent >> (8 * k)) as u8);
+        }
     }
 
     /// Appends the low `len` bytes of `word`.
@@ -256,18 +410,33 @@ impl PackedLane {
         self.bytes.truncate(at + len);
     }
 
-    /// Finishes the lane for decoding: appends the padding.
+    /// Finishes the lane for decoding: encodes what is still pending and
+    /// appends the padding.
     fn seal(mut self) -> Self {
-        self.tail_compute = None;
+        self.settle_compute();
+        self.end_run();
         self.bytes.extend_from_slice(&[0; PADDING]);
         self
     }
 }
 
+/// The shortest period, at most `history` one-byte ops, at which the op
+/// with lead byte `byte` repeats one of the `recent` ones; `None` if it
+/// repeats none. A byte-wise zero test over `recent ^ byte`: the lowest
+/// flagged byte is always a true zero.
+#[inline]
+fn period_of(recent: u64, history: usize, byte: u8) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    let diff = recent ^ (ONES * u64::from(byte));
+    let zeros = diff.wrapping_sub(ONES) & !diff & (ONES << 7);
+    let zeros = zeros & u64::MAX.checked_shr(64 - 8 * history as u32).unwrap_or(0);
+    (zeros != 0).then(|| zeros.trailing_zeros() as usize / 8 + 1)
+}
+
 /// The lead byte of an op: `kind` in the low bits, `slot` above.
 #[inline]
-fn lead(kind: u8, slot: u8) -> u64 {
-    u64::from(kind | slot << KIND_BITS)
+fn lead(kind: u8, slot: u8) -> u8 {
+    kind | slot << KIND_BITS
 }
 
 /// The 8 bytes at `at`, little-endian. Sealed lanes are padded so this is
@@ -289,10 +458,21 @@ fn mem_op(write: bool, addr: u64, pc: u32) -> Op {
 }
 
 /// Where the decode of one sealed lane stands: the byte offset of the next
-/// op, and the predictor the ops before it left behind.
+/// op, the run being replayed, and the predictor the ops before it left
+/// behind.
 #[derive(Debug, Clone, Default)]
 struct LaneCursor {
+    /// Byte offset of the next op.
     at: usize,
+    /// Where decoding leaves the fast path: the lane's end, or while a run
+    /// replays, its record (0 before the first op).
+    stop: usize,
+    /// The offset after the last op longer than a byte or the last run
+    /// record: a run's period must start at or after it.
+    solid: usize,
+    /// The run being replayed: its period's offset, and the replays left
+    /// after the current one.
+    run: Option<(usize, u32)>,
     pred: Predictor,
 }
 
@@ -300,30 +480,88 @@ impl LaneCursor {
     /// Decodes `lane`'s next op, if any.
     #[inline]
     fn next(&mut self, lane: &PackedLane) -> Option<Op> {
-        if self.at >= lane.bytes.len() - PADDING {
-            return None;
+        loop {
+            if self.at >= self.stop && !self.turn(lane) {
+                return None;
+            }
+            let step = decode(
+                &lane.bytes,
+                &lane.pcs,
+                &mut self.pred,
+                &mut self.solid,
+                self.at,
+            );
+            if let Some((op, next)) = step {
+                self.at = next;
+                return Some(op);
+            }
+            self.enter_run(lane);
         }
-        let (op, next) = decode(&lane.bytes, &lane.pcs, &mut self.pred, self.at);
-        self.at = next;
-        Some(op)
+    }
+
+    /// Decoding reached `stop`: replays the run's period again, moves past
+    /// its record, or finds the lane's end. Returns whether an op follows.
+    #[inline]
+    fn turn(&mut self, lane: &PackedLane) -> bool {
+        if let Some((from, left)) = &mut self.run {
+            if *left > 0 {
+                *left -= 1;
+                self.at = *from;
+                return true;
+            }
+            self.run = None;
+            self.at = self.stop + RUN_BYTES;
+            self.solid = self.at;
+        }
+        self.stop = lane.bytes.len() - PADDING;
+        self.at < self.stop
+    }
+
+    /// Meets the run record at `at`: checks it and moves to its period's
+    /// first op to replay the period.
+    #[cold]
+    fn enter_run(&mut self, lane: &PackedLane) {
+        let record = self.at;
+        let word = load(&lane.bytes, record);
+        let period = usize::from(word as u8 >> KIND_BITS);
+        let repeats = (word >> 8) as u32 & MAX_REPEATS;
+        // Since `solid`, every op was one byte long: the period is the
+        // `period` ops just before the record.
+        if !(1..=MAX_PERIOD).contains(&period) || repeats == 0 || record < self.solid + period {
+            corrupt(word as u8, record);
+        }
+        self.run = Some((record - period, repeats - 1));
+        self.stop = record;
+        self.at = record - period;
     }
 }
 
 /// Decodes the op at byte offset `at` of a sealed lane, given the
 /// predictor its earlier ops left behind; returns it plus the offset of
-/// the following op. Callers guarantee an op starts at `at`.
+/// the following op, or `None` for a run record. An op longer than a byte
+/// moves `solid` to its end. Callers guarantee an op starts at `at`.
 #[inline]
-fn decode(bytes: &[u8], pcs: &[u32], pred: &mut Predictor, at: usize) -> (Op, usize) {
+fn decode(
+    bytes: &[u8],
+    pcs: &[u32],
+    pred: &mut Predictor,
+    solid: &mut usize,
+    at: usize,
+) -> Option<(Op, usize)> {
     let word = load(bytes, at);
     let lead = word as u8;
     let slot = usize::from(lead >> KIND_BITS);
-    match lead & KIND_MASK {
+    let (op, next) = match lead & KIND_MASK {
         mem @ (kind::READ_NEXT | kind::WRITE_NEXT) => {
             if slot >= ESCAPE {
                 corrupt(lead, at);
             }
             let addr = pred.next(slot);
-            (mem_op(mem & WRITE_BIT != 0, addr, pcs[slot]), at + 1)
+            return Some((mem_op(mem & WRITE_BIT != 0, addr, pcs[slot]), at + 1));
+        }
+        kind::COMPUTE if slot < ESCAPE => {
+            let cycles = slot as u32;
+            return Some((Op::Compute { cycles }, at + 1));
         }
         mem @ (kind::READ | kind::WRITE) => {
             let (pc, addr, next) = if slot < ESCAPE {
@@ -352,12 +590,6 @@ fn decode(bytes: &[u8], pcs: &[u32], pred: &mut Predictor, at: usize) -> (Op, us
             }
             (mem_op(write, addr, pc), addr_at + 8)
         }
-        kind::COMPUTE if slot < ESCAPE => (
-            Op::Compute {
-                cycles: slot as u32,
-            },
-            at + 1,
-        ),
         kind::COMPUTE => {
             let cycles = (word >> 8) as u32;
             (Op::Compute { cycles }, at + 5)
@@ -376,8 +608,11 @@ fn decode(bytes: &[u8], pcs: &[u32], pred: &mut Predictor, at: usize) -> (Op, us
             };
             (op, at + 9)
         }
-        _ => corrupt(lead, at),
-    }
+        // `kind::RUN`, the one kind left.
+        _ => return None,
+    };
+    *solid = next;
+    Some((op, next))
 }
 
 #[cold]
@@ -509,7 +744,8 @@ impl ExactSizeIterator for OpIter<'_> {}
 /// `Arc<PackedTrace>`, so `System<TraceCursor>` keeps static dispatch
 /// while N parallel runs share one immutable trace. Cloning a cursor (or
 /// creating more from the same `Arc`) costs only the per-CPU cursor
-/// state: a position and the address predictor (about 500 bytes).
+/// state: a position, the run being replayed and the address predictor
+/// (about 540 bytes).
 #[derive(Debug, Clone)]
 pub struct TraceCursor {
     trace: Arc<PackedTrace>,
@@ -642,17 +878,44 @@ mod tests {
         PackedTrace::from_lanes("t".into(), vec![lane])
     }
 
+    /// `lane`'s encoding read off its bytes: the kind of each op in
+    /// decode order (a run's period once more per repeat), and each run
+    /// record's period and repeat count.
+    fn forms(lane: &PackedLane) -> (Vec<u8>, Vec<(usize, u64)>) {
+        let (mut kinds, mut records) = (Vec::new(), Vec::new());
+        let (mut pred, mut solid, mut at) = (Predictor::default(), 0, 0);
+        while at < lane.bytes.len() - PADDING {
+            match decode(&lane.bytes, &lane.pcs, &mut pred, &mut solid, at) {
+                Some((_, next)) => {
+                    kinds.push(lane.bytes[at] & KIND_MASK);
+                    at = next;
+                }
+                None => {
+                    let period = usize::from(lane.bytes[at] >> KIND_BITS);
+                    let repeats = (load(&lane.bytes, at) >> 8) & u64::from(MAX_REPEATS);
+                    let body = kinds[kinds.len() - period..].to_vec();
+                    (0..repeats).for_each(|_| kinds.extend(&body));
+                    records.push((period, repeats));
+                    at += RUN_BYTES;
+                }
+            }
+        }
+        (kinds, records)
+    }
+
     /// How many of `lane`'s ops took a 1-byte `_NEXT` form.
     fn predicted_ops(lane: &PackedLane) -> usize {
-        let mut cursor = LaneCursor::default();
-        let mut predicted = 0;
-        let mut at = 0;
-        while cursor.next(lane).is_some() {
-            let kind = lane.bytes[at] & KIND_MASK;
-            predicted += usize::from(kind == kind::READ_NEXT || kind == kind::WRITE_NEXT);
-            at = cursor.at;
-        }
-        predicted
+        let (kinds, _) = forms(lane);
+        kinds
+            .iter()
+            .filter(|&&k| k == kind::READ_NEXT || k == kind::WRITE_NEXT)
+            .count()
+    }
+
+    /// How many of `lane`'s ops a run record replays.
+    fn folded_ops(lane: &PackedLane) -> u64 {
+        let (_, records) = forms(lane);
+        records.iter().map(|&(p, r)| p as u64 * r).sum()
     }
 
     #[test]
@@ -749,7 +1012,26 @@ mod tests {
         let read = |addr, pc| mem_op(false, addr, pc);
         let write = |addr, pc| mem_op(true, addr, pc);
         let compute = |cycles| Op::Compute { cycles };
-        let cases: [(&[Op], usize); 13] = [
+        let computes = |cycles: &[u32], times| cycles.repeat(times).into_iter().map(compute);
+        let three: Vec<Op> = computes(&[7], 3).collect();
+        let five: Vec<Op> = computes(&[7], 5).collect();
+        let six: Vec<Op> = computes(&[7], 6).collect();
+        let pairs: Vec<Op> = computes(&[1, 2], 4).collect();
+        let mut broken: Vec<Op> = computes(&[1, 2, 3], 3).collect();
+        broken.extend(computes(&[1, 2], 1));
+        // A stride-8 loop body of a read, a write and a compute: two
+        // iterations teach the strides; of the 294 one-byte ops after
+        // them, a record replays 291 and 3 stay literal.
+        let body: Vec<Op> = (0..100u64)
+            .flat_map(|i| {
+                [
+                    read(0x1000 + 8 * i, 0x40),
+                    write(0x8000 + 8 * i, 0x44),
+                    compute(12),
+                ]
+            })
+            .collect();
+        let cases: [(&[Op], usize); 19] = [
             (&[read(NARROW_MAX, 0x40)], 4),
             (&[write(NARROW_MAX, 0x40)], 4),
             (&[read(NARROW_MAX + 1, 0x40)], 10),
@@ -781,6 +1063,17 @@ mod tests {
             (&[compute(31)], 5),
             (&[Op::Acquire { lock: Addr::new(0) }], 9),
             (&[Op::Barrier { id: 0 }], 9),
+            // A run record (4 bytes) replaces whole repeats of the one-byte
+            // ops just before it, but only where that saves bytes: two or
+            // four repeats of one byte stay literal, five take a record.
+            (&three, 3),
+            (&five, 5),
+            (&six, 1 + 4),
+            (&pairs, 2 + 4),
+            // Two whole repeats of a 3-op period, then a broken one whose
+            // two ops stay literal after the record.
+            (&broken, 3 + 4 + 2),
+            (&body, 2 * (4 + 4 + 1) + 3 + 4),
         ];
         for (ops, bytes) in cases {
             let trace = pack(ops);
@@ -800,22 +1093,103 @@ mod tests {
         assert!(trace.iter_cpu(0).eq(ops));
     }
 
-    /// Decodes a one-op lane of raw `bytes` with a one-entry PC table.
+    /// Decodes a lane of raw `bytes` with a one-entry PC table to its end.
     fn decode_raw(bytes: Vec<u8>) {
         let lane = PackedLane {
             bytes,
             pcs: vec![0x40],
-            ops: 1,
             ..PackedLane::default()
         };
         let trace = PackedTrace::from_lanes("t".into(), vec![lane]);
-        trace.iter_cpu(0).for_each(drop);
+        let mut cursor = LaneCursor::default();
+        while cursor.next(&trace.lanes[0]).is_some() {}
+    }
+
+    /// A run record of `period` ops repeated `repeats` more times.
+    fn record(period: u8, repeats: u32) -> [u8; RUN_BYTES] {
+        let [r0, r1, r2, _] = repeats.to_le_bytes();
+        [lead(kind::RUN, period), r0, r1, r2]
+    }
+
+    /// A one-byte compute of `cycles`.
+    fn short_compute(cycles: u8) -> u8 {
+        lead(kind::COMPUTE, cycles)
+    }
+
+    #[test]
+    fn a_hand_made_run_record_replays_its_period() {
+        let mut bytes = vec![short_compute(1), short_compute(2)];
+        bytes.extend(record(2, 3));
+        bytes.push(short_compute(3));
+        let lane = PackedLane {
+            bytes,
+            ops: 9,
+            ..PackedLane::default()
+        };
+        let trace = PackedTrace::from_lanes("t".into(), vec![lane]);
+        let cycles: Vec<u32> = trace
+            .iter_cpu(0)
+            .map(|op| match op {
+                Op::Compute { cycles } => cycles,
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(cycles, [1, 2, 1, 2, 1, 2, 1, 2, 3]);
     }
 
     #[test]
     #[should_panic(expected = "corrupt packed trace")]
-    fn an_unknown_kind_traps() {
-        decode_raw(vec![KIND_MASK, 0]);
+    fn a_run_of_period_zero_traps() {
+        let mut bytes = vec![short_compute(1)];
+        bytes.extend(record(0, 1));
+        decode_raw(bytes);
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt packed trace")]
+    fn a_run_longer_than_eight_ops_traps() {
+        let mut bytes = vec![short_compute(1); MAX_PERIOD + 1];
+        bytes.extend(record(MAX_PERIOD as u8 + 1, 1));
+        decode_raw(bytes);
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt packed trace")]
+    fn a_run_of_zero_repeats_traps() {
+        let mut bytes = vec![short_compute(1)];
+        bytes.extend(record(1, 0));
+        decode_raw(bytes);
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt packed trace")]
+    fn a_run_reaching_before_the_lane_traps() {
+        let mut bytes = vec![short_compute(1)];
+        bytes.extend(record(2, 1));
+        decode_raw(bytes);
+    }
+
+    /// The bytes before the record look like two one-byte computes, but
+    /// they are the address of a 4-byte read.
+    #[test]
+    #[should_panic(expected = "corrupt packed trace")]
+    fn a_run_over_a_longer_op_traps() {
+        let c = short_compute(1);
+        let mut bytes = vec![lead(kind::READ, 0), c, c, c];
+        bytes.extend(record(2, 1));
+        decode_raw(bytes);
+    }
+
+    /// The second record's period would be the first record's count
+    /// bytes, which look like one-byte computes.
+    #[test]
+    #[should_panic(expected = "corrupt packed trace")]
+    fn a_run_over_another_record_traps() {
+        let c = short_compute(1);
+        let mut bytes = vec![c];
+        bytes.extend(record(1, u32::from_le_bytes([c, c, c, 0])));
+        bytes.extend(record(2, 1));
+        decode_raw(bytes);
     }
 
     /// An escaped PC is never predicted, and a `_NEXT` op has no room for
@@ -823,14 +1197,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "corrupt packed trace")]
     fn a_predicted_op_in_the_escape_slot_traps() {
-        decode_raw(vec![lead(kind::READ_NEXT, ESCAPE as u8) as u8]);
+        decode_raw(vec![lead(kind::READ_NEXT, ESCAPE as u8)]);
     }
 
     #[test]
     #[should_panic(expected = "corrupt packed trace")]
     fn a_wide_op_that_is_neither_read_nor_write_traps() {
         decode_raw(vec![
-            lead(kind::WIDE, 0) as u8,
+            lead(kind::WIDE, 0),
             kind::READ_NEXT,
             0,
             0,
@@ -950,9 +1324,71 @@ mod tests {
         chunks
     }
 
+    /// A loop body of `period` ops that are one byte each once its sites
+    /// have learnt their strides: computes of 0 to 3 cycles and strided
+    /// reads and writes, each by a distinct site of the first [`ESCAPE`]
+    /// with its own base and stride. Three
+    /// iterations of it, then `repeats` more (the periodic stretch), then
+    /// `broken` ops of one more iteration and an op off the period (none
+    /// when `broken` is `period`).
+    fn periodic(rng: &mut SplitMix64, period: usize, repeats: u64, broken: usize) -> Vec<Op> {
+        // Site, base, stride and kind of each memory op of the body, or
+        // the cycles of each compute.
+        let first_site = rng.random_range(0..ESCAPE as u32 - MAX_PERIOD as u32);
+        let body: Vec<Result<(Pc, u64, u64, bool), u32>> = (0..period as u32)
+            .map(|k| {
+                if rng.random_range(0u8..3) == 0 {
+                    // Short enough that the builder's merges across a whole
+                    // period stay one byte.
+                    Err(rng.random_range(0u32..4))
+                } else {
+                    let stride = [0, 8, 64, 0u64.wrapping_sub(8)][rng.random_range(0usize..4)];
+                    let base = rng.random_range(0x1000..NARROW_MAX / 2);
+                    Ok((site(first_site + k), base, stride, rng.random_bool()))
+                }
+            })
+            .collect();
+        let mut ops = Vec::new();
+        // Two iterations teach the strides, one is the period's first
+        // occurrence.
+        for i in 0..3 + repeats {
+            for (k, op) in body.iter().enumerate() {
+                if i == 2 + repeats && k == broken {
+                    ops.push(Op::Compute { cycles: 31 });
+                    return ops;
+                }
+                ops.push(match *op {
+                    Ok((pc, base, stride, write)) => mem_op(
+                        write,
+                        base.wrapping_add(stride.wrapping_mul(i)),
+                        pc.as_u32(),
+                    ),
+                    Err(cycles) => Op::Compute { cycles },
+                });
+            }
+        }
+        ops
+    }
+
+    /// Periodic stretches: every period from 1 to 8, each with 1, 2, 5
+    /// or up to thousands of repeats (each count twice per lane), each
+    /// broken after a random number of ops.
+    fn run_chunks(rng: &mut SplitMix64) -> Vec<Vec<Op>> {
+        let turn = rng.random_range(0usize..4);
+        (1..=MAX_PERIOD)
+            .map(|period| {
+                let repeats = [1, 2, 5, rng.random_range(6u64..3000)][(period + turn) % 4];
+                let broken = rng.random_range(0..period);
+                periodic(rng, period, repeats, broken)
+            })
+            .collect()
+    }
+
     /// One lane's ops: every encoding edge, shuffled among random filler.
     /// Multi-op chunks stay contiguous so their computes are adjacent.
     fn edge_lane(rng: &mut SplitMix64) -> Vec<Op> {
+        // The first 31 sites take the PC table's slots in order.
+        let prefix = (0..ESCAPE as u32).map(|k| mem_op(false, 0x1000, site(k).as_u32()));
         // 40 distinct sites: the last 9 overflow the 31-entry PC table.
         let mut chunks: Vec<Vec<Op>> = (0..40)
             .map(|k| {
@@ -987,22 +1423,36 @@ mod tests {
             Op::Compute { cycles: 11 },
         ]);
         chunks.extend(prediction_chunks(rng));
+        chunks.extend(run_chunks(rng));
         for _ in 0..rng.random_range(0usize..200) {
             chunks.push(vec![random_op(rng)]);
         }
         for i in (1..chunks.len()).rev() {
             chunks.swap(i, rng.random_range(0..=i));
         }
+        chunks.insert(0, prefix.collect());
+        // Runs right after a wide op and after an escaped PC (the table
+        // is full by now), the last one ending the lane.
+        let escaped = site(100);
+        for head in [
+            mem_op(false, NARROW_MAX + 1, site(0).as_u32()),
+            mem_op(true, 0x2000, escaped.as_u32()),
+        ] {
+            chunks.push(vec![head]);
+            let period = rng.random_range(1..=MAX_PERIOD);
+            let repeats = rng.random_range(2u64..50);
+            chunks.push(periodic(rng, period, repeats, period));
+        }
         chunks.concat()
     }
 
-    /// Seeded random lanes across every encoding and prediction edge
-    /// decode to their reference sequence through `iter_cpu`, a cursor, a
-    /// clone of it taken at a random op (the checkpoint-fork path) and the
-    /// cursor rewound. A lane is built either by exact pushes
-    /// (`from_ops`), whose reference is the pushed sequence, or with the
-    /// builder's compute policy, whose reference merges and drops
-    /// computes.
+    /// Seeded random lanes across every encoding, prediction and run edge
+    /// decode to their reference sequence through `iter_cpu` (whose exact
+    /// size holds after every op), a cursor, a clone of it taken at a
+    /// random op (the checkpoint-fork path) and the cursor rewound. A lane
+    /// is built either by exact pushes (`from_ops`), whose reference is
+    /// the pushed sequence, or with the builder's compute policy, whose
+    /// reference merges and drops computes.
     #[test]
     fn random_lanes_round_trip_across_every_encoding_edge() {
         let mut rng = SplitMix64::seed_from_u64(0x4b17_e5ed);
@@ -1030,11 +1480,14 @@ mod tests {
                 let lane = &trace.lanes[cpu];
                 assert_eq!(lane.pcs.len(), ESCAPE, "table full");
                 assert!(predicted_ops(lane) >= 20, "runs predicted");
+                assert!(forms(lane).1.len() >= 4, "periodic stretches folded");
                 assert_eq!(trace.ops(cpu), want.len());
-                assert!(
-                    trace.iter_cpu(cpu).eq(want.iter().copied()),
-                    "iter_cpu({cpu})"
-                );
+                let mut ops = trace.iter_cpu(cpu);
+                for (k, &op) in want.iter().enumerate() {
+                    assert_eq!(ops.len(), want.len() - k, "exact size, cpu {cpu}");
+                    assert_eq!(ops.next(), Some(op), "iter_cpu({cpu}) op {k}");
+                }
+                assert_eq!((ops.len(), ops.next()), (0, None));
             }
 
             let mut cursor = TraceCursor::new(Arc::clone(&trace));
@@ -1059,6 +1512,56 @@ mod tests {
             for (cpu, want) in expected.iter().enumerate() {
                 let replay: Vec<Op> = std::iter::from_fn(|| fork.next(cpu)).collect();
                 assert_eq!(&replay, want, "rewound replay, cpu {cpu}");
+            }
+        }
+    }
+
+    /// A run longer than a record's count holds ends in a full record and
+    /// starts again.
+    #[test]
+    fn a_run_past_the_largest_count_takes_a_second_record() {
+        let ops = MAX_REPEATS as usize + 10;
+        let mut lane = PackedLane::default();
+        (0..ops).for_each(|_| lane.push(Op::Compute { cycles: 7 }));
+        let trace = PackedTrace::from_lanes("t".into(), vec![lane]);
+        // One literal, a record of every repeat it holds, then one literal
+        // and a record of the 8 left.
+        let c = short_compute(7);
+        let mut want = vec![c];
+        want.extend(record(1, MAX_REPEATS));
+        want.push(c);
+        want.extend(record(1, 8));
+        assert_eq!(trace.lanes[0].bytes[..trace.packed_bytes()], want);
+        let mut decoded = trace.iter_cpu(0);
+        assert_eq!(decoded.len(), ops);
+        assert_eq!(
+            decoded.try_fold(0, |n, op| (op == Op::Compute { cycles: 7 })
+                .then_some(n + 1)),
+            Some(ops)
+        );
+    }
+
+    /// A cursor cloned inside a run (the checkpoint-fork path), and one
+    /// rewound there, replay the same ops as a fresh cursor.
+    #[test]
+    fn a_cursor_forked_or_rewound_mid_run_replays_the_same_ops() {
+        let mut rng = SplitMix64::seed_from_u64(0x4b17_f0c5);
+        for period in 1..=MAX_PERIOD {
+            let ops = periodic(&mut rng, period, 40, period);
+            let trace = Arc::new(pack(&ops[..ops.len() - 1]));
+            let want: Vec<Op> = trace.iter_cpu(0).collect();
+            assert!(folded_ops(&trace.lanes[0]) >= 30 * period as u64);
+            // Fork at every op from the middle of the first replay on.
+            for at in [3 * period + 1, want.len() / 2, want.len() - 1] {
+                let mut cursor = TraceCursor::new(Arc::clone(&trace));
+                let head: Vec<Op> = (0..at).filter_map(|_| cursor.next(0)).collect();
+                assert_eq!(head, want[..at]);
+                let mut fork = cursor.clone();
+                let tail: Vec<Op> = std::iter::from_fn(|| fork.next(0)).collect();
+                assert_eq!(tail, want[at..], "fork at op {at}, period {period}");
+                cursor.rewind();
+                let replay: Vec<Op> = std::iter::from_fn(|| cursor.next(0)).collect();
+                assert_eq!(replay, want, "rewound at op {at}, period {period}");
             }
         }
     }

@@ -168,10 +168,11 @@ if [[ "$run_perf" == 1 ]]; then
     # passes gate the fig6-default (14059066) and fig6-large (151368054)
     # totals, the 8x8 families (3363151) and the finite-SLC grid
     # (17725835). fig6-large's peak RSS, which its packed traces dominate,
-    # must also stay at or under 200 MB: it measures about 100 MB, and
+    # must also stay at or under 60 MB: it measures about 34 MB. It
     # measured 300 MB before a read or write at the address its PC's
-    # stride predicts took 1 byte instead of 4.
-    fig6_large_rss_mb=200
+    # stride predicts took 1 byte instead of 4, and about 96 MB before a
+    # run record stood for each repeating loop body.
+    fig6_large_rss_mb=60
     for workload in fig6-default fig6-large families-8x8 fig6-finite16k; do
         out=$(cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
             --workload "$workload" --seed 1 --seconds 1 --trace 0) \

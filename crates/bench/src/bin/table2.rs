@@ -9,7 +9,7 @@
 use pfsim::{RecordMisses, SystemConfig};
 use pfsim_analysis::{characterize, TextTable};
 use pfsim_bench::cli::{Args, SIZE_FLAGS};
-use pfsim_bench::{miss_event_iter, ExperimentSpec, RECORDED_CPU};
+use pfsim_bench::{ExperimentSpec, RECORDED_CPU};
 use pfsim_workloads::App;
 
 fn main() {
@@ -40,7 +40,7 @@ fn main() {
 
     for (app, cells) in run.apps.iter().zip(run.by_app()) {
         let result = &cells[0].result;
-        let ch = characterize(miss_event_iter(&result.miss_traces[RECORDED_CPU]));
+        let ch = characterize(result.miss_events(RECORDED_CPU));
         table.row(vec![
             app.name().into(),
             format!("{:.1}%", ch.stride_fraction() * 100.0),

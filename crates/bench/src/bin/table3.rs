@@ -11,7 +11,7 @@
 use pfsim::{MissCause, RecordMisses, SystemConfig};
 use pfsim_analysis::{characterize, TextTable};
 use pfsim_bench::cli::{Args, SIZE_FLAGS};
-use pfsim_bench::{miss_event_iter, ExperimentSpec, RECORDED_CPU};
+use pfsim_bench::{ExperimentSpec, RECORDED_CPU};
 use pfsim_workloads::App;
 
 fn main() {
@@ -41,8 +41,9 @@ fn main() {
     ]);
 
     for (app, cells) in run.apps.iter().zip(run.by_app()) {
-        let trace = &cells[0].result.miss_traces[RECORDED_CPU];
-        let ch = characterize(miss_event_iter(trace));
+        let result = &cells[0].result;
+        let trace = &result.miss_traces[RECORDED_CPU];
+        let ch = characterize(result.miss_events(RECORDED_CPU));
         let repl = trace
             .iter()
             .filter(|m| m.cause == MissCause::Replacement)

@@ -13,7 +13,7 @@
 use pfsim::{RecordMisses, SystemConfig};
 use pfsim_analysis::{characterize, Characterization, TextTable};
 use pfsim_bench::cli::Args;
-use pfsim_bench::{miss_event_iter, CellResult, ExperimentSpec, Size, RECORDED_CPU};
+use pfsim_bench::{CellResult, ExperimentSpec, Size, RECORDED_CPU};
 use pfsim_workloads::App;
 
 fn trend(base: f64, large: f64, tolerance: f64) -> &'static str {
@@ -27,7 +27,7 @@ fn trend(base: f64, large: f64, tolerance: f64) -> &'static str {
 }
 
 fn characterization(cell: &CellResult) -> Characterization {
-    characterize(miss_event_iter(&cell.result.miss_traces[RECORDED_CPU]))
+    characterize(cell.result.miss_events(RECORDED_CPU))
 }
 
 fn main() {

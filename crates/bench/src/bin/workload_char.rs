@@ -18,9 +18,7 @@
 use pfsim::{RecordMisses, SystemConfig};
 use pfsim_analysis::{characterize, TextTable};
 use pfsim_bench::cli::{Args, SIZE_FLAGS};
-use pfsim_bench::{
-    miss_event_iter, recorded_cpu_for, validate_manifest, ExperimentSpec, Size, RECORDED_CPU,
-};
+use pfsim_bench::{recorded_cpu_for, validate_manifest, ExperimentSpec, Size, RECORDED_CPU};
 use pfsim_workloads::App;
 
 fn main() {
@@ -70,7 +68,7 @@ fn main() {
 
     for (app, cells) in run.apps.iter().zip(run.by_app()) {
         for (cell, &cpu) in cells.iter().zip(&recorded) {
-            let ch = characterize(miss_event_iter(&cell.result.miss_traces[cpu]));
+            let ch = characterize(cell.result.miss_events(cpu));
             table.row(vec![
                 app.name().into(),
                 run.variants[cell.variant].label.clone(),

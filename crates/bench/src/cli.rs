@@ -1,4 +1,6 @@
-//! The one command-line parser every pfsim binary shares.
+//! The one command-line parser the bench and serve binaries share.
+//! (`pfsim-fuzz` parses its own flags: `pfsim-check` sits below this
+//! crate and cannot depend on it.)
 //!
 //! Before this module each binary hand-rolled its own flag scan
 //! (`Size::from_args` here, positional `args().position(..)` there),

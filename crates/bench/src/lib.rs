@@ -11,8 +11,6 @@ use std::collections::HashMap;
 )]
 use std::sync::{Arc, Mutex, OnceLock};
 
-use pfsim::MissRecord;
-use pfsim_analysis::MissEvent;
 use pfsim_workloads::{App, PackedTrace, ProblemSize, TraceCursor};
 
 pub mod cli;
@@ -179,15 +177,6 @@ pub fn cursor(app: App, size: Size) -> TraceCursor {
 /// [`cursor`] for a machine with `cpus` processors.
 pub fn cursor_for(app: App, size: Size, cpus: u16) -> TraceCursor {
     TraceCursor::new(shared_trace_for(app, size, cpus))
-}
-
-/// Borrowed-iterator view of a recorded miss stream: yields classifier
-/// events straight off the records, no intermediate `Vec`.
-pub fn miss_event_iter(trace: &[MissRecord]) -> impl Iterator<Item = MissEvent> + '_ {
-    trace.iter().map(|m| MissEvent {
-        pc: m.pc,
-        block: m.block,
-    })
 }
 
 /// The processor whose miss stream the characterization records: an

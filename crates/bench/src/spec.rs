@@ -264,44 +264,48 @@ impl Runner {
             .flat_map(|a| (0..spec.variants.len()).map(move |v| (a, v)))
             .collect();
         let checked = check_from_env();
-        let run_cell = |(app_idx, var_idx): (usize, usize),
-                        ckpt: Option<&Checkpoint<TraceCursor>>| {
-            let app = spec.apps[app_idx];
+        // A cell's app, problem size and (instrumented) variant config.
+        let cell = |(app_idx, var_idx): (usize, usize)| {
             let variant = &spec.variants[var_idx];
-            let size = variant.size.unwrap_or(spec.size);
             let mut cfg = variant.cfg.clone();
             if spec.instrument {
                 cfg = cfg.with_instrumentation(true);
             }
-            let (geometry, nodes) = (cfg.geometry, cfg.nodes as usize);
+            (spec.apps[app_idx], variant.size.unwrap_or(spec.size), cfg)
+        };
+        // A cold machine, with the oracle installed under `PFSIM_CHECK`.
+        let machine = |app: App, size: Size, cfg: SystemConfig| {
+            let (geometry, nodes) = (cfg.geometry, cfg.nodes);
+            let mut sys = System::new(cfg, cursor_for(app, size, nodes));
+            if checked {
+                sys.set_check_sink(Box::new(ConsistencyOracle::new(geometry, nodes as usize)));
+            }
+            sys
+        };
+        // A cell's warmup prefix, simulated from cold without a scheme.
+        let warm = |app: App, size: Size, cfg: &SystemConfig| {
+            let mut sys = machine(app, size, cfg.clone().with_scheme(Scheme::None));
+            sys.run_until(Cycle::new(spec.warmup));
+            sys
+        };
+        let run_cell = |job: (usize, usize), ckpt: Option<&Checkpoint<TraceCursor>>| {
+            let (app, size, cfg) = cell(job);
+            let var_idx = job.1;
+            let variant = &spec.variants[var_idx];
             let start = Instant::now();
             let mut sys = if spec.warmup > 0 {
                 // Warmed cell: reach the boundary (by restoring the shared
                 // checkpoint or by simulating the scheme-free prefix from
                 // cold — bit-identical by construction), then attach the
                 // variant's scheme and run on.
-                let scheme = cfg.scheme;
                 let mut sys = match ckpt {
                     Some(c) => System::restore(c),
-                    None => {
-                        let cur = cursor_for(app, size, cfg.nodes);
-                        let mut s = System::new(cfg.with_scheme(Scheme::None), cur);
-                        if checked {
-                            s.set_check_sink(Box::new(ConsistencyOracle::new(geometry, nodes)));
-                        }
-                        s.run_until(Cycle::new(spec.warmup));
-                        s
-                    }
+                    None => warm(app, size, &cfg),
                 };
-                sys.reconfigure_scheme(scheme);
+                sys.reconfigure_scheme(cfg.scheme);
                 sys
             } else {
-                let cur = cursor_for(app, size, cfg.nodes);
-                let mut sys = System::new(cfg, cur);
-                if checked {
-                    sys.set_check_sink(Box::new(ConsistencyOracle::new(geometry, nodes)));
-                }
-                sys
+                machine(app, size, cfg)
             };
             let result = sys.run();
             let wall_seconds = start.elapsed().as_secs_f64();
@@ -341,36 +345,26 @@ impl Runner {
             // shared warm prefix exactly once anyway.
             let mut checkpoints: HashMap<String, Checkpoint<TraceCursor>> = HashMap::new();
             let mut out = Vec::with_capacity(jobs.len());
-            for (app_idx, var_idx) in jobs {
+            for job in jobs {
                 if !spec.warmup_share {
-                    out.push(run_cell((app_idx, var_idx), None));
+                    out.push(run_cell(job, None));
                     continue;
                 }
-                let app = spec.apps[app_idx];
-                let variant = &spec.variants[var_idx];
-                let size = variant.size.unwrap_or(spec.size);
-                let mut cfg = variant.cfg.clone();
-                if spec.instrument {
-                    cfg = cfg.with_instrumentation(true);
-                }
-                let warm_cfg = cfg.with_scheme(Scheme::None);
+                let (app, size, cfg) = cell(job);
                 // `SystemConfig` has no `Hash`; its `Debug` form is a
-                // faithful fingerprint of every field.
-                let key = format!("{app_idx}|{size:?}|{warm_cfg:?}");
-                if !checkpoints.contains_key(&key) {
-                    let (geometry, nodes) = (warm_cfg.geometry, warm_cfg.nodes as usize);
-                    let mut sys =
-                        System::new(warm_cfg.clone(), cursor_for(app, size, warm_cfg.nodes));
-                    if checked {
-                        sys.set_check_sink(Box::new(ConsistencyOracle::new(geometry, nodes)));
-                    }
-                    sys.run_until(Cycle::new(spec.warmup));
-                    let snap = sys
+                // faithful fingerprint of every field. The prefix runs
+                // without a scheme, so the key leaves it out.
+                let key = format!(
+                    "{}|{size:?}|{:?}",
+                    job.0,
+                    cfg.clone().with_scheme(Scheme::None)
+                );
+                let ckpt = checkpoints.entry(key).or_insert_with(|| {
+                    warm(app, size, &cfg)
                         .snapshot()
-                        .expect("warmup sinks (none or the oracle) all fork");
-                    checkpoints.insert(key.clone(), snap);
-                }
-                out.push(run_cell((app_idx, var_idx), checkpoints.get(&key)));
+                        .expect("warmup sinks (none or the oracle) all fork")
+                });
+                out.push(run_cell(job, Some(ckpt)));
             }
             out
         } else if spec.parallel && jobs.len() > 1 {

@@ -144,16 +144,15 @@ impl SimResult {
     }
 
     /// The recorded miss stream of `cpu` as classifier input for
-    /// [`pfsim_analysis::characterize`] (empty unless recording was
-    /// enabled for that processor).
-    pub fn miss_events(&self, cpu: usize) -> Vec<pfsim_analysis::MissEvent> {
+    /// [`pfsim_analysis::characterize`], borrowed straight off the records
+    /// (empty unless recording was enabled for that processor).
+    pub fn miss_events(&self, cpu: usize) -> impl Iterator<Item = pfsim_analysis::MissEvent> + '_ {
         self.miss_traces[cpu]
             .iter()
             .map(|m| pfsim_analysis::MissEvent {
                 pc: m.pc,
                 block: m.block,
             })
-            .collect()
     }
 
     /// Sum of a per-node counter over all nodes.

@@ -3,7 +3,12 @@
 //!
 //! The event handlers are written against a [`Core`] view — the nodes
 //! plus an effect context [`Fx`] holding the event queue, the mesh and
-//! the oracle — split-borrowed from the [`System`] once per event.
+//! the oracle — split-borrowed from the [`System`] once per event. Each
+//! hardware step a request takes through a node has one site: the FLWB
+//! push in [`Core::cpu_step`], SLC service in [`Core::slc_drain_one`],
+//! SLWB allocation in [`Core::open_txn`], the request to the home
+//! directory in [`Core::request_home`] and the directory step in
+//! [`Core::at_home`].
 
 // Event hot path: no panic, unwrap or expect outside tests. A site whose
 // invariant makes one unreachable carries an `#[expect]` stating it.
@@ -23,12 +28,12 @@ use pfsim_workloads::{Op, Workload};
 use crate::check::CheckSink;
 use crate::msg::Msg;
 use crate::node::{CpuStatus, DrainBlock, FlwbEntry, MshrEntry, Node, TxnKind};
-use crate::stats::{MissRecord, SimResult};
+use crate::stats::{MissCause, MissRecord, SimResult};
 use crate::{RecordMisses, SystemConfig};
 
 /// Events of the system-level simulation.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Ev {
+enum Ev {
     /// Run the processor of node `n`.
     CpuStep(u16),
     /// The SLC of node `n` services its next queued job.
@@ -75,14 +80,14 @@ impl Clock {
 /// Every mutating registry call is a no-op behind one predictable branch
 /// when instrumentation is off.
 #[derive(Clone)]
-pub(crate) struct Obs {
-    pub(crate) reg: Registry,
-    pub(crate) ev_cpu_step: CounterId,
-    pub(crate) ev_slc_work: CounterId,
-    pub(crate) ev_deliver: CounterId,
-    pub(crate) queue_depth: HistogramId,
-    pub(crate) queue_overflow: HistogramId,
-    pub(crate) mshr_occupancy: HistogramId,
+struct Obs {
+    reg: Registry,
+    ev_cpu_step: CounterId,
+    ev_slc_work: CounterId,
+    ev_deliver: CounterId,
+    queue_depth: HistogramId,
+    queue_overflow: HistogramId,
+    mshr_occupancy: HistogramId,
 }
 
 impl Obs {
@@ -115,11 +120,13 @@ enum Drained {
 }
 
 /// A handler's effect context: the live event queue, the mesh and the
-/// installed correctness observer, borrowed for one event.
+/// installed correctness observer, borrowed for one event, plus the
+/// geometry that sizes data messages.
 struct Fx<'a> {
     queue: &'a mut EventQueue<Ev>,
     mesh: &'a mut Mesh,
     check: &'a mut Option<Box<dyn CheckSink>>,
+    geometry: Geometry,
 }
 
 impl Fx<'_> {
@@ -130,8 +137,8 @@ impl Fx<'_> {
 
     /// Sends `msg` from `from` to `to`, reserving mesh bandwidth at `at`.
     /// Data messages are sized by the geometry's block size.
-    fn send(&mut self, geometry: Geometry, at: Cycle, from: u16, to: u16, msg: Msg) {
-        let flits = msg.kind().flits_for(geometry.block_bytes());
+    fn send(&mut self, at: Cycle, from: u16, to: u16, msg: Msg) {
+        let flits = msg.kind().flits_for(self.geometry.block_bytes());
         let arrival = self
             .mesh
             .send(at, NodeId::new(from), NodeId::new(to), flits);
@@ -265,13 +272,15 @@ impl<W: Workload> Core<'_, W> {
                     }
                 },
             };
-            match op {
+            // The FLWB entry of an op that blocks the processor, and the
+            // status it blocks in.
+            let (entry, status) = match op {
                 Op::Compute { cycles } => {
                     t += u64::from(cycles);
+                    continue;
                 }
                 Op::Read { addr, pc } => {
-                    let block = geometry.block_of(addr);
-                    if node.flc.read(block) {
+                    if node.flc.read(geometry.block_of(addr)) {
                         node.stats.reads += 1;
                         node.stats.flc_read_hits += 1;
                         if let Some(k) = fx.check() {
@@ -280,107 +289,60 @@ impl<W: Workload> Core<'_, W> {
                         t += 1;
                         continue;
                     }
-                    if node.flwb.is_full() {
-                        // Deferred, not retired: stats count on the retry.
-                        defer_for_flwb(node, fx, n, op, t);
-                        return;
-                    }
-                    node.stats.reads += 1;
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "FLWB checked not-full just above; push cannot fail"
-                    )]
-                    node.flwb
-                        .push(FlwbEntry::Read {
-                            addr,
-                            pc,
-                            issued: t,
-                        })
-                        .expect("checked above");
-                    block_cpu(node, fx, n, CpuStatus::WaitRead, t);
-                    return;
+                    let entry = FlwbEntry::Read {
+                        addr,
+                        pc,
+                        issued: t,
+                    };
+                    (entry, CpuStatus::WaitRead)
                 }
                 Op::Write { addr, pc: _ } => {
                     // Write-through, no-write-allocate FLC: the tag array
                     // is unchanged whether it hits or misses.
                     let _ = node.flc.write(geometry.block_of(addr));
-                    if node.flwb.is_full() {
+                    if node
+                        .flwb
+                        .push(FlwbEntry::Write { addr, issued: t })
+                        .is_err()
+                    {
                         // Deferred, not retired: stats count on the retry.
                         defer_for_flwb(node, fx, n, op, t);
                         return;
                     }
                     node.stats.writes += 1;
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "FLWB checked not-full just above; push cannot fail"
-                    )]
-                    node.flwb
-                        .push(FlwbEntry::Write { addr, issued: t })
-                        .expect("checked above");
                     if let Some(k) = fx.check() {
                         k.write_issued(n, addr);
                     }
                     if sequential {
                         // Sequential consistency: the processor waits for
                         // every write to perform globally.
-                        node.status = CpuStatus::WaitWrite;
-                        node.issue_time.set(t);
-                        node.cpu_time.set(t);
-                        notify_slc(node, fx, n, t);
+                        block_cpu(node, fx, n, CpuStatus::WaitWrite, t);
                         return;
                     }
                     t += 1;
                     notify_slc(node, fx, n, t);
+                    continue;
                 }
                 Op::Acquire { lock } => {
-                    if node.flwb.is_full() {
-                        // Deferred, not retired: stats count on the retry.
-                        defer_for_flwb(node, fx, n, op, t);
-                        return;
-                    }
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "FLWB checked not-full just above; push cannot fail"
-                    )]
-                    node.flwb
-                        .push(FlwbEntry::Acquire { lock, issued: t })
-                        .expect("checked above");
-                    block_cpu(node, fx, n, CpuStatus::WaitLock, t);
-                    return;
+                    (FlwbEntry::Acquire { lock, issued: t }, CpuStatus::WaitLock)
                 }
                 Op::Release { lock } => {
-                    if node.flwb.is_full() {
-                        // Deferred, not retired: stats count on the retry.
-                        defer_for_flwb(node, fx, n, op, t);
-                        return;
-                    }
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "FLWB checked not-full just above; push cannot fail"
-                    )]
-                    node.flwb
-                        .push(FlwbEntry::Release { lock, issued: t })
-                        .expect("checked above");
-                    block_cpu(node, fx, n, CpuStatus::WaitLock, t);
-                    return;
+                    (FlwbEntry::Release { lock, issued: t }, CpuStatus::WaitLock)
                 }
                 Op::Barrier { id } => {
-                    if node.flwb.is_full() {
-                        // Deferred, not retired: stats count on the retry.
-                        defer_for_flwb(node, fx, n, op, t);
-                        return;
-                    }
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "FLWB checked not-full just above; push cannot fail"
-                    )]
-                    node.flwb
-                        .push(FlwbEntry::Barrier { id, issued: t })
-                        .expect("checked above");
-                    block_cpu(node, fx, n, CpuStatus::WaitBarrier, t);
-                    return;
+                    (FlwbEntry::Barrier { id, issued: t }, CpuStatus::WaitBarrier)
                 }
+            };
+            if node.flwb.push(entry).is_err() {
+                // Deferred, not retired: stats count on the retry.
+                defer_for_flwb(node, fx, n, op, t);
+                return;
             }
+            if status == CpuStatus::WaitRead {
+                node.stats.reads += 1;
+            }
+            block_cpu(node, fx, n, status, t);
+            return;
         }
     }
 
@@ -433,8 +395,7 @@ impl<W: Workload> Core<'_, W> {
             self.nodes[ni].slc_scheduled_at = None;
 
             if let Some(msg) = self.nodes[ni].incoming.pop_front() {
-                let done = self.nodes[ni].slc_server.serve(now, self.cfg.slc_service);
-                self.handle_slc_msg(n, msg, done);
+                self.handle_slc_msg(n, msg, now);
             } else {
                 match self.slc_drain_one(n, now) {
                     Drained::One => {}
@@ -518,78 +479,49 @@ impl<W: Workload> Core<'_, W> {
             return Drained::Parked;
         }
 
+        let node = &mut self.nodes[ni];
+        let gate = match head {
+            // Only a full SLWB can block a read or a write, so the SLC and
+            // SLWB are probed only then: the head needs a slot unless its
+            // block is in flight or resident (for a write, resident and
+            // owned).
+            FlwbEntry::Read { addr, .. } | FlwbEntry::Write { addr, .. } => {
+                let block = self.cfg.geometry.block_of(addr);
+                let write = matches!(head, FlwbEntry::Write { .. });
+                let needs_slot = node.mshr.is_full()
+                    && node
+                        .slc
+                        .lookup(block)
+                        .is_none_or(|line| write && line.state == LineState::Shared)
+                    && !node.mshr.contains(block);
+                needs_slot.then_some(DrainBlock::MshrFull)
+            }
+            FlwbEntry::Acquire { .. } => None,
+            // A release or barrier arrival waits for every earlier write.
+            FlwbEntry::Release { .. } | FlwbEntry::Barrier { .. } => {
+                (node.pending_write_txns > 0).then_some(DrainBlock::ReleasePending)
+            }
+        };
+        if let Some(gate) = gate {
+            node.drain_block = gate;
+            return Drained::Idle;
+        }
+        node.flwb.pop();
+        let done = node.slc_server.serve(now, self.cfg.slc_service);
+        let from = NodeId::new(n);
         match head {
-            FlwbEntry::Read { addr, pc, .. } => {
-                let block = self.cfg.geometry.block_of(addr);
-                let node = &mut self.nodes[ni];
-                // Check the cheap full/empty gate first: the SLC and MSHR
-                // probes only matter when the MSHR is actually full.
-                if node.mshr.is_full()
-                    && node.slc.lookup(block).is_none()
-                    && !node.mshr.contains(block)
-                {
-                    node.drain_block = DrainBlock::MshrFull;
-                    return Drained::Idle;
-                }
-                self.nodes[ni].flwb.pop();
-                let done = self.nodes[ni].slc_server.serve(now, self.cfg.slc_service);
-                self.slc_read(n, addr, pc, done);
-            }
-            FlwbEntry::Write { addr, .. } => {
-                let block = self.cfg.geometry.block_of(addr);
-                let node = &mut self.nodes[ni];
-                // As above: probe the SLC and MSHR only when the MSHR is
-                // full, which is the only case that can block the drain.
-                if node.mshr.is_full() {
-                    let needs_slot = match node.slc.lookup(block) {
-                        Some(line) => line.state == LineState::Shared && !node.mshr.contains(block),
-                        None => !node.mshr.contains(block),
-                    };
-                    if needs_slot {
-                        node.drain_block = DrainBlock::MshrFull;
-                        return Drained::Idle;
-                    }
-                }
-                self.nodes[ni].flwb.pop();
-                let done = self.nodes[ni].slc_server.serve(now, self.cfg.slc_service);
-                self.slc_write(n, addr, done);
-            }
+            FlwbEntry::Read { addr, pc, .. } => self.slc_read(n, addr, pc, done),
+            FlwbEntry::Write { addr, .. } => self.slc_write(n, addr, done),
             FlwbEntry::Acquire { lock, .. } => {
-                self.nodes[ni].flwb.pop();
-                let done = self.nodes[ni].slc_server.serve(now, self.cfg.slc_service);
                 let home = home_of_addr(self.cfg, lock);
-                self.fx.send(
-                    self.cfg.geometry,
-                    done,
-                    n,
-                    home,
-                    Msg::LockReq {
-                        lock,
-                        from: NodeId::new(n),
-                    },
-                );
+                self.fx.send(done, n, home, Msg::LockReq { lock, from });
             }
             FlwbEntry::Release { lock, .. } => {
-                if self.nodes[ni].pending_write_txns > 0 {
-                    self.nodes[ni].drain_block = DrainBlock::ReleasePending;
-                    return Drained::Idle;
-                }
-                self.nodes[ni].flwb.pop();
                 if let Some(k) = self.fx.check() {
                     k.release_drained(n, lock);
                 }
-                let done = self.nodes[ni].slc_server.serve(now, self.cfg.slc_service);
                 let home = home_of_addr(self.cfg, lock);
-                self.fx.send(
-                    self.cfg.geometry,
-                    done,
-                    n,
-                    home,
-                    Msg::UnlockReq {
-                        lock,
-                        from: NodeId::new(n),
-                    },
-                );
+                self.fx.send(done, n, home, Msg::UnlockReq { lock, from });
                 // The release itself completes once issued (the lock
                 // hand-off happens at the home).
                 let issue = self.nodes[ni].issue_time.get();
@@ -597,26 +529,11 @@ impl<W: Workload> Core<'_, W> {
                 self.resume_cpu(n, done);
             }
             FlwbEntry::Barrier { id, .. } => {
-                if self.nodes[ni].pending_write_txns > 0 {
-                    self.nodes[ni].drain_block = DrainBlock::ReleasePending;
-                    return Drained::Idle;
-                }
-                self.nodes[ni].flwb.pop();
                 if let Some(k) = self.fx.check() {
                     k.barrier_drained(n, id);
                 }
-                let done = self.nodes[ni].slc_server.serve(now, self.cfg.slc_service);
-                let home = id % u32::from(self.cfg.nodes);
-                self.fx.send(
-                    self.cfg.geometry,
-                    done,
-                    n,
-                    home as u16,
-                    Msg::BarrierArrive {
-                        id,
-                        from: NodeId::new(n),
-                    },
-                );
+                let home = (id % u32::from(self.cfg.nodes)) as u16;
+                self.fx.send(done, n, home, Msg::BarrierArrive { id, from });
             }
         }
 
@@ -647,78 +564,63 @@ impl<W: Workload> Core<'_, W> {
     /// A demand read request presented to the SLC (the processor is
     /// blocked on it).
     fn slc_read(&mut self, n: u16, addr: Addr, pc: pfsim_mem::Pc, done: Cycle) {
-        let ni = n as usize;
         let block = self.cfg.geometry.block_of(addr);
         if let Some(k) = self.fx.check() {
             k.read_request(n, addr);
         }
 
-        let outcome = {
-            let node = &mut self.nodes[ni];
-            match node.slc.demand_access(block) {
-                Some(was_tagged) => {
-                    node.stats.slc_read_hits += 1;
-                    if was_tagged {
-                        node.stats.tagged_hits += 1;
+        let node = &mut self.nodes[n as usize];
+        let outcome = match node.slc.demand_access(block) {
+            Some(was_tagged) => {
+                node.stats.slc_read_hits += 1;
+                if was_tagged {
+                    node.stats.tagged_hits += 1;
+                    node.stats.prefetches_useful += 1;
+                    ReadOutcome::HitPrefetched
+                } else {
+                    ReadOutcome::Hit
+                }
+            }
+            None => match node.mshr.get_mut(block) {
+                Some(entry) => {
+                    entry.waiting_cpu = true;
+                    node.stats.delayed_hits += 1;
+                    if entry.kind == TxnKind::Prefetch && !entry.prefetch_consumed {
+                        entry.prefetch_consumed = true;
                         node.stats.prefetches_useful += 1;
-                        ReadOutcome::HitPrefetched
+                        ReadOutcome::InFlightPrefetch
                     } else {
-                        ReadOutcome::Hit
+                        ReadOutcome::InFlightDemand
                     }
                 }
                 None => {
-                    if let Some(entry) = node.mshr.get_mut(block) {
-                        entry.waiting_cpu = true;
-                        node.stats.delayed_hits += 1;
-                        if entry.kind == TxnKind::Prefetch && !entry.prefetch_consumed {
-                            entry.prefetch_consumed = true;
-                            node.stats.prefetches_useful += 1;
-                            ReadOutcome::InFlightPrefetch
-                        } else {
-                            ReadOutcome::InFlightDemand
-                        }
-                    } else {
-                        node.stats.read_misses += 1;
-                        let cause = node.classify_miss(block);
-                        if node.record {
-                            node.miss_trace.push(MissRecord {
-                                pc,
-                                addr,
-                                block,
-                                cause,
-                            });
-                        }
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "MSHR capacity reserved before the op was popped from the lane"
-                        )]
-                        node.mshr
-                            .alloc(block, {
-                                let mut e = MshrEntry::new(TxnKind::ReadShared);
-                                e.waiting_cpu = true;
-                                e
-                            })
-                            .expect("capacity checked before pop");
-                        ReadOutcome::Miss
+                    node.stats.read_misses += 1;
+                    let cause = node.classify_miss(block);
+                    if node.record {
+                        node.miss_trace.push(MissRecord {
+                            pc,
+                            addr,
+                            block,
+                            cause,
+                        });
                     }
+                    ReadOutcome::Miss
                 }
-            }
+            },
         };
 
-        if outcome == ReadOutcome::Hit || outcome == ReadOutcome::HitPrefetched {
-            self.serve_waiting_read(n, block, done);
-        } else if outcome == ReadOutcome::Miss {
-            let home = home_of(self.cfg, block);
-            self.fx.send(
-                self.cfg.geometry,
-                done,
-                n,
-                home,
-                Msg::CohReq {
-                    block,
-                    req: DirRequest::read_shared(NodeId::new(n)),
-                },
-            );
+        match outcome {
+            ReadOutcome::Hit | ReadOutcome::HitPrefetched => {
+                self.serve_waiting_read(n, block, done);
+            }
+            ReadOutcome::Miss => {
+                let entry = MshrEntry {
+                    waiting_cpu: true,
+                    ..MshrEntry::new(TxnKind::ReadShared)
+                };
+                self.open_txn(n, block, entry, done);
+            }
+            ReadOutcome::InFlightDemand | ReadOutcome::InFlightPrefetch => {}
         }
 
         self.run_prefetcher(n, addr, pc, outcome, done);
@@ -726,30 +628,25 @@ impl<W: Workload> Core<'_, W> {
 
     /// A buffered write drained from the FLWB into the SLC.
     fn slc_write(&mut self, n: u16, addr: Addr, done: Cycle) {
-        let ni = n as usize;
         let block = self.cfg.geometry.block_of(addr);
-        let node = &mut self.nodes[ni];
+        let node = &mut self.nodes[n as usize];
 
-        let req = match node.slc.write_access(block) {
-            Some((LineState::Modified, was_tagged)) => {
-                // Write hit on an owned block: absorbed. A write consuming
-                // a prefetched-tagged block counts the prefetch useful (it
-                // turned a write miss into a hit); `write_access` already
-                // cleared the tag so it cannot fire again later.
+        let kind = match node.slc.write_access(block) {
+            Some((state, was_tagged)) => {
+                // A write consuming a prefetched-tagged block counts the
+                // prefetch useful (it turned a write miss into a hit or an
+                // upgrade); `write_access` already cleared the tag so it
+                // cannot fire again later.
                 if was_tagged {
                     node.stats.prefetches_useful += 1;
                 }
-                if let Some(k) = self.fx.check() {
-                    k.write_applied(n, addr);
-                }
-                self.resume_write(n, done);
-                return;
-            }
-            Some((LineState::Shared, was_tagged)) => {
-                // Shared: need ownership. A prefetched tag is consumed by
-                // the write exactly as in the Modified case.
-                if was_tagged {
-                    node.stats.prefetches_useful += 1;
+                if state == LineState::Modified {
+                    // Write hit on an owned block: absorbed.
+                    if let Some(k) = self.fx.check() {
+                        k.write_applied(n, addr);
+                    }
+                    self.resume_write(n, done);
+                    return;
                 }
                 if node.mshr.contains(block) {
                     // Upgrade already in flight: the write merges into it.
@@ -758,21 +655,8 @@ impl<W: Workload> Core<'_, W> {
                     }
                     return;
                 }
-                #[expect(
-                    clippy::expect_used,
-                    reason = "MSHR capacity reserved before the op was popped from the lane"
-                )]
-                node.mshr
-                    .alloc(block, {
-                        let mut e = MshrEntry::new(TxnKind::Upgrade);
-                        e.write_pending = true;
-                        e
-                    })
-                    .expect("capacity checked before pop");
-                node.pending_write_txns += 1;
-                DirRequest::Upgrade {
-                    from: NodeId::new(n),
-                }
+                // Shared: need ownership.
+                TxnKind::Upgrade
             }
             None => {
                 if let Some(entry) = node.mshr.get_mut(block) {
@@ -785,29 +669,58 @@ impl<W: Workload> Core<'_, W> {
                     }
                     return;
                 }
-                #[expect(
-                    clippy::expect_used,
-                    reason = "MSHR capacity reserved before the op was popped from the lane"
-                )]
-                node.mshr
-                    .alloc(block, {
-                        let mut e = MshrEntry::new(TxnKind::ReadExclusive);
-                        e.write_pending = true;
-                        e
-                    })
-                    .expect("capacity checked before pop");
-                node.pending_write_txns += 1;
-                DirRequest::ReadExclusive {
-                    from: NodeId::new(n),
-                }
+                TxnKind::ReadExclusive
             }
         };
+        node.pending_write_txns += 1;
         if let Some(k) = self.fx.check() {
             k.write_deferred(n, addr);
         }
+        let entry = MshrEntry {
+            write_pending: true,
+            ..MshrEntry::new(kind)
+        };
+        self.open_txn(n, block, entry, done);
+    }
+
+    /// Allocates the SLWB entry for a demand, write or chained transaction
+    /// on `block` and sends the request its kind implies to the home.
+    fn open_txn(&mut self, n: u16, block: BlockAddr, entry: MshrEntry, at: Cycle) {
+        #[expect(
+            clippy::expect_used,
+            reason = "every caller holds a slot: the drain gate checked capacity before the FLWB pop, or a reply just freed one"
+        )]
+        self.nodes[n as usize]
+            .mshr
+            .alloc(block, entry)
+            .expect("SLWB slot reserved");
+        let from = NodeId::new(n);
+        let req = match entry.kind {
+            TxnKind::ReadShared => DirRequest::read_shared(from),
+            TxnKind::ReadExclusive => DirRequest::ReadExclusive { from },
+            TxnKind::Upgrade => DirRequest::Upgrade { from },
+            TxnKind::Prefetch => DirRequest::prefetch(from),
+        };
+        self.request_home(n, block, req, at);
+    }
+
+    /// Removes the SLWB entry a data reply or an upgrade ack completes.
+    fn close_txn(&mut self, n: u16, block: BlockAddr) -> MshrEntry {
+        #[expect(
+            clippy::expect_used,
+            reason = "protocol trap: a data reply or an ack always matches an open transaction"
+        )]
+        self.nodes[n as usize]
+            .mshr
+            .remove(block)
+            .expect("reply without transaction")
+    }
+
+    /// Sends coherence request `req` for `block` from node `n` to the
+    /// block's home at `at`.
+    fn request_home(&mut self, n: u16, block: BlockAddr, req: DirRequest, at: Cycle) {
         let home = home_of(self.cfg, block);
-        self.fx
-            .send(self.cfg.geometry, done, n, home, Msg::CohReq { block, req });
+        self.fx.send(at, n, home, Msg::CohReq { block, req });
     }
 
     /// Feeds the prefetcher and issues the surviving candidates.
@@ -850,17 +763,7 @@ impl<W: Workload> Core<'_, W> {
             }
             node.stats.prefetches_issued += 1;
             issued += 1;
-            let home = home_of(self.cfg, block);
-            self.fx.send(
-                self.cfg.geometry,
-                done,
-                n,
-                home,
-                Msg::CohReq {
-                    block,
-                    req: DirRequest::prefetch(NodeId::new(n)),
-                },
-            );
+            self.request_home(n, block, DirRequest::prefetch(NodeId::new(n)), done);
         }
         if !candidates.is_empty() {
             self.nodes[ni].prefetcher.on_prefetches_issued(issued);
@@ -872,8 +775,10 @@ impl<W: Workload> Core<'_, W> {
     // SLC-side message handling
     // ----------------------------------------------------------------
 
-    fn handle_slc_msg(&mut self, n: u16, msg: Msg, done: Cycle) {
+    /// The SLC of node `n` serves the network message `msg` from `now`.
+    fn handle_slc_msg(&mut self, n: u16, msg: Msg, now: Cycle) {
         let ni = n as usize;
+        let done = self.nodes[ni].slc_server.serve(now, self.cfg.slc_service);
         match msg {
             Msg::Fetch { block, inval, home } => {
                 let node = &mut self.nodes[ni];
@@ -882,8 +787,7 @@ impl<W: Workload> Core<'_, W> {
                 let had_copy = if inval {
                     if node.slc.invalidate(block).is_some() {
                         node.flc.invalidate(block);
-                        node.removal
-                            .insert(block.as_u64(), crate::stats::MissCause::Coherence);
+                        node.removal.insert(block.as_u64(), MissCause::Coherence);
                         true
                     } else {
                         false
@@ -894,32 +798,21 @@ impl<W: Workload> Core<'_, W> {
                 if let Some(k) = self.fx.check() {
                     k.fetch_supplied(n, block, inval, had_copy);
                 }
-                self.fx.send(
-                    self.cfg.geometry,
-                    done,
-                    n,
-                    home.as_u16(),
-                    Msg::FetchReply { block, had_copy },
-                );
+                let reply = Msg::FetchReply { block, had_copy };
+                self.fx.send(done, n, home.as_u16(), reply);
             }
             Msg::Inval { block, home } => {
                 let node = &mut self.nodes[ni];
                 node.stats.invals_received += 1;
                 if node.slc.invalidate(block).is_some() {
                     node.flc.invalidate(block);
-                    node.removal
-                        .insert(block.as_u64(), crate::stats::MissCause::Coherence);
+                    node.removal.insert(block.as_u64(), MissCause::Coherence);
                 }
                 if let Some(k) = self.fx.check() {
                     k.invalidated(n, block);
                 }
-                self.fx.send(
-                    self.cfg.geometry,
-                    done,
-                    n,
-                    home.as_u16(),
-                    Msg::InvalAck { block },
-                );
+                self.fx
+                    .send(done, n, home.as_u16(), Msg::InvalAck { block });
             }
             Msg::DataReply {
                 block,
@@ -939,17 +832,9 @@ impl<W: Workload> Core<'_, W> {
                 self.slc_fill(n, block, exclusive, done);
             }
             Msg::AckReply { block } => {
-                let node = &mut self.nodes[ni];
-                #[expect(
-                    clippy::expect_used,
-                    reason = "protocol trap: an ack always matches an open upgrade transaction"
-                )]
-                let entry = node
-                    .mshr
-                    .remove(block)
-                    .expect("upgrade ack without transaction");
+                let entry = self.close_txn(n, block);
                 debug_assert_eq!(entry.kind, TxnKind::Upgrade);
-                if node.slc.promote(block) {
+                if self.nodes[ni].slc.promote(block) {
                     if let Some(k) = self.fx.check() {
                         k.promote(n, block);
                     }
@@ -957,6 +842,9 @@ impl<W: Workload> Core<'_, W> {
                         // A read merged into the upgrade: the block is
                         // resident, serve it now.
                         self.serve_waiting_read(n, block, done);
+                    }
+                    if entry.write_pending {
+                        self.complete_write(n, done);
                     }
                 } else {
                     // The shared line was displaced by a conflicting fill
@@ -970,21 +858,11 @@ impl<W: Workload> Core<'_, W> {
                     if let Some(k) = self.fx.check() {
                         k.promote_failed(n, block);
                     }
-                    let node = &mut self.nodes[ni];
-                    node.stats.writebacks += 1;
-                    let home = home_of(self.cfg, block);
-                    self.fx.send(
-                        self.cfg.geometry,
-                        done,
-                        n,
-                        home,
-                        Msg::CohReq {
-                            block,
-                            req: DirRequest::Writeback {
-                                from: NodeId::new(n),
-                            },
-                        },
-                    );
+                    self.nodes[ni].stats.writebacks += 1;
+                    let writeback = DirRequest::Writeback {
+                        from: NodeId::new(n),
+                    };
+                    self.request_home(n, block, writeback, done);
                     // The store (and any merged read) still has to
                     // complete: re-issue as a read-exclusive. The
                     // writeback is sent first over the same route, so it
@@ -992,36 +870,11 @@ impl<W: Workload> Core<'_, W> {
                     // and the event queue's scheduled-order tie-break for
                     // the local-home case. The pending-write accounting
                     // carries over to the new transaction.
-                    let node = &mut self.nodes[ni];
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "re-allocating the MSHR slot freed by the remove above"
-                    )]
-                    node.mshr
-                        .alloc(block, {
-                            let mut e = MshrEntry::new(TxnKind::ReadExclusive);
-                            e.waiting_cpu = entry.waiting_cpu;
-                            e.write_pending = entry.write_pending;
-                            e
-                        })
-                        .expect("slot just freed");
-                    self.fx.send(
-                        self.cfg.geometry,
-                        done,
-                        n,
-                        home,
-                        Msg::CohReq {
-                            block,
-                            req: DirRequest::ReadExclusive {
-                                from: NodeId::new(n),
-                            },
-                        },
-                    );
-                    self.unblock_drain(n, DrainBlock::MshrFull, done);
-                    return;
-                }
-                if entry.write_pending {
-                    self.complete_write(n, done);
+                    let entry = MshrEntry {
+                        kind: TxnKind::ReadExclusive,
+                        ..entry
+                    };
+                    self.open_txn(n, block, entry, done);
                 }
                 self.unblock_drain(n, DrainBlock::MshrFull, done);
             }
@@ -1034,15 +887,7 @@ impl<W: Workload> Core<'_, W> {
     /// as needed.
     fn slc_fill(&mut self, n: u16, block: BlockAddr, exclusive: bool, done: Cycle) {
         let ni = n as usize;
-
-        #[expect(
-            clippy::expect_used,
-            reason = "protocol trap: a data reply always matches an open transaction"
-        )]
-        let entry = self.nodes[ni]
-            .mshr
-            .remove(block)
-            .expect("data reply without transaction");
+        let entry = self.close_txn(n, block);
 
         // Insert the block; a finite SLC may evict a victim.
         let state = if exclusive {
@@ -1053,42 +898,24 @@ impl<W: Workload> Core<'_, W> {
         let tagged =
             entry.kind == TxnKind::Prefetch && !entry.prefetch_consumed && !entry.waiting_cpu;
         let eviction = self.nodes[ni].slc.fill(block, state, tagged);
-        match eviction {
-            Eviction::None => {}
-            Eviction::Clean(victim) => {
-                let node = &mut self.nodes[ni];
-                node.flc.invalidate(victim);
-                node.removal
-                    .insert(victim.as_u64(), crate::stats::MissCause::Replacement);
-                if let Some(k) = self.fx.check() {
-                    k.evict(n, victim, false);
-                }
-                // Clean copies are dropped silently; the directory's
-                // presence bit goes stale and a future invalidation will
-                // simply be acknowledged without effect.
+        if let Eviction::Clean(victim) | Eviction::Dirty(victim) = eviction {
+            // A dirty victim is written back. Clean copies are dropped
+            // silently; the directory's presence bit goes stale and a
+            // future invalidation will simply be acknowledged without
+            // effect.
+            let dirty = matches!(eviction, Eviction::Dirty(_));
+            let node = &mut self.nodes[ni];
+            node.flc.invalidate(victim);
+            node.removal.insert(victim.as_u64(), MissCause::Replacement);
+            if let Some(k) = self.fx.check() {
+                k.evict(n, victim, dirty);
             }
-            Eviction::Dirty(victim) => {
-                let node = &mut self.nodes[ni];
-                node.flc.invalidate(victim);
-                node.removal
-                    .insert(victim.as_u64(), crate::stats::MissCause::Replacement);
-                node.stats.writebacks += 1;
-                if let Some(k) = self.fx.check() {
-                    k.evict(n, victim, true);
-                }
-                let home = home_of(self.cfg, victim);
-                self.fx.send(
-                    self.cfg.geometry,
-                    done,
-                    n,
-                    home,
-                    Msg::CohReq {
-                        block: victim,
-                        req: DirRequest::Writeback {
-                            from: NodeId::new(n),
-                        },
-                    },
-                );
+            if dirty {
+                self.nodes[ni].stats.writebacks += 1;
+                let writeback = DirRequest::Writeback {
+                    from: NodeId::new(n),
+                };
+                self.request_home(n, victim, writeback, done);
             }
         }
 
@@ -1104,33 +931,13 @@ impl<W: Workload> Core<'_, W> {
             if exclusive {
                 self.complete_write(n, done);
             } else {
-                // Ownership still needed: chain an upgrade. The slot just
-                // freed guarantees space.
-                let node = &mut self.nodes[ni];
-                #[expect(
-                    clippy::expect_used,
-                    reason = "re-allocating the MSHR slot freed by the remove above"
-                )]
-                node.mshr
-                    .alloc(block, {
-                        let mut e = MshrEntry::new(TxnKind::Upgrade);
-                        e.write_pending = true;
-                        e
-                    })
-                    .expect("slot just freed");
-                let home = home_of(self.cfg, block);
-                self.fx.send(
-                    self.cfg.geometry,
-                    done,
-                    n,
-                    home,
-                    Msg::CohReq {
-                        block,
-                        req: DirRequest::Upgrade {
-                            from: NodeId::new(n),
-                        },
-                    },
-                );
+                // Ownership still needed: chain an upgrade into the slot
+                // the reply just freed.
+                let upgrade = MshrEntry {
+                    write_pending: true,
+                    ..MshrEntry::new(TxnKind::Upgrade)
+                };
+                self.open_txn(n, block, upgrade, done);
             }
         }
 
@@ -1174,43 +981,8 @@ impl<W: Workload> Core<'_, W> {
     fn deliver(&mut self, n: u16, msg: Msg, now: Cycle) {
         let ni = n as usize;
         match msg {
-            Msg::CohReq { block, req } => {
-                let t0 = self.home_service(ni, now);
-                if let Some(k) = self.fx.check() {
-                    match req {
-                        DirRequest::Writeback { from } => {
-                            k.home_begin_writeback(n, block, from.as_u16());
-                        }
-                        _ => k.home_begin(n, block),
-                    }
-                }
-                let mut actions = std::mem::take(self.dir_actions);
-                actions.clear();
-                self.nodes[ni].dir.request(block, req, &mut actions);
-                self.exec_dir_actions(n, block, &actions, t0);
-                *self.dir_actions = actions;
-            }
-            Msg::FetchReply { block, had_copy } => {
-                let t0 = self.home_service(ni, now);
-                if let Some(k) = self.fx.check() {
-                    k.home_begin_fetch(n, block, had_copy);
-                }
-                let mut actions = std::mem::take(self.dir_actions);
-                actions.clear();
-                self.nodes[ni].dir.fetch_done(block, had_copy, &mut actions);
-                self.exec_dir_actions(n, block, &actions, t0);
-                *self.dir_actions = actions;
-            }
-            Msg::InvalAck { block } => {
-                let t0 = self.home_service(ni, now);
-                if let Some(k) = self.fx.check() {
-                    k.home_begin(n, block);
-                }
-                let mut actions = std::mem::take(self.dir_actions);
-                actions.clear();
-                self.nodes[ni].dir.inval_ack(block, &mut actions);
-                self.exec_dir_actions(n, block, &actions, t0);
-                *self.dir_actions = actions;
+            Msg::CohReq { .. } | Msg::FetchReply { .. } | Msg::InvalAck { .. } => {
+                self.at_home(n, msg, now);
             }
             Msg::Fetch { .. }
             | Msg::Inval { .. }
@@ -1227,8 +999,7 @@ impl<W: Workload> Core<'_, W> {
                     self.nodes[ni].incoming.is_empty() && self.nodes[ni].slc_server.is_idle_at(now);
                 if idle && self.fx.can_fuse(now) {
                     self.nodes[ni].slc_scheduled_at = None;
-                    let done = self.nodes[ni].slc_server.serve(now, self.cfg.slc_service);
-                    self.handle_slc_msg(n, msg, done);
+                    self.handle_slc_msg(n, msg, now);
                     if let Some(at) = self.reschedule_or_fuse(n) {
                         self.slc_work(n, at);
                     }
@@ -1240,25 +1011,13 @@ impl<W: Workload> Core<'_, W> {
             Msg::LockReq { lock, from } => {
                 let t0 = self.home_service(ni, now);
                 if self.nodes[ni].locks.acquire(lock, from) {
-                    self.fx.send(
-                        self.cfg.geometry,
-                        t0,
-                        n,
-                        from.as_u16(),
-                        Msg::LockGrant { lock },
-                    );
+                    self.fx.send(t0, n, from.as_u16(), Msg::LockGrant { lock });
                 }
             }
             Msg::UnlockReq { lock, from } => {
                 let t0 = self.home_service(ni, now);
                 if let Some(next) = self.nodes[ni].locks.release(lock, from) {
-                    self.fx.send(
-                        self.cfg.geometry,
-                        t0,
-                        n,
-                        next.as_u16(),
-                        Msg::LockGrant { lock },
-                    );
+                    self.fx.send(t0, n, next.as_u16(), Msg::LockGrant { lock });
                 }
             }
             Msg::LockGrant { lock } => {
@@ -1275,13 +1034,7 @@ impl<W: Workload> Core<'_, W> {
                 if let Some(participants) = self.nodes[ni].barriers.arrive(id, from, expected) {
                     let t0 = self.home_service(ni, now);
                     for p in participants {
-                        self.fx.send(
-                            self.cfg.geometry,
-                            t0,
-                            n,
-                            p.as_u16(),
-                            Msg::BarrierRelease { id },
-                        );
+                        self.fx.send(t0, n, p.as_u16(), Msg::BarrierRelease { id });
                     }
                 }
             }
@@ -1297,10 +1050,53 @@ impl<W: Workload> Core<'_, W> {
         }
     }
 
+    /// One directory step at home `h`: the controller serves `msg` (a
+    /// coherence request, an owner's fetch reply or an invalidation ack),
+    /// the directory makes its transition, and its actions run.
+    fn at_home(&mut self, h: u16, msg: Msg, now: Cycle) {
+        let t0 = self.home_service(h as usize, now);
+        let mut actions = std::mem::take(self.dir_actions);
+        actions.clear();
+        let dir = &mut self.nodes[h as usize].dir;
+        let check = self.fx.check();
+        let block = match msg {
+            Msg::CohReq { block, req } => {
+                if let Some(k) = check {
+                    match req {
+                        DirRequest::Writeback { from } => {
+                            k.home_begin_writeback(h, block, from.as_u16());
+                        }
+                        _ => k.home_begin(h, block),
+                    }
+                }
+                dir.request(block, req, &mut actions);
+                block
+            }
+            Msg::FetchReply { block, had_copy } => {
+                if let Some(k) = check {
+                    k.home_begin_fetch(h, block, had_copy);
+                }
+                dir.fetch_done(block, had_copy, &mut actions);
+                block
+            }
+            Msg::InvalAck { block } => {
+                if let Some(k) = check {
+                    k.home_begin(h, block);
+                }
+                dir.inval_ack(block, &mut actions);
+                block
+            }
+            other => unreachable!("home received non-directory message {other:?}"),
+        };
+        self.exec_dir_actions(h, block, &actions, t0);
+        *self.dir_actions = actions;
+    }
+
     /// Executes the directory's actions at home node `h`, threading the
     /// memory latency into data replies.
     fn exec_dir_actions(&mut self, h: u16, block: BlockAddr, actions: &ActionBuf, t0: Cycle) {
         let hi = h as usize;
+        let home = NodeId::new(h);
         let mut data_ready = t0;
         for action in actions.iter() {
             match action {
@@ -1308,10 +1104,7 @@ impl<W: Workload> Core<'_, W> {
                     if let Some(k) = self.fx.check() {
                         k.home_read_memory(block);
                     }
-                    let (start, end) = self.nodes[hi]
-                        .mem
-                        .serve_timed(data_ready, self.cfg.mem_occupancy);
-                    let _ = start;
+                    let end = self.nodes[hi].mem.serve(data_ready, self.cfg.mem_occupancy);
                     data_ready = end + self.cfg.mem_extra_latency;
                 }
                 DirAction::WriteMemory => {
@@ -1328,65 +1121,25 @@ impl<W: Workload> Core<'_, W> {
                     if let Some(k) = self.fx.check() {
                         k.home_send_data(block, to.as_u16());
                     }
-                    self.fx.send(
-                        self.cfg.geometry,
-                        data_ready,
-                        h,
-                        to.as_u16(),
-                        Msg::DataReply {
-                            block,
-                            exclusive,
-                            prefetch,
-                        },
-                    );
+                    let reply = Msg::DataReply {
+                        block,
+                        exclusive,
+                        prefetch,
+                    };
+                    self.fx.send(data_ready, h, to.as_u16(), reply);
                 }
                 DirAction::SendAck { to } => {
-                    self.fx.send(
-                        self.cfg.geometry,
-                        t0,
-                        h,
-                        to.as_u16(),
-                        Msg::AckReply { block },
-                    );
+                    self.fx.send(t0, h, to.as_u16(), Msg::AckReply { block });
                 }
-                DirAction::Fetch { owner } => {
-                    self.fx.send(
-                        self.cfg.geometry,
-                        t0,
-                        h,
-                        owner.as_u16(),
-                        Msg::Fetch {
-                            block,
-                            inval: false,
-                            home: NodeId::new(h),
-                        },
-                    );
-                }
-                DirAction::FetchInval { owner } => {
-                    self.fx.send(
-                        self.cfg.geometry,
-                        t0,
-                        h,
-                        owner.as_u16(),
-                        Msg::Fetch {
-                            block,
-                            inval: true,
-                            home: NodeId::new(h),
-                        },
-                    );
+                DirAction::Fetch { owner } | DirAction::FetchInval { owner } => {
+                    let inval = matches!(action, DirAction::FetchInval { .. });
+                    let fetch = Msg::Fetch { block, inval, home };
+                    self.fx.send(t0, h, owner.as_u16(), fetch);
                 }
                 DirAction::Invalidate { targets } => {
                     for target in targets.iter() {
-                        self.fx.send(
-                            self.cfg.geometry,
-                            t0,
-                            h,
-                            target.as_u16(),
-                            Msg::Inval {
-                                block,
-                                home: NodeId::new(h),
-                            },
-                        );
+                        let inval = Msg::Inval { block, home };
+                        self.fx.send(t0, h, target.as_u16(), inval);
                     }
                 }
             }
@@ -1409,25 +1162,34 @@ impl<W: Workload> Core<'_, W> {
 /// let result = System::new(SystemConfig::paper_baseline(), wl).run();
 /// assert!(result.read_misses() > 0);
 /// ```
-pub struct System<W: Workload> {
-    pub(crate) cfg: SystemConfig,
-    pub(crate) workload: W,
-    pub(crate) queue: EventQueue<Ev>,
-    pub(crate) mesh: Mesh,
-    pub(crate) nodes: Vec<Node>,
-    pub(crate) last_time: Clock,
-    /// Reusable scratch buffer for directory actions: `deliver` borrows it
-    /// per message so the protocol hot path never allocates.
-    pub(crate) dir_actions: ActionBuf,
-    /// Observability registry (inert unless `cfg.instrument`).
-    pub(crate) obs: Obs,
+pub struct System<W> {
+    /// Everything the run evolves (see [`Machine`]).
+    pub(crate) machine: Machine<W>,
     /// Optional correctness observer (see [`crate::check`]); `None` in
     /// normal runs, so every hook site costs one predictable branch.
     pub(crate) check: Option<Box<dyn CheckSink>>,
+}
+
+/// The machine state of a [`System`]: everything but the correctness
+/// observer. `Clone` is derived, so a checkpoint (see
+/// [`crate::checkpoint`]) copies every field by construction.
+#[derive(Clone)]
+pub(crate) struct Machine<W> {
+    cfg: SystemConfig,
+    workload: W,
+    queue: EventQueue<Ev>,
+    mesh: Mesh,
+    nodes: Vec<Node>,
+    last_time: Clock,
+    /// Reusable scratch buffer for directory actions: `at_home` borrows it
+    /// per message so the protocol hot path never allocates.
+    dir_actions: ActionBuf,
+    /// Observability registry (inert unless `cfg.instrument`).
+    obs: Obs,
     /// Whether the initial `CpuStep` events have been seeded. Guards the
-    /// seeding so [`run`](Self::run) after [`run_until`](Self::run_until)
-    /// (or after a checkpoint restore) resumes instead of restarting.
-    pub(crate) started: bool,
+    /// seeding so [`System::run`] after [`System::run_until`] (or after a
+    /// checkpoint restore) resumes instead of restarting.
+    started: bool,
 }
 
 impl<W: Workload> System<W> {
@@ -1456,7 +1218,7 @@ impl<W: Workload> System<W> {
                 Node::new(&cfg, record)
             })
             .collect();
-        System {
+        let machine = Machine {
             mesh: Mesh::new(cfg.mesh),
             obs: Obs::new(cfg.instrument),
             cfg,
@@ -1465,8 +1227,11 @@ impl<W: Workload> System<W> {
             nodes,
             last_time: Clock::ZERO,
             dir_actions: ActionBuf::new(),
-            check: None,
             started: false,
+        };
+        System {
+            machine,
+            check: None,
         }
     }
 
@@ -1492,9 +1257,9 @@ impl<W: Workload> System<W> {
     /// Panics if the simulation deadlocks (the event queue drains while a
     /// processor is still blocked), which indicates a protocol bug.
     pub fn run(&mut self) -> SimResult {
-        self.seed();
-        let instrumented = self.obs.reg.enabled();
-        while let Some((t, ev)) = self.queue.pop() {
+        self.machine.seed();
+        let instrumented = self.machine.obs.reg.enabled();
+        while let Some((t, ev)) = self.machine.queue.pop() {
             self.dispatch_one(t, ev, instrumented);
         }
         self.finish_run(instrumented)
@@ -1508,26 +1273,18 @@ impl<W: Workload> System<W> {
     /// which the simulation cannot observe. This is the warmup boundary
     /// for checkpointing (see [`crate::checkpoint`]).
     pub fn run_until(&mut self, boundary: Cycle) {
-        self.seed();
-        let instrumented = self.obs.reg.enabled();
-        while self.queue.peek_time().is_some_and(|t| t <= boundary) {
-            let Some((t, ev)) = self.queue.pop() else {
+        self.machine.seed();
+        let instrumented = self.machine.obs.reg.enabled();
+        while self
+            .machine
+            .queue
+            .peek_time()
+            .is_some_and(|t| t <= boundary)
+        {
+            let Some((t, ev)) = self.machine.queue.pop() else {
                 break;
             };
             self.dispatch_one(t, ev, instrumented);
-        }
-    }
-
-    /// Schedules the initial `CpuStep` for every node, exactly once per
-    /// system (restored systems inherit `started` from their snapshot and
-    /// skip this).
-    fn seed(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        for n in 0..self.cfg.nodes {
-            self.queue.schedule(Cycle::ZERO, Ev::CpuStep(n));
         }
     }
 
@@ -1535,20 +1292,22 @@ impl<W: Workload> System<W> {
     /// hot loop, shared with [`run_until`](Self::run_until).
     #[inline(always)]
     fn dispatch_one(&mut self, t: Cycle, ev: Ev, instrumented: bool) {
-        self.last_time.set(self.last_time.get().max(t));
+        let m = &mut self.machine;
+        m.last_time.set(m.last_time.get().max(t));
         if instrumented {
-            self.observe_event(&ev);
+            m.observe_event(&ev);
         }
         let mut core = Core {
-            cfg: &self.cfg,
-            nodes: &mut self.nodes,
-            workload: &mut self.workload,
+            cfg: &m.cfg,
+            nodes: &mut m.nodes,
+            workload: &mut m.workload,
             fx: Fx {
-                queue: &mut self.queue,
-                mesh: &mut self.mesh,
+                queue: &mut m.queue,
+                mesh: &mut m.mesh,
                 check: &mut self.check,
+                geometry: m.cfg.geometry,
             },
-            dir_actions: &mut self.dir_actions,
+            dir_actions: &mut m.dir_actions,
         };
         core.dispatch(ev, t);
     }
@@ -1560,36 +1319,18 @@ impl<W: Workload> System<W> {
     /// machine state (caches, directory, in-flight traffic) carries over,
     /// the scheme starts detecting from the boundary onward.
     pub fn reconfigure_scheme(&mut self, scheme: Scheme) {
-        self.cfg.scheme = scheme;
-        for node in &mut self.nodes {
-            node.prefetcher = scheme.build(self.cfg.geometry);
+        let m = &mut self.machine;
+        m.cfg.scheme = scheme;
+        for node in &mut m.nodes {
+            node.prefetcher = scheme.build(m.cfg.geometry);
         }
-    }
-
-    /// Hot-path instrumentation: called once per popped event when the
-    /// registry is enabled. Counts the event by kind and samples queue
-    /// and per-node MSHR occupancy (an every-event sample, so busy nodes
-    /// weight the distribution by their event traffic).
-    fn observe_event(&mut self, ev: &Ev) {
-        let (wheel, overdue, overflow) = self.queue.depth_profile();
-        let obs = &mut self.obs;
-        obs.reg
-            .observe(obs.queue_depth, (wheel + overdue + overflow) as u64);
-        obs.reg.observe(obs.queue_overflow, overflow as u64);
-        let counter = match ev {
-            Ev::CpuStep(_) => obs.ev_cpu_step,
-            Ev::SlcWork(_) => obs.ev_slc_work,
-            Ev::Deliver(..) => obs.ev_deliver,
-        };
-        obs.reg.inc(counter, 1);
-        let mshr = self.nodes[ev.node() as usize].mshr.len() as u64;
-        obs.reg.observe(obs.mshr_occupancy, mshr);
     }
 
     /// Everything after the event loop drains: deadlock detection, the
     /// final oracle hook, clock folding and statistics assembly.
     fn finish_run(&mut self, instrumented: bool) -> SimResult {
-        let stuck: Vec<String> = self
+        let m = &mut self.machine;
+        let stuck: Vec<String> = m
             .nodes
             .iter()
             .enumerate()
@@ -1612,16 +1353,16 @@ impl<W: Workload> System<W> {
         )]
         if !stuck.is_empty() {
             let mut detail = stuck.join("\n");
-            for (i, node) in self.nodes.iter().enumerate() {
+            for (i, node) in m.nodes.iter().enumerate() {
                 for (block, entry) in node.mshr.iter() {
-                    let home = self.home_of(block);
-                    let dir = &self.nodes[home as usize].dir;
+                    let home = home_of(&m.cfg, block);
+                    let dir = &m.nodes[home as usize].dir;
                     detail.push_str(&format!(
                         "\nnode {i} mshr {block}: {:?} -> home {home} state {:?} busy={:?} slc_at_owner={:?}",
                         entry.kind,
                         dir.state(block),
                         dir.busy_detail(block),
-                        self.nodes.iter().enumerate().filter(|(_, nd)| nd.slc.contains(block)).map(|(j, _)| j).collect::<Vec<_>>(),
+                        m.nodes.iter().enumerate().filter(|(_, nd)| nd.slc.contains(block)).map(|(j, _)| j).collect::<Vec<_>>(),
                     ));
                 }
             }
@@ -1633,12 +1374,11 @@ impl<W: Workload> System<W> {
 
         // Fold in each processor's final run-ahead segment: a trace that
         // ends in compute-only work retires past the last scheduled event.
-        for node in &self.nodes {
-            self.last_time
-                .set(self.last_time.get().max(node.cpu_time.get()));
+        for node in &m.nodes {
+            m.last_time.set(m.last_time.get().max(node.cpu_time.get()));
         }
 
-        let dir: DirStats = self.nodes.iter().fold(DirStats::default(), |mut acc, n| {
+        let dir: DirStats = m.nodes.iter().fold(DirStats::default(), |mut acc, n| {
             let s = n.dir.stats();
             acc.memory_supplied += s.memory_supplied;
             acc.owner_supplied += s.owner_supplied;
@@ -1648,23 +1388,116 @@ impl<W: Workload> System<W> {
             acc
         });
         let metrics = if instrumented {
-            self.finalize_obs();
-            Some(self.obs.reg.snapshot())
+            m.finalize_obs();
+            Some(m.obs.reg.snapshot())
         } else {
             None
         };
         SimResult {
-            exec_cycles: self.last_time.get().as_u64(),
-            net: self.mesh.stats(),
+            exec_cycles: m.last_time.get().as_u64(),
+            net: m.mesh.stats(),
             dir,
-            miss_traces: self
+            miss_traces: m
                 .nodes
                 .iter_mut()
                 .map(|n| std::mem::take(&mut n.miss_trace))
                 .collect(),
-            nodes: self.nodes.iter().map(|n| n.stats).collect(),
+            nodes: m.nodes.iter().map(|n| n.stats).collect(),
             metrics,
         }
+    }
+
+    /// Audits system-wide coherence invariants (used by tests): every
+    /// directory entry must agree with the cache states it records.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any violation.
+    pub fn audit_coherence(&self) {
+        let nodes = &self.machine.nodes;
+        for home in nodes {
+            for (block, state) in home.dir.iter() {
+                if home.dir.is_busy(block) {
+                    continue; // transient: caches may legitimately disagree
+                }
+                match state {
+                    pfsim_coherence::DirState::Modified(owner) => {
+                        let line = nodes[owner.index()].slc.lookup(block);
+                        // The owner may have a writeback or re-fetch in
+                        // flight; otherwise it must hold the block dirty.
+                        if let Some(line) = line {
+                            assert_eq!(
+                                line.state,
+                                LineState::Modified,
+                                "{block} dir=Modified({owner}) but owner holds it clean"
+                            );
+                        }
+                        for (i, other) in nodes.iter().enumerate() {
+                            if i != owner.index() {
+                                assert!(
+                                    other.slc.lookup(block).is_none(),
+                                    "{block} modified at {owner} but also cached at node {i}"
+                                );
+                            }
+                        }
+                    }
+                    pfsim_coherence::DirState::Shared(sharers) => {
+                        for (i, other) in nodes.iter().enumerate() {
+                            if let Some(line) = other.slc.lookup(block) {
+                                assert!(
+                                    sharers.contains(NodeId::new(i as u16)),
+                                    "{block} cached at node {i} without presence bit"
+                                );
+                                assert_eq!(line.state, LineState::Shared);
+                            }
+                        }
+                    }
+                    pfsim_coherence::DirState::Uncached => {
+                        for (i, other) in nodes.iter().enumerate() {
+                            assert!(
+                                other.slc.lookup(block).is_none(),
+                                "{block} uncached at home but cached at node {i}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+impl<W> Machine<W> {
+    /// Schedules the initial `CpuStep` for every node, exactly once per
+    /// machine (restored systems inherit `started` from their checkpoint
+    /// and skip this).
+    fn seed(&mut self) {
+        if self.started {
+            return;
+        }
+        self.started = true;
+        for n in 0..self.cfg.nodes {
+            self.queue.schedule(Cycle::ZERO, Ev::CpuStep(n));
+        }
+    }
+
+    /// Hot-path instrumentation: called once per popped event when the
+    /// registry is enabled. Counts the event by kind and samples queue
+    /// and per-node MSHR occupancy (an every-event sample, so busy nodes
+    /// weight the distribution by their event traffic).
+    fn observe_event(&mut self, ev: &Ev) {
+        let (wheel, overdue, overflow) = self.queue.depth_profile();
+        let obs = &mut self.obs;
+        obs.reg
+            .observe(obs.queue_depth, (wheel + overdue + overflow) as u64);
+        obs.reg.observe(obs.queue_overflow, overflow as u64);
+        let counter = match ev {
+            Ev::CpuStep(_) => obs.ev_cpu_step,
+            Ev::SlcWork(_) => obs.ev_slc_work,
+            Ev::Deliver(..) => obs.ev_deliver,
+        };
+        obs.reg.inc(counter, 1);
+        let mshr = self.nodes[ev.node() as usize].mshr.len() as u64;
+        obs.reg.observe(obs.mshr_occupancy, mshr);
     }
 
     /// End-of-run gauge folding: server utilization, MSHR high water,
@@ -1706,66 +1539,5 @@ impl<W: Workload> System<W> {
         for (name, v) in telemetry {
             reg.record(name, v);
         }
-    }
-
-    /// Audits system-wide coherence invariants (used by tests): every
-    /// directory entry must agree with the cache states it records.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any violation.
-    pub fn audit_coherence(&self) {
-        for home in &self.nodes {
-            for (block, state) in home.dir.iter() {
-                if home.dir.is_busy(block) {
-                    continue; // transient: caches may legitimately disagree
-                }
-                match state {
-                    pfsim_coherence::DirState::Modified(owner) => {
-                        let line = self.nodes[owner.index()].slc.lookup(block);
-                        // The owner may have a writeback or re-fetch in
-                        // flight; otherwise it must hold the block dirty.
-                        if let Some(line) = line {
-                            assert_eq!(
-                                line.state,
-                                LineState::Modified,
-                                "{block} dir=Modified({owner}) but owner holds it clean"
-                            );
-                        }
-                        for (i, other) in self.nodes.iter().enumerate() {
-                            if i != owner.index() {
-                                assert!(
-                                    other.slc.lookup(block).is_none(),
-                                    "{block} modified at {owner} but also cached at node {i}"
-                                );
-                            }
-                        }
-                    }
-                    pfsim_coherence::DirState::Shared(sharers) => {
-                        for (i, other) in self.nodes.iter().enumerate() {
-                            if let Some(line) = other.slc.lookup(block) {
-                                assert!(
-                                    sharers.contains(NodeId::new(i as u16)),
-                                    "{block} cached at node {i} without presence bit"
-                                );
-                                assert_eq!(line.state, LineState::Shared);
-                            }
-                        }
-                    }
-                    pfsim_coherence::DirState::Uncached => {
-                        for (i, other) in self.nodes.iter().enumerate() {
-                            assert!(
-                                other.slc.lookup(block).is_none(),
-                                "{block} uncached at home but cached at node {i}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn home_of(&self, block: BlockAddr) -> u16 {
-        home_of(&self.cfg, block)
     }
 }

@@ -59,6 +59,42 @@ fn full_flwb_stalls_the_processor() {
     );
 }
 
+/// Every op kind that enters the FLWB waits when it is full and retires
+/// on the retry, not before: CPU 0 queues 24 remote writes ahead of each
+/// of a read miss, an acquire, a release and a barrier, so each of the
+/// four finds the 8-entry buffer full once. The figures are pinned from
+/// the simulator before the read and sync ops shared one push site.
+#[test]
+fn a_full_flwb_defers_every_op_kind() {
+    let lock = Addr::new(60 * 4096);
+    let mut traces = vec![vec![Op::Barrier { id: 0 }]; 16];
+    let blocking = [
+        read(REMOTE + 4096),
+        Op::Acquire { lock },
+        Op::Release { lock },
+        Op::Barrier { id: 0 },
+    ];
+    let mut cpu0 = Vec::new();
+    for (g, op) in (0u64..).zip(blocking) {
+        cpu0.extend((0..24).map(|k| write(REMOTE + (g * 24 + k) * 32)));
+        cpu0.push(op);
+    }
+    traces[0] = cpu0;
+    let mut sys = System::new(
+        SystemConfig::paper_baseline(),
+        TraceCursor::from_ops("flwb-full", &traces),
+    );
+    let r = sys.run();
+    sys.audit_coherence();
+    assert_eq!(r.exec_cycles, 1186);
+    let n = &r.nodes[0];
+    assert_eq!((n.reads, n.writes), (1, 96));
+    assert_eq!(n.flwb_stall, 124);
+    assert_eq!(n.sync_stall, 452);
+    assert_eq!(n.barrier_stall, 232);
+    assert_eq!(n.read_stall, 237);
+}
+
 /// A release (unlock) drains after all prior writes complete: the
 /// consumer that acquires the lock afterwards always sees the writes'
 /// coherence effects (its reads miss on the freshly-written blocks).

@@ -455,7 +455,7 @@ fn miss_events_preserve_pc_and_block() {
     let wl = micro::sequential_walk(16, 8, 1);
     let cfg = SystemConfig::paper_baseline().with_recording(RecordMisses::Cpu(0));
     let r = System::new(cfg, wl).run();
-    let events = r.miss_events(0);
+    let events: Vec<_> = r.miss_events(0).collect();
     assert_eq!(events.len(), r.miss_traces[0].len());
     for (e, m) in events.iter().zip(&r.miss_traces[0]) {
         assert_eq!(e.pc, m.pc);

@@ -97,11 +97,6 @@ impl ArrayLayout {
     pub fn regions(&self) -> &[Region] {
         &self.regions
     }
-
-    /// Total bytes of address space consumed (including page padding).
-    pub fn bytes_used(&self) -> u64 {
-        self.next - self.geometry.page_bytes()
-    }
 }
 
 #[cfg(test)]
@@ -157,6 +152,5 @@ mod tests {
         l.alloc("y", 20, 4);
         let names: Vec<_> = l.regions().iter().map(|r| r.name).collect();
         assert_eq!(names, ["x", "y"]);
-        assert_eq!(l.bytes_used(), 2 * 4096);
     }
 }

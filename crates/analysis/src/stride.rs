@@ -36,8 +36,6 @@ pub struct Characterization {
     /// Sorted by key: histogram iteration feeds the published tables, so
     /// its order must be deterministic.
     pub stride_histogram: BTreeMap<i64, u64>,
-    /// sequence length (in misses) → number of sequences of that length.
-    pub length_histogram: BTreeMap<usize, u64>,
 }
 
 impl Characterization {
@@ -70,34 +68,6 @@ impl Characterization {
             .collect();
         strides.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         strides
-    }
-
-    /// Median stride-sequence length in misses (0 when no sequences),
-    /// a companion to [`avg_sequence_length`](Self::avg_sequence_length)
-    /// that is robust to a few very long sweeps.
-    pub fn median_sequence_length(&self) -> usize {
-        if self.sequences == 0 {
-            return 0;
-        }
-        let mut lengths: Vec<(usize, u64)> = self
-            .length_histogram
-            .iter()
-            .map(|(&l, &c)| (l, c))
-            .collect();
-        lengths.sort_unstable();
-        let mut remaining = self.sequences.div_ceil(2);
-        for (len, count) in lengths {
-            if remaining <= count {
-                return len;
-            }
-            remaining -= count;
-        }
-        unreachable!("histogram counts sum to self.sequences")
-    }
-
-    /// The longest stride sequence observed, in misses.
-    pub fn max_sequence_length(&self) -> usize {
-        self.length_histogram.keys().copied().max().unwrap_or(0)
     }
 
     /// Renders the dominant strides like the paper's table cells, e.g.
@@ -172,7 +142,6 @@ where
                 ch.sequence_misses += len as u64;
                 ch.sequences += 1;
                 *ch.stride_histogram.entry(stride).or_insert(0) += unique;
-                *ch.length_histogram.entry(len).or_insert(0) += 1;
             }
         };
         if blocks.len() == 1 {
@@ -302,8 +271,6 @@ mod tests {
         assert_eq!(ch.total_misses, 0);
         assert_eq!(ch.stride_fraction(), 0.0);
         assert_eq!(ch.dominant_strides_label(), "-");
-        assert_eq!(ch.median_sequence_length(), 0);
-        assert_eq!(ch.max_sequence_length(), 0);
     }
 
     #[test]
@@ -315,11 +282,6 @@ mod tests {
         misses.extend((0..10).map(|k| ev(3, 5000 + 7 * k)));
         let ch = characterize(&misses);
         assert_eq!(ch.sequences, 3);
-        assert_eq!(ch.length_histogram[&3], 2);
-        assert_eq!(ch.length_histogram[&10], 1);
-        assert_eq!(ch.median_sequence_length(), 3);
-        assert_eq!(ch.max_sequence_length(), 10);
-        // Mean is pulled up by the long sweep; the median is not.
         assert!((ch.avg_sequence_length() - 16.0 / 3.0).abs() < 1e-9);
     }
 }

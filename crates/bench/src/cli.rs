@@ -189,6 +189,10 @@ impl Args {
     /// Parses the process command line for `bin`, which accepts exactly
     /// the flags in `accepts`. On any error, prints the message and the
     /// usage block and exits with status 2.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one place a binary reads its command line"
+    )]
     pub fn parse(bin: &'static str, accepts: &'static [&'static str]) -> Args {
         match Args::parse_from(bin, accepts, std::env::args().skip(1)) {
             Ok(args) => args,

@@ -92,6 +92,41 @@ fn checkpoint_round_trip_matches_straight_through() {
     }
 }
 
+/// Trained prefetcher state crosses a checkpoint: each of the seven
+/// schemes runs attached from the start to a mid-run boundary, where RPT
+/// entries, D-detection tables and streams and adaptive degrees are live;
+/// the machine is snapshotted, the original dropped, and the restored copy
+/// must finish exactly like a straight run.
+#[test]
+fn a_mid_run_checkpoint_carries_every_schemes_tables() {
+    const MID_RUN: u64 = 80_000;
+    for scheme in [
+        Scheme::None,
+        Scheme::Sequential { degree: 2 },
+        Scheme::IDetection { degree: 2 },
+        Scheme::SimpleStride { degree: 1 },
+        Scheme::DDetection { degree: 1 },
+        Scheme::DDetectionAdaptive {
+            degree: 1,
+            max_depth: 8,
+        },
+        Scheme::AdaptiveSequential {
+            initial_degree: 1,
+            max_degree: 8,
+        },
+    ] {
+        let straight = System::new(instrumented(scheme), cursor(App::Water, Size::Default)).run();
+        let mut sys = System::new(instrumented(scheme), cursor(App::Water, Size::Default));
+        sys.run_until(Cycle::new(MID_RUN));
+        let ckpt = sys
+            .snapshot()
+            .expect("no sink installed: snapshot is total");
+        drop(sys);
+        let restored = System::restore(&ckpt).run();
+        assert_identical(&straight, &restored, &format!("{scheme:?} mid-run"));
+    }
+}
+
 /// Restoring twice from one checkpoint yields two independent machines:
 /// running the first does not perturb the second.
 #[test]

@@ -6,9 +6,11 @@ use pfsim_mem::BlockAddr;
 /// payloads of type `T`.
 ///
 /// Both caches in the node are direct-mapped (the FLC by the paper's design,
-/// the finite SLC per §5.3), and the I-detection Reference Prediction Table
-/// is "organized as a 256-entry, direct-mapped cache" — all three reuse this
-/// array. The set index is `block % sets` and the tag is `block / sets`.
+/// the finite SLC per §5.3), and both reuse this array. (The I-detection
+/// Reference Prediction Table is also "organized as a 256-entry,
+/// direct-mapped cache", but it is keyed by instruction address and keeps
+/// its own table in `pfsim-prefetch`.) The set index is `block % sets` and
+/// the tag is `block / sets`.
 ///
 /// # Examples
 ///

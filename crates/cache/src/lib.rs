@@ -26,9 +26,9 @@
 //! slc.fill(b, LineState::Shared, /*prefetched=*/ true);
 //! let line = slc.lookup(b).unwrap();
 //! assert!(line.prefetched);
-//! // A demand hit on a tagged block resets the tag (and, in the full
-//! // system, triggers the next prefetch of the stream):
-//! assert!(slc.clear_prefetched(b));
+//! // A demand hit on a tagged block reports and resets the tag (and, in
+//! // the full system, triggers the next prefetch of the stream):
+//! assert_eq!(slc.demand_access(b), Some(true));
 //! assert!(!slc.lookup(b).unwrap().prefetched);
 //! ```
 

@@ -217,6 +217,8 @@ mod tests {
         assert!(m.alloc(BlockAddr::new(3), ()).is_ok());
     }
 
+    // The check is a `debug_assert!`: release builds skip it.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "merge instead")]
     fn double_alloc_panics() {

@@ -266,9 +266,8 @@ impl SecondLevelCache {
     /// Performs a demand write access in one probe: consumes the
     /// *prefetched* tag and reports the line's state, or `None` on a miss.
     ///
-    /// Equivalent to [`Self::lookup`] followed by
-    /// [`Self::clear_prefetched`], in a single tag-store probe — the write
-    /// path runs once per drained FLWB entry, so the saved probe matters.
+    /// One tag-store probe reads the state and clears the tag — the write
+    /// path runs once per drained FLWB entry, so a second probe matters.
     ///
     /// Adjacent same-line writes share one walk: a hit on a Modified line
     /// arms the write memo (see the field docs), and the next write to
@@ -343,20 +342,6 @@ impl SecondLevelCache {
                 true
             }
             None => false,
-        }
-    }
-
-    /// Clears the *prefetched* tag of `block`, returning whether the tag was
-    /// set. A `true` return is what fires the prefetch-phase mechanism (and
-    /// counts the prefetch as useful).
-    pub fn clear_prefetched(&mut self, block: BlockAddr) -> bool {
-        self.write_memo = None;
-        match self.line_mut(block) {
-            Some(line) if line.prefetched => {
-                line.prefetched = false;
-                true
-            }
-            _ => false,
         }
     }
 
@@ -500,9 +485,9 @@ mod tests {
         let mut slc = SecondLevelCache::new(SlcConfig::infinite());
         let b = BlockAddr::new(5);
         slc.fill(b, LineState::Shared, true);
-        assert!(slc.clear_prefetched(b));
-        assert!(!slc.clear_prefetched(b)); // second demand hit: tag already clear
-        assert!(!slc.clear_prefetched(BlockAddr::new(6))); // absent block
+        assert_eq!(slc.demand_access(b), Some(true));
+        assert_eq!(slc.demand_access(b), Some(false)); // second demand hit: tag already clear
+        assert_eq!(slc.demand_access(BlockAddr::new(6)), None); // absent block
     }
 
     #[test]

@@ -173,7 +173,7 @@ pub(crate) struct Node {
     /// produce.
     pub slc_scheduled_at: Option<Cycle>,
     pub drain_block: DrainBlock,
-    pub prefetcher: Box<dyn Prefetcher>,
+    pub prefetcher: Prefetcher,
     /// Write transactions not yet globally performed (release consistency
     /// fence counter).
     pub pending_write_txns: u32,

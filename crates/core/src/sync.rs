@@ -118,11 +118,6 @@ impl BarrierTable {
             None
         }
     }
-
-    /// Number of barriers currently mid-flight.
-    pub fn open_barriers(&self) -> usize {
-        self.barriers.len()
-    }
 }
 
 #[cfg(test)]
@@ -169,7 +164,7 @@ mod tests {
         assert_eq!(b.arrive(7, n(1), 3), None);
         let all = b.arrive(7, n(2), 3).unwrap();
         assert_eq!(all, vec![n(0), n(1), n(2)]);
-        assert_eq!(b.open_barriers(), 0);
+        assert!(b.barriers.is_empty());
     }
 
     #[test]
@@ -177,7 +172,7 @@ mod tests {
         let mut b = BarrierTable::new();
         b.arrive(1, n(0), 2);
         b.arrive(2, n(1), 2);
-        assert_eq!(b.open_barriers(), 2);
+        assert_eq!(b.barriers.len(), 2);
         assert!(b.arrive(1, n(1), 2).is_some());
         assert!(b.arrive(2, n(0), 2).is_some());
     }

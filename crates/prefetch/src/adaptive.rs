@@ -2,7 +2,7 @@
 
 use pfsim_mem::{BlockAddr, Geometry};
 
-use crate::{Prefetcher, ReadAccess, ReadOutcome};
+use crate::{emit, ReadAccess, ReadOutcome};
 
 /// Adaptive sequential prefetching, after Dahlgren, Dubois & Stenström
 /// (ICPP 1993), discussed in §6 of the paper as the remedy for sequential
@@ -12,12 +12,13 @@ use crate::{Prefetcher, ReadAccess, ReadOutcome};
 /// turned out useful (the demand reference to a tagged block). "Issued"
 /// means requests that actually went to the memory system: the cache
 /// reports real issues back through
-/// [`Prefetcher::on_prefetches_issued`], so candidates the lookup filter
-/// drops (already present or in flight) never bias the degree. When the
-/// useful fraction is high the degree is doubled (up to `max_degree`); when
-/// it is low the degree is halved, reaching zero — no prefetches at all —
-/// for phases with no spatial locality. A zero degree is probed again
-/// periodically so the scheme can recover when locality returns.
+/// [`crate::Prefetcher::on_prefetches_issued`], so candidates the lookup
+/// filter drops (already present or in flight) never bias the degree.
+/// When the useful fraction is high the degree is doubled (up to
+/// `max_degree`); when it is low the degree is halved, reaching zero — no
+/// prefetches at all — for phases with no spatial locality. A zero degree
+/// is probed again periodically so the scheme can recover when locality
+/// returns.
 ///
 /// This scheme is not part of the paper's main comparison (the paper
 /// deliberately fixes the prefetching phase across schemes); it is included
@@ -27,7 +28,7 @@ use crate::{Prefetcher, ReadAccess, ReadOutcome};
 ///
 /// ```
 /// use pfsim_mem::{Addr, Geometry, Pc};
-/// use pfsim_prefetch::{AdaptiveSequential, Prefetcher, ReadAccess, ReadOutcome};
+/// use pfsim_prefetch::{AdaptiveSequential, ReadAccess, ReadOutcome};
 ///
 /// let mut ad = AdaptiveSequential::new(Geometry::paper(), 1, 8);
 /// assert_eq!(ad.degree(), 1);
@@ -80,10 +81,6 @@ impl AdaptiveSequential {
         self.degree
     }
 
-    fn push_if_same_page(&self, block: BlockAddr, offset: i64, out: &mut Vec<BlockAddr>) -> bool {
-        crate::emit::push_block_offset(self.geometry, block, offset, out)
-    }
-
     fn record(&mut self, issued: u32, useful: u32) {
         self.issued += issued;
         self.useful += useful;
@@ -98,10 +95,9 @@ impl AdaptiveSequential {
             self.useful = 0;
         }
     }
-}
 
-impl Prefetcher for AdaptiveSequential {
-    fn on_read(&mut self, access: &ReadAccess, out: &mut Vec<BlockAddr>) {
+    /// Observes one read request: see [`crate::Prefetcher::on_read`].
+    pub fn on_read(&mut self, access: &ReadAccess, out: &mut Vec<BlockAddr>) {
         let block = self.geometry.block_of(access.addr);
         match access.outcome {
             ReadOutcome::Miss => {
@@ -115,13 +111,13 @@ impl Prefetcher for AdaptiveSequential {
                     }
                 }
                 for k in 1..=i64::from(self.degree) {
-                    self.push_if_same_page(block, k, out);
+                    emit::push_block_offset(self.geometry, block, k, out);
                 }
             }
             ReadOutcome::HitPrefetched | ReadOutcome::InFlightPrefetch => {
                 // A consumed prefetch: useful. Extend the stream if active.
                 if self.degree > 0 {
-                    self.push_if_same_page(block, i64::from(self.degree), out);
+                    emit::push_block_offset(self.geometry, block, i64::from(self.degree), out);
                 }
                 self.record(0, 1);
             }
@@ -129,19 +125,11 @@ impl Prefetcher for AdaptiveSequential {
         }
     }
 
-    fn on_prefetches_issued(&mut self, issued: u32) {
+    pub(crate) fn on_prefetches_issued(&mut self, issued: u32) {
         // The cache-side issue counter: only candidates that actually
         // became memory-system requests count toward the adaptation
         // window, so already-covered phases cannot bias the degree down.
         self.record(issued, 0);
-    }
-
-    fn name(&self) -> &'static str {
-        "Adapt-Seq"
-    }
-
-    fn clone_box(&self) -> Box<dyn Prefetcher> {
-        Box::new(self.clone())
     }
 }
 

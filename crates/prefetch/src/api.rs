@@ -4,10 +4,7 @@ use std::fmt;
 
 use pfsim_mem::{Addr, BlockAddr, Geometry, Pc};
 
-use crate::{
-    AdaptiveSequential, DDetection, DDetectionConfig, IDetection, IDetectionConfig,
-    SequentialPrefetcher,
-};
+use crate::{AdaptiveSequential, DDetection, IDetection, SequentialPrefetcher, SimpleStride};
 
 /// How a read request presented to the SLC was resolved.
 ///
@@ -35,14 +32,6 @@ pub enum ReadOutcome {
 }
 
 impl ReadOutcome {
-    /// Whether the block was absent from the SLC (any kind of miss).
-    pub fn is_absent(self) -> bool {
-        matches!(
-            self,
-            ReadOutcome::Miss | ReadOutcome::InFlightDemand | ReadOutcome::InFlightPrefetch
-        )
-    }
-
     /// Whether this reference continues a prefetched stream (a demand
     /// reference to a block the prefetcher brought, or is bringing, in).
     pub fn continues_stream(self) -> bool {
@@ -68,85 +57,80 @@ pub struct ReadAccess {
     pub outcome: ReadOutcome,
 }
 
-/// A hardware prefetching scheme attached to the SLC.
+/// A hardware prefetching scheme attached to the SLC, one variant per
+/// scheme that [`Scheme::build`] instantiates.
 ///
-/// Implementations are pure decision mechanisms: given the stream of read
-/// requests presented to the SLC, they emit block-prefetch candidates. The
-/// SLC is responsible for dropping candidates that are already present or
-/// already in flight, and for tagging arriving blocks; schemes are
-/// responsible for never proposing a block outside the page of the
-/// triggering access.
-pub trait Prefetcher: Send {
+/// Schemes are pure decision mechanisms: given the stream of read requests
+/// presented to the SLC, they emit block-prefetch candidates. The SLC is
+/// responsible for dropping candidates that are already present or already
+/// in flight, and for tagging arriving blocks; schemes are responsible for
+/// never proposing a block outside the page of the triggering access.
+///
+/// The type is a closed enum: `Clone` copies every detection table, stream
+/// and adaptation counter (a restored checkpoint replays bit-identically),
+/// and each method matches every variant.
+#[derive(Debug, Clone)]
+pub enum Prefetcher {
+    /// No prefetching (the baseline architecture).
+    None,
+    /// Fixed-degree sequential prefetching.
+    Sequential(SequentialPrefetcher),
+    /// I-detection stride prefetching.
+    IDetection(IDetection),
+    /// The §3.2 "simplest" stride scheme.
+    SimpleStride(SimpleStride),
+    /// D-detection stride prefetching, optionally with adaptive lookahead
+    /// (boxed: its four tables dwarf every other variant).
+    DDetection(Box<DDetection>),
+    /// Adaptive sequential prefetching.
+    AdaptiveSequential(AdaptiveSequential),
+}
+
+impl Prefetcher {
     /// Observes one read request and appends prefetch candidates to `out`.
     ///
     /// `out` is not cleared: the caller may batch candidates. Candidates
     /// are block numbers in proposal order; duplicates are allowed (the SLC
-    /// filter drops them) but implementations avoid the obvious ones.
-    fn on_read(&mut self, access: &ReadAccess, out: &mut Vec<BlockAddr>);
+    /// filter drops them) but schemes avoid the obvious ones.
+    #[inline]
+    pub fn on_read(&mut self, access: &ReadAccess, out: &mut Vec<BlockAddr>) {
+        match self {
+            Prefetcher::None => {}
+            Prefetcher::Sequential(p) => p.on_read(access, out),
+            Prefetcher::IDetection(p) => p.on_read(access, out),
+            Prefetcher::SimpleStride(p) => p.on_read(access, out),
+            Prefetcher::DDetection(p) => p.on_read(access, out),
+            Prefetcher::AdaptiveSequential(p) => p.on_read(access, out),
+        }
+    }
 
     /// Feedback from the cache: `issued` of the candidates proposed by the
     /// last [`on_read`](Self::on_read) call were actually sent to the
     /// memory system (the rest were already present, already in flight, or
-    /// dropped for buffer space). Adaptive schemes use this as their
-    /// cache-side issue counter; the default implementation ignores it.
-    fn on_prefetches_issued(&mut self, issued: u32) {
-        let _ = issued;
+    /// dropped for buffer space). Adaptive sequential prefetching uses this
+    /// as its cache-side issue counter; the other schemes ignore it.
+    pub fn on_prefetches_issued(&mut self, issued: u32) {
+        match self {
+            Prefetcher::AdaptiveSequential(p) => p.on_prefetches_issued(issued),
+            Prefetcher::None
+            | Prefetcher::Sequential(_)
+            | Prefetcher::IDetection(_)
+            | Prefetcher::SimpleStride(_)
+            | Prefetcher::DDetection(_) => {}
+        }
     }
-
-    /// A short human-readable name ("Seq", "I-det", "D-det", …) used in
-    /// reports.
-    fn name(&self) -> &'static str;
 
     /// Appends `(counter, value)` telemetry pairs describing detection
     /// behaviour (table lookups, hits, installs, …). Names are stable
     /// metric identifiers; the observability layer sums pairs with the
-    /// same name across nodes. The default implementation exports
-    /// nothing.
-    fn telemetry(&self, out: &mut Vec<(&'static str, u64)>) {
-        let _ = out;
-    }
-
-    /// Deep-copies the scheme, detection tables and all, behind a fresh
-    /// box. Checkpointing uses this to capture prefetcher state: a
-    /// restored machine must replay bit-identically, so the copy carries
-    /// every stream table, stride entry, and adaptation counter.
-    fn clone_box(&self) -> Box<dyn Prefetcher>;
-}
-
-impl Clone for Box<dyn Prefetcher> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
-}
-
-/// The baseline: no prefetching at all.
-///
-/// # Examples
-///
-/// ```
-/// use pfsim_mem::{Addr, Pc};
-/// use pfsim_prefetch::{NoPrefetch, Prefetcher, ReadAccess, ReadOutcome};
-///
-/// let mut none = NoPrefetch;
-/// let mut out = Vec::new();
-/// none.on_read(
-///     &ReadAccess { pc: Pc::new(0), addr: Addr::new(0), outcome: ReadOutcome::Miss },
-///     &mut out,
-/// );
-/// assert!(out.is_empty());
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoPrefetch;
-
-impl Prefetcher for NoPrefetch {
-    fn on_read(&mut self, _access: &ReadAccess, _out: &mut Vec<BlockAddr>) {}
-
-    fn name(&self) -> &'static str {
-        "baseline"
-    }
-
-    fn clone_box(&self) -> Box<dyn Prefetcher> {
-        Box::new(*self)
+    /// same name across nodes. Schemes without counters export nothing.
+    pub fn telemetry(&self, out: &mut Vec<(&'static str, u64)>) {
+        match self {
+            Prefetcher::Sequential(p) => p.telemetry(out),
+            Prefetcher::IDetection(p) => p.telemetry(out),
+            Prefetcher::DDetection(p) => p.telemetry(out),
+            Prefetcher::None | Prefetcher::SimpleStride(_) | Prefetcher::AdaptiveSequential(_) => {}
+        }
     }
 }
 
@@ -159,10 +143,10 @@ impl Prefetcher for NoPrefetch {
 ///
 /// ```
 /// use pfsim_mem::Geometry;
-/// use pfsim_prefetch::Scheme;
+/// use pfsim_prefetch::{Prefetcher, Scheme};
 ///
 /// let p = Scheme::Sequential { degree: 1 }.build(Geometry::paper());
-/// assert_eq!(p.name(), "Seq");
+/// assert!(matches!(p, Prefetcher::Sequential(_)));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scheme {
@@ -209,39 +193,28 @@ pub enum Scheme {
 
 impl Scheme {
     /// Instantiates the scheme for the given geometry.
-    pub fn build(self, geometry: Geometry) -> Box<dyn Prefetcher> {
+    pub fn build(self, geometry: Geometry) -> Prefetcher {
         match self {
-            Scheme::None => Box::new(NoPrefetch),
-            Scheme::Sequential { degree } => Box::new(SequentialPrefetcher::new(geometry, degree)),
-            Scheme::IDetection { degree } => Box::new(IDetection::new(
-                geometry,
-                IDetectionConfig {
-                    degree,
-                    ..IDetectionConfig::default()
-                },
-            )),
-            Scheme::SimpleStride { degree } => {
-                Box::new(crate::SimpleStride::new(geometry, degree, 256))
+            Scheme::None => Prefetcher::None,
+            Scheme::Sequential { degree } => {
+                Prefetcher::Sequential(SequentialPrefetcher::new(geometry, degree))
             }
-            Scheme::DDetection { degree } => Box::new(DDetection::new(
-                geometry,
-                DDetectionConfig {
-                    degree,
-                    ..DDetectionConfig::default()
-                },
-            )),
-            Scheme::DDetectionAdaptive { degree, max_depth } => Box::new(DDetection::new(
-                geometry,
-                DDetectionConfig {
-                    degree,
-                    adaptive_depth: true,
-                    max_depth,
-                },
-            )),
+            Scheme::IDetection { degree } => {
+                Prefetcher::IDetection(IDetection::new(geometry, degree))
+            }
+            Scheme::SimpleStride { degree } => {
+                Prefetcher::SimpleStride(SimpleStride::new(geometry, degree))
+            }
+            Scheme::DDetection { degree } => {
+                Prefetcher::DDetection(Box::new(DDetection::new(geometry, degree, None)))
+            }
+            Scheme::DDetectionAdaptive { degree, max_depth } => {
+                Prefetcher::DDetection(Box::new(DDetection::new(geometry, degree, Some(max_depth))))
+            }
             Scheme::AdaptiveSequential {
                 initial_degree,
                 max_degree,
-            } => Box::new(AdaptiveSequential::new(
+            } => Prefetcher::AdaptiveSequential(AdaptiveSequential::new(
                 geometry,
                 initial_degree,
                 max_degree,
@@ -287,12 +260,6 @@ mod tests {
 
     #[test]
     fn outcome_predicates() {
-        assert!(ReadOutcome::Miss.is_absent());
-        assert!(ReadOutcome::InFlightDemand.is_absent());
-        assert!(ReadOutcome::InFlightPrefetch.is_absent());
-        assert!(!ReadOutcome::Hit.is_absent());
-        assert!(!ReadOutcome::HitPrefetched.is_absent());
-
         assert!(ReadOutcome::HitPrefetched.continues_stream());
         assert!(ReadOutcome::InFlightPrefetch.continues_stream());
         assert!(!ReadOutcome::Miss.continues_stream());
@@ -301,22 +268,53 @@ mod tests {
     #[test]
     fn scheme_builds_every_variant() {
         let g = Geometry::paper();
-        for (scheme, name) in [
-            (Scheme::None, "baseline"),
-            (Scheme::Sequential { degree: 2 }, "Seq"),
-            (Scheme::IDetection { degree: 1 }, "I-det"),
-            (Scheme::SimpleStride { degree: 1 }, "Simple"),
-            (Scheme::DDetection { degree: 1 }, "D-det"),
+        for (scheme, label, want) in [
+            (Scheme::None, "baseline", Prefetcher::None),
+            (
+                Scheme::Sequential { degree: 2 },
+                "Seq",
+                Prefetcher::Sequential(SequentialPrefetcher::new(g, 2)),
+            ),
+            (
+                Scheme::IDetection { degree: 1 },
+                "I-det",
+                Prefetcher::IDetection(IDetection::new(g, 1)),
+            ),
+            (
+                Scheme::SimpleStride { degree: 1 },
+                "Simple",
+                Prefetcher::SimpleStride(SimpleStride::new(g, 1)),
+            ),
+            (
+                Scheme::DDetection { degree: 1 },
+                "D-det",
+                Prefetcher::DDetection(Box::new(DDetection::new(g, 1, None))),
+            ),
+            (
+                Scheme::DDetectionAdaptive {
+                    degree: 2,
+                    max_depth: 8,
+                },
+                "D-det-adapt",
+                Prefetcher::DDetection(Box::new(DDetection::new(g, 2, Some(8)))),
+            ),
             (
                 Scheme::AdaptiveSequential {
                     initial_degree: 1,
                     max_degree: 8,
                 },
                 "Adapt-Seq",
+                Prefetcher::AdaptiveSequential(AdaptiveSequential::new(g, 1, 8)),
             ),
         ] {
-            assert_eq!(scheme.build(g).name(), name);
-            assert_eq!(scheme.label(), name);
+            // Debug prints every field, so equal output means the same
+            // variant built with the same parameters.
+            assert_eq!(
+                format!("{:?}", scheme.build(g)),
+                format!("{want:?}"),
+                "{scheme}"
+            );
+            assert_eq!(scheme.label(), label);
         }
     }
 

@@ -3,37 +3,13 @@
 use pfsim_mem::{Addr, BlockAddr, Geometry};
 
 use crate::lru::{FlatLru, ENTRIES};
-use crate::{Prefetcher, ReadAccess};
+use crate::{emit, ReadAccess, ReadOutcome};
 
 /// Times a stride must recur before it becomes "common". The paper's 3
 /// means four misses belonging to the same stride sequence are required
 /// before the stride is recorded as common, and two further misses
 /// initiate prefetching.
 const STRIDE_THRESHOLD: u32 = 3;
-
-/// Configuration of the D-detection scheme. The four tables' size (16) and
-/// the stride threshold (3) are fixed at the paper's values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DDetectionConfig {
-    /// Degree of prefetching *d* (the initial per-stream lookahead).
-    pub degree: u32,
-    /// Hagersten's adaptive lookahead (§6): "if the prefetched block is
-    /// accessed before it has arrived, the number of blocks that are
-    /// prefetched is increased", per stream, up to `max_depth`.
-    pub adaptive_depth: bool,
-    /// Per-stream lookahead cap when `adaptive_depth` is on.
-    pub max_depth: u32,
-}
-
-impl Default for DDetectionConfig {
-    fn default() -> Self {
-        DDetectionConfig {
-            degree: 1,
-            adaptive_depth: false,
-            max_depth: 8,
-        }
-    }
-}
 
 /// An active stride stream being prefetched.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -69,9 +45,9 @@ struct Stream {
 ///
 /// ```
 /// use pfsim_mem::{Addr, Geometry, Pc};
-/// use pfsim_prefetch::{DDetection, DDetectionConfig, Prefetcher, ReadAccess, ReadOutcome};
+/// use pfsim_prefetch::{DDetection, ReadAccess, ReadOutcome};
 ///
-/// let mut ddet = DDetection::new(Geometry::paper(), DDetectionConfig::default());
+/// let mut ddet = DDetection::new(Geometry::paper(), 1, None);
 /// let mut out = Vec::new();
 /// // Six equidistant misses: the first four train the frequency table
 /// // (threshold 3), the next pair matches the now-common stride and
@@ -90,7 +66,11 @@ struct Stream {
 #[derive(Debug, Clone)]
 pub struct DDetection {
     geometry: Geometry,
-    config: DDetectionConfig,
+    /// Degree of prefetching *d*: each new stream's initial lookahead.
+    degree: u32,
+    /// The per-stream lookahead cap under Hagersten's adaptive lookahead;
+    /// `None` keeps every stream at the degree.
+    max_depth: Option<u32>,
     /// Recent miss addresses, most recent first.
     miss_list: FlatLru<Addr, ()>,
     /// Candidate strides and how often they have recurred.
@@ -110,11 +90,18 @@ pub struct DDetection {
 }
 
 impl DDetection {
-    /// Creates a D-detection prefetcher.
-    pub fn new(geometry: Geometry, config: DDetectionConfig) -> Self {
+    /// Creates a D-detection prefetcher of degree *d* = `degree`. The four
+    /// tables' size (16) and the stride threshold (3) are the paper's.
+    ///
+    /// `Some(max_depth)` turns on Hagersten's adaptive lookahead (§6): "if
+    /// the prefetched block is accessed before it has arrived, the number
+    /// of blocks that are prefetched is increased", per stream, up to
+    /// `max_depth`.
+    pub fn new(geometry: Geometry, degree: u32, max_depth: Option<u32>) -> Self {
         DDetection {
             geometry,
-            config,
+            degree,
+            max_depth,
             miss_list: FlatLru::default(),
             freq: FlatLru::default(),
             common: FlatLru::default(),
@@ -124,26 +111,6 @@ impl DDetection {
             streams_installed: 0,
             strides_promoted: 0,
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> DDetectionConfig {
-        self.config
-    }
-
-    /// Number of strides currently recorded as common (for tests/reports).
-    pub fn common_strides(&self) -> usize {
-        self.common.len()
-    }
-
-    /// Number of active streams (for tests/reports).
-    pub fn active_streams(&self) -> usize {
-        self.streams.len()
-    }
-
-    /// Pushes the blocks of `addr + k·stride` for `k = 1..=d`, page-clipped.
-    fn push_stream(&self, addr: Addr, stride: i64, out: &mut Vec<BlockAddr>) {
-        crate::emit::push_strided_range(self.geometry, addr, stride, 1, self.config.degree, out);
     }
 
     /// Advances the stream that expected `addr` (if any) and prefetches
@@ -160,10 +127,9 @@ impl DDetection {
         self.stream_hits += 1;
         let stride = stream.stride;
         let old_depth = stream.depth;
-        let depth = if self.config.adaptive_depth && late {
-            (old_depth + 1).min(self.config.max_depth)
-        } else {
-            old_depth
+        let depth = match self.max_depth {
+            Some(max_depth) if late => (old_depth + 1).min(max_depth),
+            _ => old_depth,
         };
         // Re-arm the stream unless it walked off the address space.
         if let Some(raw) = stream.next.as_u64().checked_add_signed(stride) {
@@ -179,7 +145,7 @@ impl DDetection {
         }
         // Prefetch phase: keep the stream `depth` strides ahead. When the
         // depth just grew, emit the extra catch-up block too.
-        crate::emit::push_strided_range(self.geometry, addr, stride, old_depth, depth, out);
+        emit::push_strided_range(self.geometry, addr, stride, old_depth, depth, out);
         true
     }
 
@@ -232,55 +198,45 @@ impl DDetection {
                         Stream {
                             next,
                             stride,
-                            depth: self.config.degree,
+                            depth: self.degree,
                         },
                     );
                     self.streams_installed += 1;
-                    self.push_stream(addr, stride, out);
+                    emit::push_strided_range(self.geometry, addr, stride, 1, self.degree, out);
                 }
             }
         }
 
         self.miss_list.insert(addr, ());
     }
-}
 
-impl Prefetcher for DDetection {
-    fn on_read(&mut self, access: &ReadAccess, out: &mut Vec<BlockAddr>) {
-        if access.outcome == crate::ReadOutcome::Miss {
+    /// Observes one read request: see [`crate::Prefetcher::on_read`].
+    pub fn on_read(&mut self, access: &ReadAccess, out: &mut Vec<BlockAddr>) {
+        if access.outcome == ReadOutcome::Miss {
             self.on_miss(access.addr, out);
         } else if access.outcome.continues_stream() {
             // A merge into an in-flight prefetch means the prefetch was
             // issued too late: Hagersten's adaptive lookahead reacts here.
-            let late = access.outcome == crate::ReadOutcome::InFlightPrefetch;
+            let late = access.outcome == ReadOutcome::InFlightPrefetch;
             self.advance_stream(access.addr, late, out);
         }
     }
 
-    fn name(&self) -> &'static str {
-        "D-det"
-    }
-
-    fn telemetry(&self, out: &mut Vec<(&'static str, u64)>) {
+    pub(crate) fn telemetry(&self, out: &mut Vec<(&'static str, u64)>) {
         out.push(("stream_lookups", self.stream_lookups));
         out.push(("stream_hits", self.stream_hits));
         out.push(("streams_installed", self.streams_installed));
         out.push(("strides_promoted", self.strides_promoted));
-    }
-
-    fn clone_box(&self) -> Box<dyn Prefetcher> {
-        Box::new(self.clone())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ReadOutcome;
     use pfsim_mem::{Pc, SplitMix64};
 
     fn ddet() -> DDetection {
-        DDetection::new(Geometry::paper(), DDetectionConfig::default())
+        DDetection::new(Geometry::paper(), 1, None)
     }
 
     fn read(d: &mut DDetection, addr: u64, outcome: ReadOutcome) -> Vec<u64> {
@@ -316,7 +272,7 @@ mod tests {
         // common.
         let k = first_prefetch.expect("stream never detected");
         assert!((3..=5).contains(&k), "detected at miss {k}");
-        assert_eq!(d.active_streams(), 1);
+        assert_eq!(d.streams.len(), 1);
     }
 
     #[test]
@@ -358,8 +314,8 @@ mod tests {
         for a in addrs {
             assert!(read(&mut d, a, ReadOutcome::Miss).is_empty());
         }
-        assert_eq!(d.common_strides(), 0);
-        assert_eq!(d.active_streams(), 0);
+        assert_eq!(d.common.len(), 0);
+        assert_eq!(d.streams.len(), 0);
     }
 
     #[test]
@@ -370,7 +326,7 @@ mod tests {
         for k in 0..8 {
             read(&mut d, 0x100000 + k * stride, ReadOutcome::Miss);
         }
-        assert!(d.common_strides() >= 1);
+        assert!(d.common.len() >= 1);
         // A brand-new stream with the same stride is detected at its
         // *second* miss ("two additional misses are required to initiate
         // prefetching").
@@ -390,7 +346,7 @@ mod tests {
         }
         assert!(prefetched.contains(&((0x100000 + 7 * 64) / 32)));
         assert!(prefetched.contains(&((0x900000 + 7 * 64) / 32)));
-        assert_eq!(d.active_streams(), 2);
+        assert_eq!(d.streams.len(), 2);
     }
 
     #[test]
@@ -495,11 +451,10 @@ mod lru_tests {
     //! paper's configuration (16 entries each, stride threshold 3).
 
     use super::*;
-    use crate::{ReadAccess, ReadOutcome};
     use pfsim_mem::{Pc, SplitMix64};
 
     fn ddet() -> DDetection {
-        DDetection::new(Geometry::paper(), DDetectionConfig::default())
+        DDetection::new(Geometry::paper(), 1, None)
     }
 
     fn miss(d: &mut DDetection, addr: u64) -> Vec<u64> {
@@ -654,18 +609,10 @@ mod lru_tests {
 #[cfg(test)]
 mod adaptive_tests {
     use super::*;
-    use crate::{Prefetcher, ReadAccess, ReadOutcome};
     use pfsim_mem::Pc;
 
     fn adaptive() -> DDetection {
-        DDetection::new(
-            Geometry::paper(),
-            DDetectionConfig {
-                adaptive_depth: true,
-                max_depth: 4,
-                ..DDetectionConfig::default()
-            },
-        )
+        DDetection::new(Geometry::paper(), 1, Some(4))
     }
 
     fn feed(d: &mut DDetection, addr: u64, outcome: ReadOutcome) -> Vec<u64> {
@@ -744,7 +691,7 @@ mod adaptive_tests {
     /// The non-adaptive configuration is unaffected by late consumption.
     #[test]
     fn non_adaptive_ignores_lateness() {
-        let mut d = DDetection::new(Geometry::paper(), DDetectionConfig::default());
+        let mut d = DDetection::new(Geometry::paper(), 1, None);
         let stride = 64u64;
         let base = 0x100000u64;
         for k in 0..6 {
@@ -764,13 +711,14 @@ mod differential_tests {
 
     use super::*;
     use crate::lru::LruTable;
-    use crate::ReadOutcome;
     use pfsim_mem::{Pc, SplitMix64};
 
     /// The scheme as it was written over [`LruTable`]s.
     struct Reference {
         geometry: Geometry,
-        config: DDetectionConfig,
+        degree: u32,
+        adaptive: bool,
+        max_depth: u32,
         miss_list: LruTable<Addr, ()>,
         freq: LruTable<i64, u32>,
         common: LruTable<i64, ()>,
@@ -779,10 +727,12 @@ mod differential_tests {
     }
 
     impl Reference {
-        fn new(geometry: Geometry, config: DDetectionConfig) -> Self {
+        fn new(geometry: Geometry, degree: u32, adaptive: bool, max_depth: u32) -> Self {
             Reference {
                 geometry,
-                config,
+                degree,
+                adaptive,
+                max_depth,
                 miss_list: LruTable::new(ENTRIES),
                 freq: LruTable::new(ENTRIES),
                 common: LruTable::new(ENTRIES),
@@ -799,8 +749,8 @@ mod differential_tests {
             };
             self.counters[1] += 1;
             let old_depth = stream.depth;
-            let depth = if self.config.adaptive_depth && late {
-                (old_depth + 1).min(self.config.max_depth)
+            let depth = if self.adaptive && late {
+                (old_depth + 1).min(self.max_depth)
             } else {
                 old_depth
             };
@@ -870,7 +820,7 @@ mod differential_tests {
                             Stream {
                                 next,
                                 stride,
-                                depth: self.config.degree,
+                                depth: self.degree,
                             },
                         );
                         self.counters[2] += 1;
@@ -879,7 +829,7 @@ mod differential_tests {
                             addr,
                             stride,
                             1,
-                            self.config.degree,
+                            self.degree,
                             out,
                         );
                     }
@@ -971,16 +921,10 @@ mod differential_tests {
     fn flat_tables_match_the_rotating_reference() {
         let mut rng = SplitMix64::seed_from_u64(0xdde7_d1ff);
         for case in 0..32 {
-            let config = DDetectionConfig {
-                degree: rng.random_range(1u32..4),
-                adaptive_depth: case % 2 == 1,
-                max_depth: 6,
-            };
-            let (g, mut d) = (
-                Geometry::paper(),
-                DDetection::new(Geometry::paper(), config),
-            );
-            let mut reference = Reference::new(g, config);
+            let (g, degree, adaptive) =
+                (Geometry::paper(), rng.random_range(1u32..4), case % 2 == 1);
+            let mut d = DDetection::new(g, degree, adaptive.then_some(6));
+            let mut reference = Reference::new(g, degree, adaptive, 6);
             let mut runs: Vec<(u64, u64)> = (0..rng.random_range(1usize..6))
                 .map(|_| {
                     (

@@ -3,7 +3,7 @@
 
 use pfsim_mem::{Addr, BlockAddr, Geometry, Pc};
 
-use crate::{Prefetcher, ReadAccess};
+use crate::{emit, ReadAccess, ReadOutcome};
 
 /// Control state of one RPT entry — the Baer–Chen state-transition graph of
 /// Figure 4.
@@ -51,23 +51,16 @@ struct RptEntry {
     state: RptState,
 }
 
-/// Configuration of the I-detection scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IDetectionConfig {
-    /// Degree of prefetching *d*.
-    pub degree: u32,
-    /// Number of RPT entries (direct-mapped). The paper (and Chen & Baer)
-    /// use 256.
-    pub entries: usize,
-}
+/// Entries of the direct-mapped RPT, here and in the simple-stride scheme:
+/// the paper (and Chen & Baer) use 256.
+pub(crate) const RPT_ENTRIES: usize = 256;
 
-impl Default for IDetectionConfig {
-    fn default() -> Self {
-        IDetectionConfig {
-            degree: 1,
-            entries: 256,
-        }
-    }
+/// The RPT set of the load at `pc`. Instruction addresses are
+/// word-aligned; dropping the low bits spreads consecutive load sites over
+/// consecutive sets.
+#[inline]
+pub(crate) fn rpt_index(pc: Pc) -> usize {
+    ((pc.as_u32() >> 2) as usize) % RPT_ENTRIES
 }
 
 /// I-detection stride prefetching.
@@ -87,9 +80,9 @@ impl Default for IDetectionConfig {
 ///
 /// ```
 /// use pfsim_mem::{Addr, BlockAddr, Geometry, Pc};
-/// use pfsim_prefetch::{IDetection, IDetectionConfig, Prefetcher, ReadAccess, ReadOutcome};
+/// use pfsim_prefetch::{IDetection, ReadAccess, ReadOutcome};
 ///
-/// let mut idet = IDetection::new(Geometry::paper(), IDetectionConfig::default());
+/// let mut idet = IDetection::new(Geometry::paper(), 1);
 /// let pc = Pc::new(0x400);
 /// let mut out = Vec::new();
 /// // First miss allocates the entry; second (one 64-byte stride later)
@@ -102,7 +95,7 @@ impl Default for IDetectionConfig {
 #[derive(Debug, Clone)]
 pub struct IDetection {
     geometry: Geometry,
-    config: IDetectionConfig,
+    degree: u32,
     table: Vec<Option<RptEntry>>,
     /// RPT probes (one per read presented to the scheme).
     lookups: u64,
@@ -113,73 +106,37 @@ pub struct IDetection {
 }
 
 impl IDetection {
-    /// Creates an I-detection prefetcher.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.entries` is not a nonzero power of two.
-    pub fn new(geometry: Geometry, config: IDetectionConfig) -> Self {
-        assert!(
-            config.entries.is_power_of_two(),
-            "RPT entry count must be a power of two, got {}",
-            config.entries
-        );
+    /// Creates an I-detection prefetcher of degree *d* = `degree`.
+    pub fn new(geometry: Geometry, degree: u32) -> Self {
         IDetection {
             geometry,
-            config,
-            table: vec![None; config.entries],
+            degree,
+            table: vec![None; RPT_ENTRIES],
             lookups: 0,
             hits: 0,
             allocs: 0,
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> IDetectionConfig {
-        self.config
-    }
-
     /// The control state currently recorded for `pc`, if its entry is
     /// resident (exposed for tests and for the ablation reports).
     pub fn state_of(&self, pc: Pc) -> Option<RptState> {
-        let idx = self.index(pc);
-        self.table[idx]
+        self.table[rpt_index(pc)]
             .as_ref()
             .filter(|e| e.tag == pc.as_u32())
             .map(|e| e.state)
     }
 
-    #[inline]
-    fn index(&self, pc: Pc) -> usize {
-        // Instruction addresses are word-aligned; drop the low bits so
-        // consecutive load sites spread over consecutive sets.
-        ((pc.as_u32() >> 2) as usize) & (self.table.len() - 1)
-    }
-
-    /// Emits the blocks of `addr + k·stride` for `k = 1..=d`, page-clipped
-    /// and skipping candidates that stay in the trigger's own block.
-    fn push_stream(&self, addr: Addr, stride: i64, out: &mut Vec<BlockAddr>) {
-        crate::emit::push_strided_range(self.geometry, addr, stride, 1, self.config.degree, out);
-    }
-
-    /// The block `d·stride` bytes ahead of `addr`, if it leaves the current
-    /// block but stays in the page ("B+d*S+S" in the paper, with
-    /// addr = B+S).
-    fn push_ahead(&self, addr: Addr, stride: i64, out: &mut Vec<BlockAddr>) {
-        crate::emit::push_strided_ahead(self.geometry, addr, stride, self.config.degree, out);
-    }
-}
-
-impl Prefetcher for IDetection {
-    fn on_read(&mut self, access: &ReadAccess, out: &mut Vec<BlockAddr>) {
-        let idx = self.index(access.pc);
+    /// Observes one read request: see [`crate::Prefetcher::on_read`].
+    pub fn on_read(&mut self, access: &ReadAccess, out: &mut Vec<BlockAddr>) {
+        let idx = rpt_index(access.pc);
         let tag = access.pc.as_u32();
         self.lookups += 1;
 
         let Some(entry) = self.table[idx].as_mut().filter(|e| e.tag == tag) else {
             // RPT miss: allocate only for SLC misses ("the first time a
             // certain load instruction misses in the SLC").
-            if access.outcome == crate::ReadOutcome::Miss {
+            if access.outcome == ReadOutcome::Miss {
                 self.allocs += 1;
                 self.table[idx] = Some(RptEntry {
                     tag,
@@ -203,7 +160,7 @@ impl Prefetcher for IDetection {
                 }
                 entry.stride = Some(stride);
                 entry.state = RptState::Init;
-                self.push_stream(access.addr, stride, out);
+                emit::push_strided_range(self.geometry, access.addr, stride, 1, self.degree, out);
             }
             Some(stride) => {
                 let new_stride = access.addr.stride_from(entry.prev);
@@ -232,49 +189,42 @@ impl Prefetcher for IDetection {
                     return;
                 }
                 if access.outcome.continues_stream() && correct {
-                    // Prefetch phase: keep the stream d blocks ahead.
-                    self.push_ahead(access.addr, stride, out);
-                } else if access.outcome == crate::ReadOutcome::Miss {
+                    // Prefetch phase: keep the stream d blocks ahead, at
+                    // "B+d*S+S" in the paper (with addr = B+S).
+                    emit::push_strided_ahead(self.geometry, access.addr, stride, self.degree, out);
+                } else if access.outcome == ReadOutcome::Miss {
                     // (Re)start the stream: either detection just finished
                     // or a prefetch was dropped and the stream must catch
                     // up.
-                    self.push_stream(access.addr, stride, out);
+                    emit::push_strided_range(
+                        self.geometry,
+                        access.addr,
+                        stride,
+                        1,
+                        self.degree,
+                        out,
+                    );
                 }
             }
         }
     }
 
-    fn name(&self) -> &'static str {
-        "I-det"
-    }
-
-    fn telemetry(&self, out: &mut Vec<(&'static str, u64)>) {
+    pub(crate) fn telemetry(&self, out: &mut Vec<(&'static str, u64)>) {
         out.push(("rpt_lookups", self.lookups));
         out.push(("rpt_hits", self.hits));
         out.push(("rpt_allocs", self.allocs));
-    }
-
-    fn clone_box(&self) -> Box<dyn Prefetcher> {
-        Box::new(self.clone())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ReadOutcome;
     use pfsim_mem::SplitMix64;
 
     const PC: Pc = Pc::new(0x400);
 
     fn idet(degree: u32) -> IDetection {
-        IDetection::new(
-            Geometry::paper(),
-            IDetectionConfig {
-                degree,
-                entries: 256,
-            },
-        )
+        IDetection::new(Geometry::paper(), degree)
     }
 
     fn read(i: &mut IDetection, addr: u64, outcome: ReadOutcome) -> Vec<u64> {
@@ -474,13 +424,7 @@ mod tests {
                 .collect();
             let degree = rng.random_range(1u32..8);
             let g = Geometry::paper();
-            let mut i = IDetection::new(
-                g,
-                IDetectionConfig {
-                    degree,
-                    entries: 64,
-                },
-            );
+            let mut i = IDetection::new(g, degree);
             for &a in &addrs {
                 let mut out = Vec::new();
                 let access = ReadAccess {
@@ -508,13 +452,7 @@ mod tests {
             let stride = rng.random_range(1i64..2048);
             let len = rng.random_range(3usize..40);
             let g = Geometry::paper();
-            let mut i = IDetection::new(
-                g,
-                IDetectionConfig {
-                    degree: 1,
-                    entries: 256,
-                },
-            );
+            let mut i = IDetection::new(g, 1);
             let base: u64 = 1 << 20;
             for k in 0..len {
                 let addr = Addr::new(base + (k as u64) * (stride as u64));

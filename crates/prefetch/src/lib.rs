@@ -5,12 +5,14 @@
 //!
 //! All schemes observe the same inputs — the read requests presented to the
 //! SLC, each tagged with its outcome ([`ReadAccess`]) — and produce block
-//! prefetch candidates through the common [`Prefetcher`] trait. They also
-//! share one *prefetching-phase* mechanism (§3.3/§3.4 of the paper): blocks
-//! brought in by prefetch carry a 1-bit tag in the SLC; a demand reference
-//! to a tagged block resets the tag and asks the scheme for the next block
-//! of the stream. That shared phase is what makes the comparison apples to
-//! apples; only the *detection* phase differs:
+//! prefetch candidates. [`Scheme`] names the closed set of schemes a node
+//! can run, and [`Scheme::build`] returns one [`Prefetcher`], an enum with
+//! a variant per scheme. They also share one *prefetching-phase* mechanism
+//! (§3.3/§3.4 of the paper): blocks brought in by prefetch carry a 1-bit
+//! tag in the SLC; a demand reference to a tagged block resets the tag and
+//! asks the scheme for the next block of the stream. That shared phase is
+//! what makes the comparison apples to apples; only the *detection* phase
+//! differs:
 //!
 //! * [`SequentialPrefetcher`] — no detection at all: a miss on block *B*
 //!   prefetches *B+1 … B+d* (§3.4).
@@ -18,9 +20,12 @@
 //!   keyed by the load instruction's address, with the Baer–Chen four-state
 //!   control FSM that shuts prefetching off after repeated mispredictions
 //!   (§3.2, Figures 3 & 4).
+//! * [`SimpleStride`] — §3.2's "simplest" stride scheme: the same table
+//!   with no confirmation and no shut-off; an ablation.
 //! * [`DDetection`] — Hagersten's data-address-only scheme: a miss list, a
 //!   stride frequency table, a list of common strides and a stream list,
-//!   each 16 entries with LRU replacement (§3.2).
+//!   each 16 entries with LRU replacement (§3.2); optionally with his
+//!   adaptive per-stream lookahead (§6).
 //! * [`AdaptiveSequential`] — the §6 extension (from Dahlgren, Dubois &
 //!   Stenström) that adjusts the sequential degree with a heuristic measure
 //!   of prefetch usefulness; included as an ablation.
@@ -34,9 +39,9 @@
 //!
 //! ```
 //! use pfsim_mem::{Addr, BlockAddr, Geometry, Pc};
-//! use pfsim_prefetch::{Prefetcher, ReadAccess, ReadOutcome, SequentialPrefetcher};
+//! use pfsim_prefetch::{ReadAccess, ReadOutcome, Scheme};
 //!
-//! let mut seq = SequentialPrefetcher::new(Geometry::paper(), 1);
+//! let mut seq = Scheme::Sequential { degree: 1 }.build(Geometry::paper());
 //! let mut out = Vec::new();
 //! seq.on_read(
 //!     &ReadAccess {
@@ -68,8 +73,8 @@ mod sequential;
 mod simple;
 
 pub use adaptive::AdaptiveSequential;
-pub use api::{NoPrefetch, Prefetcher, ReadAccess, ReadOutcome, Scheme};
-pub use ddet::{DDetection, DDetectionConfig};
-pub use idet::{IDetection, IDetectionConfig, RptState};
+pub use api::{Prefetcher, ReadAccess, ReadOutcome, Scheme};
+pub use ddet::DDetection;
+pub use idet::{IDetection, RptState};
 pub use sequential::SequentialPrefetcher;
 pub use simple::SimpleStride;

@@ -2,7 +2,7 @@
 
 use pfsim_mem::{BlockAddr, Geometry};
 
-use crate::{Prefetcher, ReadAccess};
+use crate::{emit, ReadAccess, ReadOutcome};
 
 /// Sequential prefetching: on a read miss to block *B*, prefetch
 /// *B+1, B+2, …, B+d*; on a demand reference to a prefetched-tagged block,
@@ -21,7 +21,7 @@ use crate::{Prefetcher, ReadAccess};
 ///
 /// ```
 /// use pfsim_mem::{Addr, BlockAddr, Geometry, Pc};
-/// use pfsim_prefetch::{Prefetcher, ReadAccess, ReadOutcome, SequentialPrefetcher};
+/// use pfsim_prefetch::{ReadAccess, ReadOutcome, SequentialPrefetcher};
 ///
 /// let mut seq = SequentialPrefetcher::new(Geometry::paper(), 2);
 /// let mut out = Vec::new();
@@ -63,54 +63,34 @@ impl SequentialPrefetcher {
         }
     }
 
-    /// The degree of prefetching *d*.
-    pub fn degree(&self) -> u32 {
-        self.degree
-    }
-
-    /// Emits `block + offset` if it exists and lies in the same page.
-    fn push_if_same_page(&self, block: BlockAddr, offset: i64, out: &mut Vec<BlockAddr>) {
-        crate::emit::push_block_offset(self.geometry, block, offset, out);
-    }
-}
-
-impl Prefetcher for SequentialPrefetcher {
-    fn on_read(&mut self, access: &ReadAccess, out: &mut Vec<BlockAddr>) {
+    /// Observes one read request: see [`crate::Prefetcher::on_read`].
+    pub fn on_read(&mut self, access: &ReadAccess, out: &mut Vec<BlockAddr>) {
         let block = self.geometry.block_of(access.addr);
         if access.outcome.continues_stream() {
             // Prefetch phase: the processor consumed a prefetched block;
             // fetch the block that appears d blocks ahead (none if d = 0).
             self.continuations += 1;
             if self.degree > 0 {
-                self.push_if_same_page(block, i64::from(self.degree), out);
+                emit::push_block_offset(self.geometry, block, i64::from(self.degree), out);
             }
-        } else if access.outcome == crate::ReadOutcome::Miss {
+        } else if access.outcome == ReadOutcome::Miss {
             // Detection-free "detection" phase: prefetch the next d blocks.
             self.restarts += 1;
             for k in 1..=i64::from(self.degree) {
-                self.push_if_same_page(block, k, out);
+                emit::push_block_offset(self.geometry, block, k, out);
             }
         }
     }
 
-    fn name(&self) -> &'static str {
-        "Seq"
-    }
-
-    fn telemetry(&self, out: &mut Vec<(&'static str, u64)>) {
+    pub(crate) fn telemetry(&self, out: &mut Vec<(&'static str, u64)>) {
         out.push(("seq_continuations", self.continuations));
         out.push(("seq_restarts", self.restarts));
-    }
-
-    fn clone_box(&self) -> Box<dyn Prefetcher> {
-        Box::new(self.clone())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ReadOutcome;
     use pfsim_mem::{Addr, Pc, SplitMix64};
 
     fn access(block: u64, outcome: ReadOutcome) -> ReadAccess {

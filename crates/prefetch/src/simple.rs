@@ -12,9 +12,10 @@
 //! It is included so the `ablation_detection` experiment can measure that
 //! drawback against the full FSM.
 
-use pfsim_mem::{Addr, BlockAddr, Geometry, Pc};
+use pfsim_mem::{Addr, BlockAddr, Geometry};
 
-use crate::{Prefetcher, ReadAccess};
+use crate::idet::{rpt_index, RPT_ENTRIES};
+use crate::{emit, ReadAccess, ReadOutcome};
 
 #[derive(Debug, Clone, Copy)]
 struct Entry {
@@ -31,9 +32,9 @@ struct Entry {
 ///
 /// ```
 /// use pfsim_mem::{Addr, BlockAddr, Geometry, Pc};
-/// use pfsim_prefetch::{Prefetcher, ReadAccess, ReadOutcome, SimpleStride};
+/// use pfsim_prefetch::{ReadAccess, ReadOutcome, SimpleStride};
 ///
-/// let mut s = SimpleStride::new(Geometry::paper(), 1, 256);
+/// let mut s = SimpleStride::new(Geometry::paper(), 1);
 /// let mut out = Vec::new();
 /// let access = |a| ReadAccess { pc: Pc::new(8), addr: Addr::new(a), outcome: ReadOutcome::Miss };
 /// s.on_read(&access(0x1000), &mut out);
@@ -49,32 +50,22 @@ pub struct SimpleStride {
 }
 
 impl SimpleStride {
-    /// Creates a simple-stride prefetcher with an `entries`-entry
-    /// direct-mapped table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entries` is not a power of two.
-    pub fn new(geometry: Geometry, degree: u32, entries: usize) -> Self {
-        assert!(entries.is_power_of_two());
+    /// Creates a simple-stride prefetcher of degree *d* = `degree` over a
+    /// table the size of I-detection's RPT.
+    pub fn new(geometry: Geometry, degree: u32) -> Self {
         SimpleStride {
             geometry,
             degree,
-            table: vec![None; entries],
+            table: vec![None; RPT_ENTRIES],
         }
     }
 
-    fn index(&self, pc: Pc) -> usize {
-        ((pc.as_u32() >> 2) as usize) & (self.table.len() - 1)
-    }
-}
-
-impl Prefetcher for SimpleStride {
-    fn on_read(&mut self, access: &ReadAccess, out: &mut Vec<BlockAddr>) {
-        let idx = self.index(access.pc);
+    /// Observes one read request: see [`crate::Prefetcher::on_read`].
+    pub fn on_read(&mut self, access: &ReadAccess, out: &mut Vec<BlockAddr>) {
+        let idx = rpt_index(access.pc);
         let tag = access.pc.as_u32();
         let Some(entry) = self.table[idx].as_mut().filter(|e| e.tag == tag) else {
-            if access.outcome == crate::ReadOutcome::Miss {
+            if access.outcome == ReadOutcome::Miss {
                 self.table[idx] = Some(Entry {
                     tag,
                     prev: access.addr,
@@ -95,36 +86,22 @@ impl Prefetcher for SimpleStride {
 
         if access.outcome.continues_stream() {
             // Shared prefetch phase: one block d·S ahead.
-            crate::emit::push_strided_ahead(self.geometry, access.addr, stride, self.degree, out);
-        } else if access.outcome == crate::ReadOutcome::Miss {
-            crate::emit::push_strided_range(
-                self.geometry,
-                access.addr,
-                stride,
-                1,
-                self.degree,
-                out,
-            );
+            emit::push_strided_ahead(self.geometry, access.addr, stride, self.degree, out);
+        } else if access.outcome == ReadOutcome::Miss {
+            emit::push_strided_range(self.geometry, access.addr, stride, 1, self.degree, out);
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "Simple"
-    }
-
-    fn clone_box(&self) -> Box<dyn Prefetcher> {
-        Box::new(self.clone())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{IDetection, IDetectionConfig, ReadOutcome};
+    use crate::{Prefetcher, Scheme};
+    use pfsim_mem::Pc;
 
     const PC: Pc = Pc::new(0x40);
 
-    fn read(p: &mut dyn Prefetcher, addr: u64) -> Vec<u64> {
+    fn read(p: &mut Prefetcher, addr: u64) -> Vec<u64> {
         let mut out = Vec::new();
         p.on_read(
             &ReadAccess {
@@ -139,7 +116,7 @@ mod tests {
 
     #[test]
     fn prefetches_from_the_second_access() {
-        let mut s = SimpleStride::new(Geometry::paper(), 1, 64);
+        let mut s = Scheme::SimpleStride { degree: 1 }.build(Geometry::paper());
         assert!(read(&mut s, 0x1000).is_empty());
         assert_eq!(read(&mut s, 0x1040), [0x1080 / 32]);
         assert_eq!(read(&mut s, 0x1080), [0x10c0 / 32]);
@@ -153,14 +130,8 @@ mod tests {
         // Erratic but near: the strides vary, and the (useless) prefetch
         // candidates stay within the page, so they would actually issue.
         let erratic = [0x1000u64, 0x1100, 0x1060, 0x13c0, 0x1020, 0x1800];
-        let mut simple = SimpleStride::new(Geometry::paper(), 1, 64);
-        let mut fsm = IDetection::new(
-            Geometry::paper(),
-            IDetectionConfig {
-                degree: 1,
-                entries: 64,
-            },
-        );
+        let mut simple = Scheme::SimpleStride { degree: 1 }.build(Geometry::paper());
+        let mut fsm = Scheme::IDetection { degree: 1 }.build(Geometry::paper());
         let mut simple_issued = 0;
         let mut fsm_issued = 0;
         for &a in &erratic {
@@ -182,7 +153,7 @@ mod tests {
 
     #[test]
     fn respects_page_boundaries() {
-        let mut s = SimpleStride::new(Geometry::paper(), 1, 64);
+        let mut s = Scheme::SimpleStride { degree: 1 }.build(Geometry::paper());
         read(&mut s, 0x0f80);
         let out = read(&mut s, 0x0fe0); // stride 0x60: next would be 0x1040, page 1
         assert!(out.is_empty(), "{out:?}");

@@ -81,15 +81,6 @@ impl Histogram {
         self.max = self.max.max(v);
         self.buckets[(64 - v.leading_zeros()) as usize] += 1;
     }
-
-    /// Mean sample value (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
 }
 
 /// A named collection of counters and histograms.
@@ -280,15 +271,6 @@ impl HistogramSnapshot {
             sum: h.sum,
             max: h.max,
             buckets: h.buckets[..last].to_vec(),
-        }
-    }
-
-    /// Mean sample value (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
         }
     }
 }

@@ -80,8 +80,8 @@ impl Size {
 )]
 static TRACE_CACHE: OnceLock<Mutex<TraceCache>> = OnceLock::new();
 
-/// The packed bytes the process-wide trace cache may hold: over forty times
-/// the whole Large trace set (23 MB), so no benchmark grid evicts, while
+/// The packed bytes the process-wide trace cache may hold: over sixty times
+/// the whole Large trace set (16 MB), so no benchmark grid evicts, while
 /// a long-running `pfsim-serve` asked for ever more `(app, size, cpus)`
 /// keys stays bounded.
 pub const TRACE_CACHE_BYTES: usize = 1 << 30;

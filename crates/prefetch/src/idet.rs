@@ -18,7 +18,7 @@ use crate::{emit, ReadAccess, ReadOutcome};
 /// prefetches for that instruction (the feature that keeps the scheme's
 /// useless-prefetch count low).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RptState {
+pub(crate) enum RptState {
     /// A stride has just been computed (or a misprediction interrupted a
     /// steady stream); prefetching is active.
     Init,
@@ -35,7 +35,7 @@ pub enum RptState {
 
 impl RptState {
     /// Whether prefetches are issued in this state.
-    pub fn prefetches(self) -> bool {
+    pub(crate) fn prefetches(self) -> bool {
         !matches!(self, RptState::NoPref)
     }
 }
@@ -68,7 +68,7 @@ pub(crate) fn rpt_index(pc: Pc) -> usize {
 /// Read requests presented to the SLC carry the instruction address of the
 /// load that issued them; the RPT — a 256-entry direct-mapped cache indexed
 /// by instruction address — tracks, per load instruction, the last data
-/// address, the detected stride, and a control state ([`RptState`]).
+/// address, the detected stride, and a control state (`RptState`).
 ///
 /// Detection: the first *miss* by an instruction allocates its entry; the
 /// second access computes the stride and starts prefetching (*B+S …
@@ -119,8 +119,9 @@ impl IDetection {
     }
 
     /// The control state currently recorded for `pc`, if its entry is
-    /// resident (exposed for tests and for the ablation reports).
-    pub fn state_of(&self, pc: Pc) -> Option<RptState> {
+    /// resident; the unit tests read the state graph through it.
+    #[cfg(test)]
+    fn state_of(&self, pc: Pc) -> Option<RptState> {
         self.table[rpt_index(pc)]
             .as_ref()
             .filter(|e| e.tag == pc.as_u32())

@@ -75,6 +75,6 @@ mod simple;
 pub use adaptive::AdaptiveSequential;
 pub use api::{Prefetcher, ReadAccess, ReadOutcome, Scheme};
 pub use ddet::DDetection;
-pub use idet::{IDetection, RptState};
+pub use idet::IDetection;
 pub use sequential::SequentialPrefetcher;
 pub use simple::SimpleStride;

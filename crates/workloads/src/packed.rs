@@ -6,16 +6,17 @@
 //! stream plus a small table of the load/store sites the stream uses.
 //! Like I-detection's reference prediction table (§3.1), the encoding
 //! predicts each read's or write's address from its site's last address
-//! and last stride, so a predicted access costs 1 byte, any other narrow
-//! one 4 and a short compute 1; and once a loop's sites have learnt their
-//! strides, a 4-byte run record stands for every further repeat of its
-//! body. The six applications' trace sets average 1.56 bytes per operation
-//! at the default size and 0.38 at the large one, where LU, Cholesky and
-//! Ocean are nearly all runs (a decoded [`Op`] is 16). The trace is
-//! immutable after construction; N concurrent runs each hold a
-//! [`TraceCursor`], the one [`Workload`], over one `Arc<PackedTrace>` and
-//! decode independently with zero copies. No other module knows the
-//! format.
+//! and last stride, and each lock and barrier operand from the lane's
+//! last ones, so a predicted access or sync op costs 1 byte, any other
+//! narrow access 4 and a short compute 1; and once a loop's sites have
+//! learnt their strides, a 4-byte run record stands for every further
+//! repeat of its body. The six applications' trace sets average 1.13
+//! bytes per operation at the default size and 0.26 at the large one,
+//! where LU, Cholesky and Ocean are nearly all runs (a decoded [`Op`] is
+//! 16). The trace is immutable after construction; N concurrent runs each
+//! hold a [`TraceCursor`], the one [`Workload`], over one
+//! `Arc<PackedTrace>` and decode independently with zero copies. No other
+//! module knows the format.
 //!
 //! A trace comes from one of two constructors that differ only in
 //! computes: [`TraceBuilder`](crate::TraceBuilder), which every generator
@@ -34,16 +35,17 @@
 //! | `READ`, `WRITE` | a 3-byte address below 2^24 |
 //! | `WIDE` | the op's narrow kind (`READ` or `WRITE`), then an 8-byte address |
 //! | `COMPUTE` | none: slots 0–30 are the cycle count; slot 31, a 4-byte count |
-//! | `SYNC` | an 8-byte lock address or barrier id |
+//! | `SYNC` | slots 0–2: an 8-byte lock address or barrier id; slots 3–5: none, the operand is the lane's prediction |
 //! | `RUN` | a 3-byte repeat count R: the P ops just before it, P the slot, occur R more times |
 //!
 //! A read's or write's slot indexes its lane's PC table, which holds the
 //! first 31 distinct PCs the lane uses (the applications use at most 16
 //! sites). Slot 31 escapes: a raw 4-byte PC precedes the address (after
 //! a wide op's narrow kind). A sync op's slot says whether it is an
-//! acquire, a release or a barrier. Wide addresses keep the format
-//! general over the 64-bit [`Addr`](pfsim_mem::Addr) space, although
-//! every generator's allocations stay far below 2^24.
+//! acquire, a release or a barrier (slots 0, 1, 2) or the predicted form
+//! of one (3, 4, 5); slots 6–31 are corrupt. Wide addresses keep the
+//! format general over the 64-bit [`Addr`](pfsim_mem::Addr) space,
+//! although every generator's allocations stay far below 2^24.
 //!
 //! # Address prediction
 //!
@@ -53,27 +55,39 @@
 //! equals its slot's last address plus last stride takes the `_NEXT`
 //! form. Every read or write with a table slot updates the slot,
 //! whatever form it took. An escaped PC is never predicted, so a `_NEXT`
-//! op in slot 31 is corrupt. The encoder and every decoder run the same
-//! predictor over the same ops. A decoder's state lives in its
-//! [`OpIter`] or in its CPU's part of a [`TraceCursor`], never in the
-//! shared trace, so cloning a cursor (a checkpoint fork) carries it and
-//! [`TraceCursor::rewind`] resets it.
+//! op in slot 31 is corrupt.
+//!
+//! Sync operands are predicted per lane the same way. A lock entry,
+//! like a slot's, remembers the last lock acquired and the stride from
+//! the one before, so a walk over a lock array, such as Water locking
+//! each partner molecule in turn, is predicted once it has learnt the
+//! stride. Every acquire updates the entry, whatever form it took, and
+//! one at its last lock plus its stride takes slot 3. A release of the
+//! lock the entry last recorded takes slot 4; releases leave the entry
+//! alone, so after nested acquires the outer release carries its lock.
+//! The predicted barrier id starts at 0 and every barrier sets it to one
+//! past its own id (wrapping), so a barrier in sequence takes slot 5.
+//!
+//! The encoder and every decoder run the same predictor over the same
+//! ops. A decoder's state lives in its [`OpIter`] or in its CPU's part of
+//! a [`TraceCursor`], never in the shared trace, so cloning a cursor (a
+//! checkpoint fork) carries it and [`TraceCursor::rewind`] resets it.
 //!
 //! # Runs
 //!
-//! A run's period is 1 to 8 one-byte ops: `_NEXT` reads and writes and
-//! computes below 31 cycles. That is what a loop body becomes once its
-//! sites have learnt their strides, and keeping longer ops out makes a
-//! period exactly P bytes, so the encoder finds periods in one register of
-//! recent lead bytes and the decoder replays a period without parsing
-//! lengths. A one-byte op equal to the one a period back (the shortest
-//! such period) starts a run, and every op that goes on repeating the
-//! period folds into it: the encoder writes nothing until the run ends.
-//! It then writes a record for the whole repeats (when that saves bytes:
-//! a period of P ops repeated R times needs P·R above 4) followed by the
-//! ops of a broken last repeat. A
-//! trailing compute joins a run only once the next op arrives, since the
-//! next compute may still merge into it. Replaying a period decodes the
+//! A run's period is 1 to 8 one-byte ops: `_NEXT` reads and writes,
+//! predicted sync ops and computes below 31 cycles. That is what a loop
+//! body becomes once its sites have learnt their strides, and keeping
+//! longer ops out makes a period exactly P bytes, so the encoder finds
+//! periods in one register of recent lead bytes and the decoder replays a
+//! period without parsing lengths. A one-byte op equal to the one a
+//! period back (the shortest such period) starts a run, and every op that
+//! goes on repeating the period folds into it: the encoder writes nothing
+//! until the run ends. It then writes a record for the whole repeats
+//! (when that saves bytes: a period of P ops repeated R times needs P·R
+//! above 4) followed by the ops of a broken last repeat. A trailing
+//! compute joins a run only once the next op arrives, since the next
+//! compute may still merge into it. Replaying a period decodes the
 //! same bytes under the predictor state those ops would meet anyway, so
 //! runs change no decoded op. The decoder keeps the run it replays in its
 //! cursor beside the predictor. A record traps as corrupt unless P is 1 to
@@ -81,8 +95,9 @@
 //! lane's start or the last longer op or record.
 //!
 //! Each lane ends in 8 bytes of padding, so decode reads an op with one
-//! fixed 8-byte load through safe slicing; only wide and sync ops need a
-//! second load.
+//! fixed 8-byte load through safe slicing; only wide ops and sync ops
+//! that carry their operand need a second load. A sealed lane's buffer
+//! holds its bytes and no spare capacity.
 
 use std::sync::Arc;
 
@@ -103,11 +118,15 @@ mod kind {
     pub const RUN: u8 = 7;
 }
 
-/// A `SYNC` op's slot.
+/// A `SYNC` op's slot: the kind of sync op and whether it carries its
+/// operand (9 bytes) or takes it from the lane's predictor (1 byte).
 mod sync {
     pub const ACQUIRE: u8 = 0;
     pub const RELEASE: u8 = 1;
     pub const BARRIER: u8 = 2;
+    pub const ACQUIRE_NEXT: u8 = 3;
+    pub const RELEASE_HELD: u8 = 4;
+    pub const BARRIER_NEXT: u8 = 5;
 }
 
 const KIND_BITS: u32 = 3;
@@ -130,38 +149,52 @@ const RUN_BYTES: usize = 4;
 /// The largest repeat count a run record holds.
 const MAX_REPEATS: u32 = (1 << 24) - 1;
 
-/// One PC-table slot's predictor entry.
+/// One predictor entry: a PC-table slot's, or the lane's locks'.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Stride {
-    /// The address the slot's last read or write touched.
+    /// The last address the entry saw.
     last: u64,
     /// `last` minus the address before it, wrapping.
     stride: u64,
 }
 
-/// The address predictor of one lane's PC-table slots (see the module
-/// docs); the encoder and each decoder hold one apiece.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct Predictor([Stride; ESCAPE]);
-
-impl Predictor {
-    /// Records that `slot` touched `addr`; returns whether `addr` was the
-    /// predicted address.
+impl Stride {
+    /// Records `addr`; returns whether it was the predicted address.
     #[inline]
-    fn observe(&mut self, slot: usize, addr: u64) -> bool {
-        let entry = &mut self.0[slot];
-        let stride = addr.wrapping_sub(entry.last);
-        let hit = stride == entry.stride;
-        *entry = Stride { last: addr, stride };
+    fn observe(&mut self, addr: u64) -> bool {
+        let stride = addr.wrapping_sub(self.last);
+        let hit = stride == self.stride;
+        *self = Stride { last: addr, stride };
         hit
     }
 
-    /// The address `slot` predicts, recorded as touched (a `_NEXT` op).
+    /// The predicted address, recorded as seen (a one-byte op).
     #[inline]
-    fn next(&mut self, slot: usize) -> u64 {
-        let entry = &mut self.0[slot];
-        entry.last = entry.last.wrapping_add(entry.stride);
-        entry.last
+    fn next(&mut self) -> u64 {
+        self.last = self.last.wrapping_add(self.stride);
+        self.last
+    }
+}
+
+/// One lane's predictor (see the module docs); the encoder and each
+/// decoder hold one apiece.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Predictor {
+    /// The address entry of each PC-table slot.
+    slots: [Stride; ESCAPE],
+    /// The lock entry, which every acquire updates.
+    lock: Stride,
+    /// The barrier id predicted next: one past the lane's last one.
+    barrier: u32,
+}
+
+impl Predictor {
+    /// Records a barrier of `id`; returns whether it was the predicted id.
+    #[inline]
+    fn observe_barrier(&mut self, id: u32) -> bool {
+        let hit = id == self.barrier;
+        self.barrier = id.wrapping_add(1);
+        hit
     }
 }
 
@@ -210,9 +243,18 @@ impl PackedLane {
             Op::Read { addr, pc } => self.push_mem(kind::READ, addr, pc),
             Op::Write { addr, pc } => self.push_mem(kind::WRITE, addr, pc),
             Op::Compute { cycles } => self.put_compute(cycles),
-            Op::Acquire { lock } => self.push_sync(sync::ACQUIRE, lock.as_u64()),
-            Op::Release { lock } => self.push_sync(sync::RELEASE, lock.as_u64()),
-            Op::Barrier { id } => self.push_sync(sync::BARRIER, u64::from(id)),
+            Op::Acquire { lock } => {
+                let hit = self.pred.lock.observe(lock.as_u64());
+                self.push_sync(hit, sync::ACQUIRE_NEXT, sync::ACQUIRE, lock.as_u64());
+            }
+            Op::Release { lock } => {
+                let hit = lock.as_u64() == self.pred.lock.last;
+                self.push_sync(hit, sync::RELEASE_HELD, sync::RELEASE, lock.as_u64());
+            }
+            Op::Barrier { id } => {
+                let hit = self.pred.observe_barrier(id);
+                self.push_sync(hit, sync::BARRIER_NEXT, sync::BARRIER, u64::from(id));
+            }
         }
     }
 
@@ -266,7 +308,7 @@ impl PackedLane {
         let pc = pc.as_u32();
         let raw = addr.as_u64();
         let slot = self.pc_slot(pc);
-        if slot < ESCAPE && self.pred.observe(slot, raw) {
+        if slot < ESCAPE && self.pred.slots[slot].observe(raw) {
             self.put_short(lead(base | NEXT_BIT, slot as u8));
         } else {
             self.put_mem(base, slot, pc, raw);
@@ -326,9 +368,15 @@ impl PackedLane {
         slot
     }
 
-    fn push_sync(&mut self, sub: u8, payload: u64) {
-        self.put_long(u64::from(lead(kind::SYNC, sub)), 1);
-        self.put(payload, 8);
+    /// Appends a sync op: its one-byte form in slot `short` if the
+    /// predictor foresaw its operand, or else slot `long` and the operand.
+    fn push_sync(&mut self, predicted: bool, short: u8, long: u8, operand: u64) {
+        if predicted {
+            self.put_short(lead(kind::SYNC, short));
+        } else {
+            self.put_long(u64::from(lead(kind::SYNC, long)), 1);
+            self.put(operand, 8);
+        }
     }
 
     /// Appends a one-byte op with lead byte `byte`, or folds it into a
@@ -410,12 +458,14 @@ impl PackedLane {
         self.bytes.truncate(at + len);
     }
 
-    /// Finishes the lane for decoding: encodes what is still pending and
-    /// appends the padding.
+    /// Finishes the lane for decoding: encodes what is still pending,
+    /// appends the padding and frees the spare capacity that growing the
+    /// lane left behind.
     fn seal(mut self) -> Self {
         self.settle_compute();
         self.end_run();
         self.bytes.extend_from_slice(&[0; PADDING]);
+        self.bytes.shrink_to_fit();
         self
     }
 }
@@ -556,17 +606,34 @@ fn decode(
             if slot >= ESCAPE {
                 corrupt(lead, at);
             }
-            let addr = pred.next(slot);
+            let addr = pred.slots[slot].next();
             return Some((mem_op(mem & WRITE_BIT != 0, addr, pcs[slot]), at + 1));
         }
         kind::COMPUTE if slot < ESCAPE => {
             let cycles = slot as u32;
             return Some((Op::Compute { cycles }, at + 1));
         }
+        kind::SYNC if slot >= usize::from(sync::ACQUIRE_NEXT) => {
+            let op = match slot as u8 {
+                sync::ACQUIRE_NEXT => Op::Acquire {
+                    lock: Addr::new(pred.lock.next()),
+                },
+                sync::RELEASE_HELD => Op::Release {
+                    lock: Addr::new(pred.lock.last),
+                },
+                sync::BARRIER_NEXT => {
+                    let id = pred.barrier;
+                    pred.observe_barrier(id);
+                    Op::Barrier { id }
+                }
+                _ => corrupt(lead, at),
+            };
+            return Some((op, at + 1));
+        }
         mem @ (kind::READ | kind::WRITE) => {
             let (pc, addr, next) = if slot < ESCAPE {
                 let addr = (word >> 8) & NARROW_MAX;
-                pred.observe(slot, addr);
+                pred.slots[slot].observe(addr);
                 (pcs[slot], addr, at + 4)
             } else {
                 ((word >> 8) as u32, (word >> 40) & NARROW_MAX, at + 8)
@@ -586,7 +653,7 @@ fn decode(
             };
             let addr = load(bytes, addr_at);
             if slot < ESCAPE {
-                pred.observe(slot, addr);
+                pred.slots[slot].observe(addr);
             }
             (mem_op(write, addr, pc), addr_at + 8)
         }
@@ -595,16 +662,23 @@ fn decode(
             (Op::Compute { cycles }, at + 5)
         }
         kind::SYNC => {
-            let payload = load(bytes, at + 1);
+            let operand = load(bytes, at + 1);
             let op = match slot as u8 {
-                sync::ACQUIRE => Op::Acquire {
-                    lock: Addr::new(payload),
-                },
+                sync::ACQUIRE => {
+                    pred.lock.observe(operand);
+                    Op::Acquire {
+                        lock: Addr::new(operand),
+                    }
+                }
                 sync::RELEASE => Op::Release {
-                    lock: Addr::new(payload),
+                    lock: Addr::new(operand),
                 },
-                sync::BARRIER => Op::Barrier { id: payload as u32 },
-                _ => corrupt(lead, at),
+                // `sync::BARRIER`, the one slot below the one-byte forms.
+                _ => {
+                    let id = operand as u32;
+                    pred.observe_barrier(id);
+                    Op::Barrier { id }
+                }
             };
             (op, at + 9)
         }
@@ -642,8 +716,9 @@ fn corrupt(lead: u8, at: usize) -> ! {
 /// let trace = std::sync::Arc::new(b.finish());
 /// assert_eq!(trace.total_ops(), 6); // four reads + two barrier arrivals
 /// // Two 4-byte reads teach the site its 8-byte stride, the next two are
-/// // predicted (1 byte each), and a barrier arrival takes 9 bytes.
-/// assert_eq!(trace.packed_bytes(), 4 + 4 + 1 + 1 + 2 * 9);
+/// // predicted (1 byte each), and each lane's first barrier, id 0, is
+/// // predicted too.
+/// assert_eq!(trace.packed_bytes(), 4 + 4 + 1 + 1 + 2 * 1);
 ///
 /// let mut cursor = TraceCursor::new(trace);
 /// assert!(cursor.next(0).is_some());
@@ -744,8 +819,8 @@ impl ExactSizeIterator for OpIter<'_> {}
 /// `Arc<PackedTrace>`, so `System<TraceCursor>` keeps static dispatch
 /// while N parallel runs share one immutable trace. Cloning a cursor (or
 /// creating more from the same `Arc`) costs only the per-CPU cursor
-/// state: a position, the run being replayed and the address predictor
-/// (about 540 bytes).
+/// state: a position, the run being replayed and the predictor (about
+/// 570 bytes).
 #[derive(Debug, Clone)]
 pub struct TraceCursor {
     trace: Arc<PackedTrace>,
@@ -878,37 +953,46 @@ mod tests {
         PackedTrace::from_lanes("t".into(), vec![lane])
     }
 
-    /// `lane`'s encoding read off its bytes: the kind of each op in
+    /// `lane`'s encoding read off its bytes: the lead byte of each op in
     /// decode order (a run's period once more per repeat), and each run
     /// record's period and repeat count.
     fn forms(lane: &PackedLane) -> (Vec<u8>, Vec<(usize, u64)>) {
-        let (mut kinds, mut records) = (Vec::new(), Vec::new());
+        let (mut leads, mut records) = (Vec::new(), Vec::new());
         let (mut pred, mut solid, mut at) = (Predictor::default(), 0, 0);
         while at < lane.bytes.len() - PADDING {
             match decode(&lane.bytes, &lane.pcs, &mut pred, &mut solid, at) {
                 Some((_, next)) => {
-                    kinds.push(lane.bytes[at] & KIND_MASK);
+                    leads.push(lane.bytes[at]);
                     at = next;
                 }
                 None => {
                     let period = usize::from(lane.bytes[at] >> KIND_BITS);
                     let repeats = (load(&lane.bytes, at) >> 8) & u64::from(MAX_REPEATS);
-                    let body = kinds[kinds.len() - period..].to_vec();
-                    (0..repeats).for_each(|_| kinds.extend(&body));
+                    let body = leads[leads.len() - period..].to_vec();
+                    (0..repeats).for_each(|_| leads.extend(&body));
                     records.push((period, repeats));
                     at += RUN_BYTES;
                 }
             }
         }
-        (kinds, records)
+        (leads, records)
     }
 
     /// How many of `lane`'s ops took a 1-byte `_NEXT` form.
     fn predicted_ops(lane: &PackedLane) -> usize {
-        let (kinds, _) = forms(lane);
-        kinds
+        let (leads, _) = forms(lane);
+        leads
             .iter()
-            .filter(|&&k| k == kind::READ_NEXT || k == kind::WRITE_NEXT)
+            .filter(|&&l| matches!(l & KIND_MASK, kind::READ_NEXT | kind::WRITE_NEXT))
+            .count()
+    }
+
+    /// How many of `lane`'s sync ops took a 1-byte predicted form.
+    fn predicted_syncs(lane: &PackedLane) -> usize {
+        let (leads, _) = forms(lane);
+        leads
+            .iter()
+            .filter(|&&l| l & KIND_MASK == kind::SYNC && l >> KIND_BITS >= sync::ACQUIRE_NEXT)
             .count()
     }
 
@@ -1031,7 +1115,14 @@ mod tests {
                 ]
             })
             .collect();
-        let cases: [(&[Op], usize); 19] = [
+        let acquire = |lock| Op::Acquire {
+            lock: Addr::new(lock),
+        };
+        let release = |lock| Op::Release {
+            lock: Addr::new(lock),
+        };
+        let barrier = |id| Op::Barrier { id };
+        let cases: [(&[Op], usize); 24] = [
             (&[read(NARROW_MAX, 0x40)], 4),
             (&[write(NARROW_MAX, 0x40)], 4),
             (&[read(NARROW_MAX + 1, 0x40)], 10),
@@ -1061,8 +1152,21 @@ mod tests {
             (&[compute(0)], 1),
             (&[compute(30)], 1),
             (&[compute(31)], 5),
-            (&[Op::Acquire { lock: Addr::new(0) }], 9),
-            (&[Op::Barrier { id: 0 }], 9),
+            // A cold lane predicts lock 0 and barrier 0. Two acquires
+            // teach the lock entry a stride; a release of the lock last
+            // acquired, and a barrier one past the last, cost 1 byte.
+            (&[acquire(0)], 1),
+            (&[barrier(0)], 1),
+            (&[acquire(0x100), acquire(0x120), acquire(0x140)], 9 + 9 + 1),
+            (&[acquire(0x100), release(0x100)], 9 + 1),
+            (&[acquire(0x100), release(0x140)], 9 + 9),
+            (&[barrier(0), barrier(1), barrier(2)], 1 + 1 + 1),
+            // Skipped and repeated ids cost 9; each barrier still sets
+            // the next id.
+            (
+                &[barrier(0), barrier(2), barrier(3), barrier(3)],
+                1 + 9 + 1 + 9,
+            ),
             // A run record (4 bytes) replaces whole repeats of the one-byte
             // ops just before it, but only where that saves bytes: two or
             // four repeats of one byte stay literal, five take a record.
@@ -1190,6 +1294,18 @@ mod tests {
         bytes.extend(record(1, u32::from_le_bytes([c, c, c, 0])));
         bytes.extend(record(2, 1));
         decode_raw(bytes);
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt packed trace")]
+    fn a_sync_op_in_slot_6_traps() {
+        decode_raw(vec![lead(kind::SYNC, 6)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt packed trace")]
+    fn a_sync_op_in_slot_31_traps() {
+        decode_raw(vec![lead(kind::SYNC, 31)]);
     }
 
     /// An escaped PC is never predicted, and a `_NEXT` op has no room for
@@ -1370,6 +1486,47 @@ mod tests {
         ops
     }
 
+    /// The sync predictor's edges: strided lock arrays, one wrapping past
+    /// `u64::MAX`, walked with a critical section per element that may
+    /// nest a second lock (whose release leaves the outer release to take
+    /// the 9-byte form), and barrier ids in sequence, repeated and skipped,
+    /// one sequence wrapping past `u32::MAX`.
+    fn sync_chunks(rng: &mut SplitMix64) -> Vec<Vec<Op>> {
+        let mut chunks = Vec::new();
+        for base in [
+            rng.random_range(0..NARROW_MAX),
+            rng.next_u64(),
+            u64::MAX - 0x80,
+        ] {
+            let stride = [0x40, 0x20, 0, rng.next_u64()][rng.random_range(0usize..4)];
+            let inner = rng.random_bool().then(|| rng.next_u64());
+            let pc = site(rng.random_range(0u32..40));
+            let mut ops = Vec::new();
+            for i in 0..rng.random_range(2u64..20) {
+                let outer = Addr::new(base.wrapping_add(stride.wrapping_mul(i)));
+                ops.push(Op::Acquire { lock: outer });
+                if let Some(inner) = inner {
+                    let inner = Addr::new(inner.wrapping_add(8 * i));
+                    ops.extend([Op::Acquire { lock: inner }, Op::Release { lock: inner }]);
+                }
+                ops.push(mem_op(true, 0x4000 + 8 * i, pc.as_u32()));
+                ops.push(Op::Release { lock: outer });
+            }
+            chunks.push(ops);
+        }
+        for first in [rng.next_u64() as u32, u32::MAX - 2] {
+            let mut id = first;
+            let barriers = (0..rng.random_range(2usize..12)).map(|_| {
+                let op = Op::Barrier { id };
+                id = id
+                    .wrapping_add([1, 1, 0, 2, rng.next_u64() as u32][rng.random_range(0usize..5)]);
+                op
+            });
+            chunks.push(barriers.collect());
+        }
+        chunks
+    }
+
     /// Periodic stretches: every period from 1 to 8, each with 1, 2, 5
     /// or up to thousands of repeats (each count twice per lane), each
     /// broken after a random number of ops.
@@ -1423,6 +1580,7 @@ mod tests {
             Op::Compute { cycles: 11 },
         ]);
         chunks.extend(prediction_chunks(rng));
+        chunks.extend(sync_chunks(rng));
         chunks.extend(run_chunks(rng));
         for _ in 0..rng.random_range(0usize..200) {
             chunks.push(vec![random_op(rng)]);
@@ -1480,6 +1638,7 @@ mod tests {
                 let lane = &trace.lanes[cpu];
                 assert_eq!(lane.pcs.len(), ESCAPE, "table full");
                 assert!(predicted_ops(lane) >= 20, "runs predicted");
+                assert!(predicted_syncs(lane) >= 10, "sync operands predicted");
                 assert!(forms(lane).1.len() >= 4, "periodic stretches folded");
                 assert_eq!(trace.ops(cpu), want.len());
                 let mut ops = trace.iter_cpu(cpu);
@@ -1563,6 +1722,41 @@ mod tests {
                 let replay: Vec<Op> = std::iter::from_fn(|| cursor.next(0)).collect();
                 assert_eq!(replay, want, "rewound at op {at}, period {period}");
             }
+        }
+    }
+
+    /// The same, in a run whose period is a critical section: a
+    /// predicted acquire, a predicted write and a release of the held
+    /// lock, walking a lock array the way Water locks each partner.
+    #[test]
+    fn a_cursor_forked_or_rewound_in_a_run_of_sync_ops_replays_the_same_ops() {
+        let ops: Vec<Op> = (0..40u64)
+            .flat_map(|i| {
+                let lock = Addr::new(0x8000 + 0x40 * i);
+                [
+                    Op::Acquire { lock },
+                    mem_op(true, 0x1000 + 8 * i, 0x40),
+                    Op::Release { lock },
+                ]
+            })
+            .collect();
+        let trace = Arc::new(pack(&ops));
+        // Two iterations teach the strides (9 + 4 + 1 bytes each); the
+        // rest is one literal, a record and a broken repeat.
+        assert_eq!(trace.packed_bytes(), 2 * (9 + 4 + 1) + 2 + 4 + 1);
+        assert_eq!(forms(&trace.lanes[0]).1, [(3, 37)]);
+        // Every acquire after the first two, and every release.
+        assert_eq!(predicted_syncs(&trace.lanes[0]), 38 + 40);
+        for at in 0..=ops.len() {
+            let mut cursor = TraceCursor::new(Arc::clone(&trace));
+            let head: Vec<Op> = (0..at).filter_map(|_| cursor.next(0)).collect();
+            assert_eq!(head, ops[..at]);
+            let mut fork = cursor.clone();
+            let tail: Vec<Op> = std::iter::from_fn(|| fork.next(0)).collect();
+            assert_eq!(tail, ops[at..], "fork at op {at}");
+            cursor.rewind();
+            let replay: Vec<Op> = std::iter::from_fn(|| cursor.next(0)).collect();
+            assert_eq!(replay, ops, "rewound at op {at}");
         }
     }
 

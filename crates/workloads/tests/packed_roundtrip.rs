@@ -1,6 +1,7 @@
 //! Property test for the packed shared-trace encoding: seeded random op
 //! streams — including wide (>32-bit) addresses that take the wide
-//! form, lock ops, and barriers — must survive the round trip through
+//! form, lock ops, and barriers, both at operands the lane's predictor
+//! foresees and elsewhere — must survive the round trip through
 //! `TraceBuilder::finish` and back out of a `TraceCursor`.
 //!
 //! The expected sequence is computed with the builder's documented
@@ -162,9 +163,91 @@ fn wide_addresses_take_the_escape_and_survive() {
     // The first two accesses miss the site's prediction (0, then twice
     // the address), so each is a lead byte, its read/write byte and an
     // 8-byte address (the shared PC sits in the lane's table). They teach
-    // the site stride 0, so the third is a 1-byte predicted read. Each
-    // sync op is a lead byte plus 8: 2 x 10 + 1 + 2 x 9 = 39 bytes.
-    assert_eq!(trace.packed_bytes(), 39);
+    // the site stride 0, so the third is a 1-byte predicted read. The
+    // acquire misses the lane's lock prediction (0), a lead byte plus 8,
+    // and the release of the held lock is 1: 2 x 10 + 1 + 9 + 1 = 31.
+    assert_eq!(trace.packed_bytes(), 31);
+}
+
+/// Seeded lock-heavy streams through the builder round-trip exactly: each
+/// CPU walks a strided lock array (some near `u64::MAX`, wrapping) with a
+/// critical section per element between global barriers; in half the
+/// cases each section nests a second lock. Without nesting the traces
+/// pack small: once the lock entry has learnt the stride, a predicted
+/// acquire, a release of the held lock and a barrier in sequence cost 1
+/// byte each, and the loop bodies fold into runs. A nested lock breaks
+/// the one lock entry's stride, so those acquires and the outer release
+/// carry their 8-byte operand.
+#[test]
+fn strided_lock_arrays_round_trip_and_pack_small() {
+    let mut rng = SplitMix64::seed_from_u64(0x10c4_5eed);
+    for _case in 0..16 {
+        let cpus = rng.random_range(1usize..5);
+        let nest = rng.random_bool();
+        let mut b = TraceBuilder::new("locks", cpus);
+        let mut expected: Vec<Vec<Op>> = vec![Vec::new(); cpus];
+        for _phase in 0..rng.random_range(1usize..4) {
+            for (cpu, want) in expected.iter_mut().enumerate() {
+                let base = match rng.random_range(0u8..3) {
+                    0 => u64::MAX - 0x100,
+                    1 => rng.random_range(0u64..1 << 40),
+                    _ => rng.random_range(0u64..1 << 24),
+                };
+                let stride = [0x40, 0x80, 0u64.wrapping_sub(0x40)][rng.random_range(0usize..3)];
+                let nested = nest.then(|| Addr::new(rng.next_u64()));
+                let pc = Pc::new(0x400 + 4 * cpu as u32);
+                for i in 0..rng.random_range(20u64..200) {
+                    let lock = Addr::new(base.wrapping_add(stride.wrapping_mul(i)));
+                    let data = Addr::new(0x10_0000 + 8 * i);
+                    let mut section = vec![Op::Acquire { lock }];
+                    if let Some(inner) = nested {
+                        section.extend([Op::Acquire { lock: inner }, Op::Release { lock: inner }]);
+                    }
+                    section.extend([
+                        Op::Read { addr: data, pc },
+                        Op::Compute { cycles: 3 },
+                        Op::Release { lock },
+                    ]);
+                    for op in section {
+                        match op {
+                            Op::Acquire { lock } => b.acquire(cpu, lock),
+                            Op::Release { lock } => b.release(cpu, lock),
+                            Op::Read { addr, pc } => b.read(cpu, addr, pc),
+                            Op::Compute { cycles } => b.compute(cpu, cycles),
+                            _ => unreachable!("sections hold no other op"),
+                        }
+                        push_expected(want, op);
+                    }
+                }
+            }
+            let id = b.barrier_all();
+            for want in &mut expected {
+                push_expected(want, Op::Barrier { id });
+            }
+        }
+        let trace = Arc::new(b.finish());
+        for (cpu, want) in expected.iter().enumerate() {
+            assert!(
+                trace.iter_cpu(cpu).eq(want.iter().copied()),
+                "iter_cpu({cpu})"
+            );
+        }
+        let mut cursor = TraceCursor::new(Arc::clone(&trace));
+        for _pass in 0..2 {
+            for (cpu, want) in expected.iter().enumerate() {
+                let got: Vec<Op> = std::iter::from_fn(|| cursor.next(cpu)).collect();
+                assert_eq!(&got, want, "cursor decode, cpu {cpu}");
+            }
+            cursor.rewind();
+        }
+        let budget = if nest { 5.1 } else { 0.5 };
+        assert!(
+            trace.bytes_per_op() <= budget,
+            "{} B / {} ops (nested: {nest})",
+            trace.packed_bytes(),
+            trace.total_ops()
+        );
+    }
 }
 
 /// Directed check of compute coalescing: zero-cycle computes vanish and

@@ -29,9 +29,9 @@ usage() {
 rev=$1
 pairs=${2:-10}
 [[ "$pairs" =~ ^[1-9][0-9]*$ ]] || usage
-git rev-parse --quiet --verify "$rev^{commit}" >/dev/null \
+commit=$(git rev-parse --quiet --verify "$rev^{commit}") \
     || { echo "error: '$rev' is not a commit" >&2; exit 2; }
-git diff --quiet "$rev" -- benchmark BENCHMARK.json \
+git diff --quiet "$commit" -- benchmark BENCHMARK.json \
     || { echo "error: benchmark/ or BENCHMARK.json differs from $rev;" \
               "both sides must run the same benchmark" >&2; exit 2; }
 
@@ -43,13 +43,14 @@ read -r -a workloads <<<"$(sed 's/.*"workloads": *\[\([^]]*\)\].*/\1/' <<<"$spec
 [[ -n "$seconds" && ${#workloads[@]} -gt 0 ]] \
     || { echo "error: no run_seconds or workloads in BENCHMARK.json" >&2; exit 2; }
 
-# The revision's tree, checked out under .bench_build/ for this run only;
-# its build output stays there for the next run.
+# The revision's tree, a clone under .bench_build/ for this run only, so
+# the repository's own .git gains no worktree; the clone borrows its
+# objects. The build output stays in .bench_build/ for the next run.
 tree=.bench_build/ab-rev
 rm -rf "$tree"
-git worktree prune
-git worktree add --quiet --detach "$tree" "$rev"
-trap 'git worktree remove --force "$tree"' EXIT
+trap 'rm -rf "$tree"' EXIT
+git clone --quiet --shared --no-checkout . "$tree"
+git -C "$tree" checkout --quiet --detach "$commit"
 
 echo "==> building pfsim-benchmark at $rev and in the working tree" >&2
 cargo build --release --quiet --offline --manifest-path "$tree/benchmark/Cargo.toml" \

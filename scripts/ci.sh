@@ -153,22 +153,22 @@ echo "==> pfsim-benchmark: one pass per workload (84 cell anchors)"
 # manifest and compares the manifest's total with the run's. These
 # passes gate the fig6-default (14059066) and fig6-large (151368054)
 # totals, the 8x8 families (3363151) and the finite-SLC grid
-# (17725835). fig6-large's peak RSS, which its packed traces dominate,
-# must also stay at or under 60 MB: it measures about 34 MB. It
-# measured 300 MB before a read or write at the address its PC's
-# stride predicts took 1 byte instead of 4, and about 96 MB before a
-# run record stood for each repeating loop body.
-fig6_large_rss_mb=60
-for workload in fig6-default fig6-large families-8x8 fig6-finite16k; do
+# (17725835). Each workload's peak RSS must also stay at or under its
+# cap in MB, below: they measure about 8, 22, 10.4 and 8 MB. The packed
+# traces dominate fig6-large's peak. It measured 300 MB before a read
+# or write at the address its PC's stride predicts took 1 byte instead
+# of 4, about 96 MB before a run record stood for each repeating loop
+# body, and about 34 MB before predicted lock and barrier operands took
+# 1 byte instead of 9.
+for entry in fig6-default:12 fig6-large:30 families-8x8:14 fig6-finite16k:12; do
+    workload=${entry%:*} cap=${entry#*:}
     out=$(cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 1 --trace 0) \
         || { echo "$out"; exit 1; }
     echo "$out"
-    if [[ "$workload" == fig6-large ]]; then
-        rss=$(tail -n 1 <<<"$out" | sed -n 's/.*"peak_rss_mb": {"value": \([0-9.]*\).*/\1/p')
-        awk -v rss="$rss" -v cap="$fig6_large_rss_mb" 'BEGIN { exit !(rss != "" && rss <= cap) }' \
-            || { echo "error: fig6-large peak_rss_mb '$rss' exceeds $fig6_large_rss_mb MB" >&2; exit 1; }
-    fi
+    rss=$(tail -n 1 <<<"$out" | sed -n 's/.*"peak_rss_mb": {"value": \([0-9.]*\).*/\1/p')
+    awk -v rss="$rss" -v cap="$cap" 'BEGIN { exit !(rss != "" && rss <= cap) }' \
+        || { echo "error: $workload peak_rss_mb '$rss' exceeds $cap MB" >&2; exit 1; }
 done
 
 echo "==> CI gate passed"
